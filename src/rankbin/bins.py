@@ -65,7 +65,6 @@ class StopConfig:
 
     max_depth: int
     min_expected: float = 10.0
-    stop_empty: bool = True
 
     def __post_init__(self):
         if self.max_depth < 0:
@@ -75,11 +74,11 @@ class StopConfig:
 
 
 def should_stop(b: Bin, cfg: StopConfig) -> bool:
-    """True when any stop criterion holds for the bin."""
+    """True when any stop criterion holds for the bin, or it is empty."""
     return (
         b.depth >= cfg.max_depth
         or b.expected <= cfg.min_expected
-        or (cfg.stop_empty and b.observed == 0)
+        or b.observed == 0
     )
 
 
@@ -136,7 +135,7 @@ def binning_to_json(binning: Binning) -> str:
         f'"seed":{binning.seed},'
         f'"stop":{{"max_depth":{stop.max_depth},'
         f'"min_expected":{_fmt_real(stop.min_expected)},'
-        f'"stop_empty":{"true" if stop.stop_empty else "false"}}},'
+        f'"stop_empty":true}},'
         f'"bins":['
     )
     parts = []

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bins import Bin, Binning, StopConfig, root_bin, should_stop
+from .bins import SCORE_KINDS, Bin, Binning, StopConfig, root_bin, should_stop
 from .ranks import RankedPair
 from .splitting import UnsplittableBinError, max_score_split
 
@@ -37,15 +37,9 @@ def _bin_rng(seed: int, node_id: int) -> np.random.Generator:
 
 
 def _grow(
-    pair: RankedPair,
-    kind: str,
-    stop: StopConfig,
-    z: float,
-    seed: int,
-    max_depth: int,
+    pair: RankedPair, kind: str, cfg: StopConfig, z: float, seed: int
 ) -> tuple[_Node, dict[int, tuple[_Node, _Node]]]:
-    """Split to ``max_depth``, recording each node's children by tree id."""
-    cfg = StopConfig(max_depth, stop.min_expected, stop.stop_empty)
+    """Split to ``cfg``'s limits, recording each node's children by tree id."""
     root: _Node = (root_bin(pair), 1)
     children: dict[int, tuple[_Node, _Node]] = {}
     active = [] if should_stop(root[0], cfg) else [root]
@@ -105,20 +99,8 @@ def bin_pair(
     """
     if stop is None:
         stop = StopConfig(max_depth=6)
-    if z < 0:
-        raise ValueError("z must be >= 0")
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
-    root, children = _grow(pair, kind, stop, z, seed, stop.max_depth)
-    bins = _replay(root, children, stop)
-    return Binning(
-        bins=bins,
-        score_kind=kind,
-        stop=stop,
-        min_split_expected=z,
-        seed=seed,
-        n=pair.n,
-    )
+    d = stop.max_depth
+    return bin_pair_by_depth(pair, kind, [d], stop, z, seed)[d]
 
 
 def bin_pair_by_depth(
@@ -140,13 +122,16 @@ def bin_pair_by_depth(
         raise ValueError("need at least one depth limit")
     if depths[0] < 0:
         raise ValueError("depth limits must be >= 0")
+    if kind not in SCORE_KINDS:
+        raise ValueError(f"unknown score kind {kind!r}")
+    if z < 0:
+        raise ValueError("z must be >= 0")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    root, children = _grow(pair, kind, stop, z, seed, depths[-1])
-    out = {}
-    for d in depths:
-        cfg = StopConfig(d, stop.min_expected, stop.stop_empty)
-        out[d] = Binning(
+    cfgs = [StopConfig(d, stop.min_expected) for d in depths]
+    root, children = _grow(pair, kind, cfgs[-1], z, seed)
+    return {
+        cfg.max_depth: Binning(
             bins=_replay(root, children, cfg),
             score_kind=kind,
             stop=cfg,
@@ -154,4 +139,5 @@ def bin_pair_by_depth(
             seed=seed,
             n=pair.n,
         )
-    return out
+        for cfg in cfgs
+    }

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bins import StopConfig
+from .bins import Binning, StopConfig
 from .engine import bin_pair
 from .ranks import RankedPair, rank
 from .stats import NullTable, chi2_statistic, empirical_p
@@ -47,9 +47,9 @@ def load_matrix(path) -> dict[str, np.ndarray]:
     """Read a CSV of named numeric columns, dropping incomplete ones.
 
     The first row is a header of unique column names.  Cells must be
-    numeric; an empty field marks a missing value, and any column holding
-    one is dropped with a warning.  Malformed input raises IngestionError
-    naming the offending row and column.
+    numeric and finite; an empty field marks a missing value, and any column
+    holding one is dropped with a warning.  Malformed input raises
+    IngestionError naming the offending row and column.
     """
     try:
         with open(path, newline="") as fh:
@@ -87,11 +87,19 @@ def load_matrix(path) -> dict[str, np.ndarray]:
         raise IngestionError(f"{path}: {exc}") from exc
     for j in sorted(missing):
         logger.warning("dropping column %r: missing values", header[j])
-    return {
+    table = {
         name: np.asarray(col, dtype=float)
         for j, (name, col) in enumerate(zip(header, cols))
         if j not in missing
     }
+    for name, col in table.items():
+        bad = np.flatnonzero(~np.isfinite(col))
+        if bad.size:
+            raise IngestionError(
+                f"{path}: row {int(bad[0]) + 2}, column {name!r}: "
+                f"non-finite cell {float(col[bad[0]])!r}"
+            )
+    return table
 
 
 def neg_log_returns(prices) -> np.ndarray:
@@ -118,8 +126,9 @@ def _check_null_config(null: NullTable, kind: str, stop: StopConfig, z: float):
         problems.append(
             f"min_expected {cfg.get('min_expected')!r} != {stop.min_expected!r}"
         )
-    if cfg.get("stop_empty") != stop.stop_empty:
-        problems.append(f"stop_empty {cfg.get('stop_empty')!r} != {stop.stop_empty!r}")
+    # empty bins always stop, so a table simulated otherwise cannot match
+    if cfg.get("stop_empty") is not True:
+        problems.append(f"stop_empty {cfg.get('stop_empty')!r} != True")
     if "depths" in cfg and stop.max_depth not in cfg["depths"]:
         problems.append(f"depth {stop.max_depth} not in simulated {cfg['depths']}")
     if problems:
@@ -135,16 +144,21 @@ def _scan_init(cols, kind, stop, z, base_seed) -> None:
     _SCAN_STATE["ctx"] = (cols, kind, stop, z, base_seed)
 
 
-def _pair_stat(idx: tuple[int, int]) -> tuple[int, int, int, float]:
-    cols, kind, stop, z, base_seed = _SCAN_STATE["ctx"]
-    ia, ib = idx
+def _seeded_binning(cols, ia, ib, kind, stop, z, base_seed) -> Binning:
+    """Rank and bin one column pair from its own substream (scan and plots)."""
     ss = np.random.SeedSequence(entropy=(base_seed, ia, ib))
     ss_a, ss_b, ss_bin = ss.spawn(3)
     s = rank(cols[ia], np.random.default_rng(ss_a))
     t = rank(cols[ib], np.random.default_rng(ss_b))
     pair = RankedPair(s=s, t=t, n=s.size)
     bin_seed = int(ss_bin.generate_state(1, np.uint64)[0])
-    binning = bin_pair(pair, kind=kind, stop=stop, z=z, seed=bin_seed)
+    return bin_pair(pair, kind=kind, stop=stop, z=z, seed=bin_seed)
+
+
+def _pair_stat(idx: tuple[int, int]) -> tuple[int, int, int, float]:
+    cols, kind, stop, z, base_seed = _SCAN_STATE["ctx"]
+    ia, ib = idx
+    binning = _seeded_binning(cols, ia, ib, kind, stop, z, base_seed)
     chi2, n_bin = chi2_statistic(binning)
     return ia, ib, n_bin, chi2
 
@@ -157,18 +171,11 @@ def pair_binning(
     stop: StopConfig,
     z: float,
     base_seed: int,
-):
+) -> Binning:
     """Rebuild the exact binning the scan used for one named pair."""
     names = list(table)
     ia, ib = names.index(name_a), names.index(name_b)
-    cols = list(table.values())
-    ss = np.random.SeedSequence(entropy=(base_seed, ia, ib))
-    ss_a, ss_b, ss_bin = ss.spawn(3)
-    s = rank(cols[ia], np.random.default_rng(ss_a))
-    t = rank(cols[ib], np.random.default_rng(ss_b))
-    pair = RankedPair(s=s, t=t, n=s.size)
-    bin_seed = int(ss_bin.generate_state(1, np.uint64)[0])
-    return bin_pair(pair, kind=kind, stop=stop, z=z, seed=bin_seed)
+    return _seeded_binning(list(table.values()), ia, ib, kind, stop, z, base_seed)
 
 
 def scan_pairs(

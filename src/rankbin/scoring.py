@@ -51,41 +51,67 @@ class CandidateVector:
     def m(self) -> int:
         return int(self.w.size)
 
-    @property
-    def total_observed(self) -> int:
-        return self.m - 3
+
+def lower_expected(coord, lower, upper, e):
+    """Expected count of the lower child of a cut at ``coord`` in (lower, upper].
+
+    Shared by the size gate and ``splitting.split_at``, so a gate-passed
+    split never stores a child expected a rounding error below the floor.
+    """
+    return (coord - lower) * (e / (upper - lower))
+
+
+def _score(
+    w: np.ndarray, e: float, z: float, kind: str,
+    rng: np.random.Generator | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gated scores and size-gate indicator per candidate of a raw ``w``.
+
+    ``w`` is laid out as in ``CandidateVector`` but not validated: the
+    splitter builds it from sorted rank coordinates, strictly increasing by
+    construction.  With z == 0 the positivity guards exclude zero-width
+    children, so no score divides by zero; a cut on the upper bound is also
+    excluded by coordinate, as there e - e_lo can round to 2e-16, not 0.
+    """
+    inner = w[1:-1]
+    e_lo = lower_expected(inner, w[0], w[-1], e)
+    e_hi = e - e_lo
+    ok = (e_lo >= z) & (e_hi >= z) & (e_lo > 0) & (e_hi > 0) & (inner < w[-1])
+    if kind == "random":
+        return np.where(ok, rng.random(ok.size), 0.0), ok
+    if kind not in ("chi", "mi"):
+        raise ValueError(f"unknown score kind {kind!r}")
+    o = ok.size - 1
+    scores = np.zeros(o + 1)
+    lo, hi = e_lo[ok], e_hi[ok]
+    olo = np.arange(o + 1, dtype=float)[ok]
+    if kind == "chi":
+        scores[ok] = (olo - lo) ** 2 / lo + (o - olo - hi) ** 2 / hi
+        return scores, ok
+    ohi = o - olo
+    term_lo = np.zeros(olo.size)
+    term_hi = np.zeros(olo.size)
+    pos = olo > 0
+    term_lo[pos] = (olo[pos] / o) * np.log(olo[pos] / lo[pos])
+    pos = ohi > 0
+    term_hi[pos] = (ohi[pos] / o) * np.log(ohi[pos] / hi[pos])
+    scores[ok] = term_lo + term_hi
+    return scores, ok
 
 
 def child_expectations(cand: CandidateVector) -> np.ndarray:
     """Expected count of the lower child for each interior candidate."""
-    w = cand.w
-    density = cand.e / (w[-1] - w[0])
-    return (w[1:-1] - w[0]) * density
+    return lower_expected(cand.w[1:-1], cand.w[0], cand.w[-1], cand.e)
 
 
 def gate_mask(cand: CandidateVector) -> np.ndarray:
-    """Size-gate indicator per candidate: both children wide enough.
-
-    With z > 0 the gate also excludes zero-width children; with z == 0 an
-    explicit positivity guard does, so no score ever divides by zero.
-    """
-    e_lo = child_expectations(cand)
-    e_hi = cand.e - e_lo
-    return (e_lo >= cand.z) & (e_hi >= cand.z) & (e_lo > 0) & (e_hi > 0)
+    """Size-gate indicator per candidate: both children wide enough."""
+    return _score(cand.w, cand.e, cand.z, "chi")[1]
 
 
 def chi_scores(cand: CandidateVector) -> np.ndarray:
     """Two-child chi-squared sums for each candidate, gated by size."""
-    e_lo = child_expectations(cand)
-    e_hi = cand.e - e_lo
-    o = cand.total_observed
-    o_lo = np.arange(o + 1, dtype=float)
-    ok = gate_mask(cand)
-    scores = np.zeros(o + 1)
-    lo, hi = e_lo[ok], e_hi[ok]
-    olo = o_lo[ok]
-    scores[ok] = (olo - lo) ** 2 / lo + (o - olo - hi) ** 2 / hi
-    return scores
+    return _score(cand.w, cand.e, cand.z, "chi")[0]
 
 
 def mi_scores(cand: CandidateVector) -> np.ndarray:
@@ -95,23 +121,7 @@ def mi_scores(cand: CandidateVector) -> np.ndarray:
     a bin holding fewer points than it expects has log-ratios below zero on
     both sides.
     """
-    e_lo = child_expectations(cand)
-    e_hi = cand.e - e_lo
-    o = cand.total_observed
-    o_lo = np.arange(o + 1, dtype=float)
-    ok = gate_mask(cand)
-    scores = np.zeros(o + 1)
-    lo, hi = e_lo[ok], e_hi[ok]
-    olo = o_lo[ok]
-    ohi = o - olo
-    term_lo = np.zeros(olo.size)
-    term_hi = np.zeros(olo.size)
-    pos = olo > 0
-    term_lo[pos] = (olo[pos] / o) * np.log(olo[pos] / lo[pos])
-    pos = ohi > 0
-    term_hi[pos] = (ohi[pos] / o) * np.log(ohi[pos] / hi[pos])
-    scores[ok] = term_lo + term_hi
-    return scores
+    return _score(cand.w, cand.e, cand.z, "mi")[0]
 
 
 def rand_scores(cand: CandidateVector, rng: np.random.Generator) -> np.ndarray:
@@ -120,5 +130,4 @@ def rand_scores(cand: CandidateVector, rng: np.random.Generator) -> np.ndarray:
     One draw is consumed per candidate whether or not it is gated, so the
     stream position after a call depends only on the candidate count.
     """
-    u = rng.random(cand.m - 2)
-    return np.where(gate_mask(cand), u, 0.0)
+    return _score(cand.w, cand.e, cand.z, "random", rng)[0]

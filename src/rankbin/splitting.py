@@ -1,7 +1,7 @@
 """Choosing and executing the best binary split of one bin.
 
-``max_score_split`` builds candidate vectors on both margins, scores them
-with the requested rule, and splits at the winning coordinate.  Candidates
+``max_score_split`` builds the candidate coordinates of both margins, scores
+them with the requested rule, and splits at the winning coordinate.  Candidates
 zeroed by the size gate are not selectable: the gate marks them forbidden,
 and treating their zeros as real scores would let them outrank genuinely
 negative scores (possible under mi scoring) or mask a flat score function.
@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bins import Bin
-from .scoring import CandidateVector, chi_scores, gate_mask, mi_scores, rand_scores
+from .scoring import _score, lower_expected
 
 
 def split_at(b: Bin, margin: str, coord: int) -> tuple[Bin, Bin]:
@@ -42,10 +42,7 @@ def split_at(b: Bin, margin: str, coord: int) -> tuple[Bin, Bin]:
         )
     coords = b.points_s if margin == "s" else b.points_t
     below = coords <= coord
-    # same expression, in the same order, as the scoring gate's child
-    # expectation, so a gate-passed split never stores a child expected a
-    # rounding error below the floor
-    e_lo = (coord - lower) * (b.expected / (upper - lower))
+    e_lo = lower_expected(coord, lower, upper, b.expected)
     e_hi = b.expected - e_lo
     if margin == "s":
         lo = Bin(b.lower_s, coord, b.lower_t, b.upper_t,
@@ -58,15 +55,6 @@ def split_at(b: Bin, margin: str, coord: int) -> tuple[Bin, Bin]:
         hi = Bin(b.lower_s, b.upper_s, coord, b.upper_t,
                  b.points_s[~below], b.points_t[~below], e_hi, b.depth + 1)
     return lo, hi
-
-
-def candidate_vector(b: Bin, margin: str, z: float) -> CandidateVector:
-    """Candidate split coordinates of a bin on one margin, with pseudo-point."""
-    coords = np.sort(b.points_s if margin == "s" else b.points_t)
-    lower = b.lower_s if margin == "s" else b.lower_t
-    upper = b.upper_s if margin == "s" else b.upper_t
-    w = np.concatenate(([lower, coords[0] - 1], coords, [upper])).astype(float)
-    return CandidateVector(w=w, e=b.expected, z=z)
 
 
 class UnsplittableBinError(RuntimeError):
@@ -91,8 +79,7 @@ def _halving_ok(b: Bin, margin: str, z: float) -> bool:
         return False
     if z <= 0:
         return True
-    coord = _halve_coord(lower, upper)
-    e_lo = (coord - lower) * (b.expected / (upper - lower))
+    e_lo = lower_expected(_halve_coord(lower, upper), lower, upper, b.expected)
     return e_lo >= z and b.expected - e_lo >= z
 
 
@@ -125,19 +112,14 @@ def max_score_split(
     """
     if b.observed == 0:
         raise RuntimeError("cannot split an empty bin")
-    cand_s = candidate_vector(b, "s", z)
-    cand_t = candidate_vector(b, "t", z)
-    if kind == "chi":
-        d_s, d_t = chi_scores(cand_s), chi_scores(cand_t)
-    elif kind == "mi":
-        d_s, d_t = mi_scores(cand_s), mi_scores(cand_t)
-    elif kind == "random":
-        d_s, d_t = rand_scores(cand_s, rng), rand_scores(cand_t, rng)
-    else:
-        raise ValueError(f"unknown score kind {kind!r}")
-
-    s_flat, s_best, s_idx = _margin_summary(d_s, gate_mask(cand_s))
-    t_flat, t_best, t_idx = _margin_summary(d_t, gate_mask(cand_t))
+    margins = []
+    for lower, coords, upper in ((b.lower_s, b.points_s, b.upper_s),
+                                 (b.lower_t, b.points_t, b.upper_t)):
+        # [lower, pseudo-point, sorted members..., upper], as CandidateVector
+        coords = np.sort(coords)
+        w = np.concatenate(([lower, coords[0] - 1], coords, [upper])).astype(float)
+        margins.append((w, *_margin_summary(*_score(w, b.expected, z, kind, rng))))
+    (w_s, s_flat, s_best, s_idx), (w_t, t_flat, t_best, t_idx) = margins
 
     if s_flat and t_flat:
         # Degenerate: no candidate is better than any other, so halve a
@@ -163,5 +145,5 @@ def max_score_split(
     # Ties across margins go to s; a margin without eligible candidates
     # cannot win (its -1 index would be meaningless).
     if t_idx < 0 or (s_idx >= 0 and s_best >= t_best):
-        return split_at(b, "s", int(cand_s.w[1 + s_idx]))
-    return split_at(b, "t", int(cand_t.w[1 + t_idx]))
+        return split_at(b, "s", int(w_s[1 + s_idx]))
+    return split_at(b, "t", int(w_t[1 + t_idx]))

@@ -176,7 +176,7 @@ def simulate_null(
         "kind": kind,
         "depths": depths,
         "min_expected": stop.min_expected,
-        "stop_empty": stop.stop_empty,
+        "stop_empty": True,
         "z": z,
         "seed": seed,
     }
@@ -187,6 +187,21 @@ def simulate_null(
         chi2s=np.array([r[2] for r in rows]),
         config=config,
     )
+
+
+def _widened_window(gap: np.ndarray, window: int, min_count: int) -> np.ndarray:
+    """Mask of entries with ``gap <= w``, widening ``w`` from ``window``.
+
+    ``w`` grows one step at a time until the mask holds ``min_count``
+    entries or ``w`` reaches the largest gap.
+    """
+    w = window
+    sel = gap <= w
+    max_gap = int(gap.max())
+    while w < max_gap and int(sel.sum()) < min_count:
+        w += 1
+        sel = gap <= w
+    return sel
 
 
 def empirical_p(
@@ -204,19 +219,10 @@ def empirical_p(
     gap = np.abs(null.n_bins - obs_nb)
     in_win = gap <= window
     if not in_win.any():
-        w = window
-        max_gap = int(gap.max())
-        while w < max_gap and int(in_win.sum()) < 100:
-            w += 1
-            in_win = gap <= w
+        in_win = _widened_window(gap, window, 100)
     n_ref = int(in_win.sum())
     n_ge = int(np.count_nonzero(null.chi2s[in_win] >= obs_chi2))
     return (1 + n_ge) / (1 + n_ref)
-
-
-def empirical_quantile(values, q: float) -> float:
-    """Linear-interpolation empirical quantile of a sample."""
-    return float(np.quantile(np.asarray(values, dtype=float), q))
 
 
 def null_quantile_curve(
@@ -238,13 +244,7 @@ def null_quantile_curve(
     levels = np.unique(null.n_bins)
     raw = []
     for nb in levels:
-        gap = np.abs(null.n_bins - nb)
-        w = window
-        sel = gap <= w
-        max_gap = int(gap.max())
-        while int(sel.sum()) < min_count and w < max_gap:
-            w += 1
-            sel = gap <= w
-        raw.append(empirical_quantile(null.chi2s[sel], q))
+        sel = _widened_window(np.abs(null.n_bins - nb), window, min_count)
+        raw.append(float(np.quantile(null.chi2s[sel], q)))
     monotone = np.sort(np.asarray(raw))
     return {int(nb): float(v) for nb, v in zip(levels, monotone)}

@@ -37,6 +37,11 @@ def brute_force_scores(kind, w, e, z):
     density = e / (w[-1] - w[0])
     out = []
     for c in w[1:-1]:
+        if c >= w[-1]:
+            # a cut on the upper bound leaves a zero-width upper child,
+            # gated whatever e - e1 rounds to
+            out.append(0.0)
+            continue
         e1 = (c - w[0]) * density
         o1 = int(np.count_nonzero(members <= c))
         o2 = members.size - o1

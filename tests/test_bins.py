@@ -34,13 +34,11 @@ def test_root_bin_satisfies_invariants():
 def test_should_stop_disjunction():
     mk = lambda depth, e, o: Bin(0, 10, 0, 10, np.arange(1, o + 1),
                                  np.arange(1, o + 1), e, depth)
-    cfg = StopConfig(max_depth=6, min_expected=10.0, stop_empty=True)
+    cfg = StopConfig(max_depth=6, min_expected=10.0)
     assert should_stop(mk(6, 50.0, 5), cfg)          # depth boundary
     assert should_stop(mk(0, 10.0, 5), cfg)          # expected <= 10 boundary
     assert should_stop(mk(0, 50.0, 0), cfg)          # empty
     assert not should_stop(mk(2, 50.0, 12), StopConfig(max_depth=10))
-    assert not should_stop(mk(0, 50.0, 0),
-                           StopConfig(max_depth=6, stop_empty=False))
 
 
 def test_stop_config_validation():

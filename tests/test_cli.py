@@ -120,6 +120,11 @@ def test_data_errors_exit_2(tmp_path, capsys):
     bad.write_text("x,y\n1,zap\n")
     assert cli_main(["bin", "--input", str(bad),
                      "--out", str(tmp_path / "o.json")]) == 2
+    for cell in ("nan", "inf", "-inf"):
+        bad.write_text(f"x,y\n1,2\n{cell},3\n")
+        assert cli_main(["bin", "--input", str(bad),
+                         "--out", str(tmp_path / "o.json")]) == 2
+        assert "row 3, column 'x': non-finite" in capsys.readouterr().err
     # scan with a null simulated under a different configuration
     matrix = tmp_path / "m.csv"
     rng = np.random.default_rng(1)

@@ -106,3 +106,10 @@ def test_invalid_arguments():
         bin_pair(pair, "chi", StopConfig(max_depth=3), seed=-4)
     with pytest.raises(ValueError):
         bin_pair_by_depth(pair, "chi", [], StopConfig(max_depth=3))
+    # checked before growing, even when the root never splits
+    with pytest.raises(ValueError):
+        bin_pair_by_depth(pair, "chi", [0], StopConfig(max_depth=3), z=-1.0)
+    with pytest.raises(ValueError):
+        bin_pair_by_depth(pair, "chi", [0], StopConfig(max_depth=3), seed=-4)
+    with pytest.raises(ValueError, match="unknown score kind"):
+        bin_pair_by_depth(pair, "chebyshev", [0], StopConfig(max_depth=3))

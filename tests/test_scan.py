@@ -3,6 +3,7 @@ import pytest
 
 from rankbin import (
     IngestionError,
+    NullTable,
     StopConfig,
     bottom_k,
     load_matrix,
@@ -52,6 +53,13 @@ def test_load_matrix_non_numeric_names_row_and_column(tmp_path):
 def test_load_matrix_ragged_row(tmp_path):
     path = _write(tmp_path, "a,b\n1,2\n3\n")
     with pytest.raises(IngestionError, match="row 3"):
+        load_matrix(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "Infinity", "NaN"])
+def test_load_matrix_non_finite_names_row_and_column(tmp_path, cell):
+    path = _write(tmp_path, f"a,b,c\n1,2,3\n4,5,6\n7,{cell},9\n")
+    with pytest.raises(IngestionError, match=r"row 4, column 'b': non-finite"):
         load_matrix(path)
 
 
@@ -133,6 +141,11 @@ def test_scan_rejects_mismatched_null_config():
         scan_pairs(table, "chi", StopConfig(max_depth=4), 5.0, 0, null)
     with pytest.raises(ValueError, match="mismatch"):
         scan_pairs(table, "chi", StopConfig(max_depth=6), 7.0, 0, null)
+    # empty bins always stop; a table simulated without that rule is refused
+    other = NullTable(n=null.n, depths=null.depths, n_bins=null.n_bins,
+                      chi2s=null.chi2s, config={**null.config, "stop_empty": False})
+    with pytest.raises(ValueError, match="stop_empty"):
+        scan_pairs(table, "chi", StopConfig(max_depth=6), 5.0, 0, other)
 
 
 def _records(n):

@@ -90,12 +90,16 @@ def test_gate_monotone_in_z():
 
 
 def test_zero_width_candidates_are_gated_even_at_z0():
-    # pseudo-point equal to the lower bound, and a member on the upper bound
-    w = np.array([3.0, 3.0, 4.0, 10.0, 10.0])
-    for scores in (chi_scores, mi_scores):
-        got = scores(CandidateVector(w=w, e=6.0, z=0.0))
-        assert got[0] == 0.0 and got[-1] == 0.0
-        assert np.isfinite(got).all()
+    # pseudo-point equal to the lower bound, and a member on the upper bound;
+    # in the second vector the upper cut's e - e_lo rounds to 2.2e-16, not 0
+    for w, e in (([3.0, 3.0, 4.0, 10.0, 10.0], 6.0),
+                 ([0.0, 0.0, 1.0, 3.0, 3.0], 3 * 29 / 44)):
+        c = CandidateVector(w=np.array(w), e=e, z=0.0)
+        assert not gate_mask(c)[0] and not gate_mask(c)[-1]
+        for got in (chi_scores(c), mi_scores(c),
+                    rand_scores(c, np.random.default_rng(0))):
+            assert got[0] == 0.0 and got[-1] == 0.0
+            assert np.isfinite(got).all()
 
 
 def test_errors():

@@ -15,7 +15,6 @@ from rankbin import (
 )
 from rankbin.bins import Binning
 from rankbin.ranks import RankedPair
-from rankbin.stats import empirical_quantile
 
 
 def _toy_binning(bins, n):
@@ -129,10 +128,6 @@ def test_empirical_p_empty_table_rejected():
     table = _table([], [])
     with pytest.raises(ValueError):
         empirical_p(table, (10, 1.0))
-
-
-def test_empirical_quantile_median_example():
-    assert empirical_quantile([1.0, 2.0, 3.0], 0.5) == 2.0
 
 
 def test_quantile_curve_ordering_in_q():
