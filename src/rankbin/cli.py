@@ -191,8 +191,6 @@ def _cmd_bin(args) -> int:
 
 
 def _cmd_nullsim(args) -> int:
-    if args.n < 2 or args.sims < 1:
-        raise ValueError("need --n >= 2 and --sims >= 1")
     stop = StopConfig(max_depth=max(args.depths), min_expected=args.min_exp)
     table = simulate_null(args.n, args.depths, _SCORES[args.score], stop,
                           z=args.min_split, n_sim=args.sims, seed=args.seed)
@@ -223,8 +221,6 @@ def _cmd_scan(args) -> int:
     write_records_csv(records, args.out)
     print(f"scanned {len(records)} pairs -> {args.out}")
     if args.plot_top > 0:
-        if not args.plot_dir:
-            raise ValueError("--plot-top requires --plot-dir")
         os.makedirs(args.plot_dir, exist_ok=True)
         chosen = top_k(records, min(args.plot_top, len(records)))
         binnings = [
@@ -259,14 +255,13 @@ def cli_main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "scan" and args.plot_top > 0 and not args.plot_dir:
+            parser.error("--plot-top requires --plot-dir")
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (IngestionError, OSError) as exc:
-        print(f"rankbin: data error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # IngestionError is a ValueError
         print(f"rankbin: data error: {exc}", file=sys.stderr)
         return 2
 

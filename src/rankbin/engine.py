@@ -1,9 +1,12 @@
-"""Iterative refinement of a rank-space partition to a fixed point.
+"""Breadth-first growth of a rank-space split tree, read off per depth limit.
 
-Each round, every bin failing the stop criteria is split by the
-score-maximizing splitter; the rest are frozen.  Bins are processed in
-creation order, and the final partition lists frozen bins in the order in
-which they froze (ties broken by that same traversal order).
+The tree is grown once, level by level, under the deepest requested limit:
+every bin failing the stop criteria is split by the score-maximizing
+splitter, and the rest are leaves.  The partition for a limit ``d`` lists,
+in breadth-first order, every leaf above depth ``d`` and every node at
+depth ``d``.  Below ``d`` the stop criteria of limit ``d`` and of the
+deepest limit differ only in the depth test, so a node freezes under ``d``
+exactly when it is a leaf of the grown tree.
 
 Randomness is splittable: every bin in the binary split tree owns a
 substream derived from the run seed and the bin's tree position (root id 1,
@@ -29,8 +32,6 @@ from .bins import SCORE_KINDS, Bin, Binning, StopConfig, root_bin, should_stop
 from .ranks import RankedPair
 from .splitting import UnsplittableBinError, max_score_split
 
-_Node = tuple[Bin, int]
-
 
 def _bin_rng(seed: int, node_id: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, node_id)))
@@ -38,49 +39,26 @@ def _bin_rng(seed: int, node_id: int) -> np.random.Generator:
 
 def _grow(
     pair: RankedPair, kind: str, cfg: StopConfig, z: float, seed: int
-) -> tuple[_Node, dict[int, tuple[_Node, _Node]]]:
-    """Split to ``cfg``'s limits, recording each node's children by tree id."""
-    root: _Node = (root_bin(pair), 1)
-    children: dict[int, tuple[_Node, _Node]] = {}
-    active = [] if should_stop(root[0], cfg) else [root]
-    while active:
+) -> list[tuple[Bin, bool]]:
+    """Split to ``cfg``'s limits; every node in breadth-first order, flagged as a leaf."""
+    nodes: list[tuple[Bin, bool]] = []
+    level = [(root_bin(pair), 1)]
+    while level:
         nxt = []
-        for b, nid in active:
+        for b, nid in level:
+            if should_stop(b, cfg):
+                nodes.append((b, True))
+                continue
             try:
                 lo, hi = max_score_split(b, kind, z, _bin_rng(seed, nid))
             except UnsplittableBinError:
                 # No admissible split exists (size floor); leave it frozen.
+                nodes.append((b, True))
                 continue
-            pair_nodes = ((lo, 2 * nid), (hi, 2 * nid + 1))
-            children[nid] = pair_nodes
-            for child in pair_nodes:
-                if not should_stop(child[0], cfg):
-                    nxt.append(child)
-        active = nxt
-    return root, children
-
-
-def _replay(
-    root: _Node, children: dict[int, tuple[_Node, _Node]], cfg: StopConfig
-) -> list[Bin]:
-    """Re-run the freeze/split bookkeeping for one stop config over a grown tree."""
-    def frozen_at(nd: _Node) -> bool:
-        # stop criteria, or no admissible split existed when grown
-        return should_stop(nd[0], cfg) or nd[1] not in children
-
-    nodes = [root]
-    stopped = [frozen_at(root)]
-    while not all(stopped):
-        done = [nd for nd, st in zip(nodes, stopped) if st]
-        fresh: list[_Node] = []
-        for nd, st in zip(nodes, stopped):
-            if not st:
-                lo, hi = children[nd[1]]
-                fresh.append(lo)
-                fresh.append(hi)
-        nodes = done + fresh
-        stopped = [True] * len(done) + [frozen_at(nd) for nd in fresh]
-    return [nd[0] for nd in nodes]
+            nodes.append((b, False))
+            nxt += [(lo, 2 * nid), (hi, 2 * nid + 1)]
+        level = nxt
+    return nodes
 
 
 def bin_pair(
@@ -115,7 +93,8 @@ def bin_pair_by_depth(
 
     Equivalent to calling ``bin_pair`` once per depth (the split tree is
     identical for every limit because bin substreams depend only on tree
-    position), but the splits are computed once at the deepest limit.
+    position), but the splits are computed once at the deepest limit and
+    each limit's partition is read off the tree's node list.
     """
     depths = sorted(set(int(d) for d in depths))
     if not depths:
@@ -128,16 +107,15 @@ def bin_pair_by_depth(
         raise ValueError("z must be >= 0")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    cfgs = [StopConfig(d, stop.min_expected) for d in depths]
-    root, children = _grow(pair, kind, cfgs[-1], z, seed)
+    nodes = _grow(pair, kind, StopConfig(depths[-1], stop.min_expected), z, seed)
     return {
-        cfg.max_depth: Binning(
-            bins=_replay(root, children, cfg),
+        d: Binning(
+            bins=[b for b, leaf in nodes if b.depth == d or (leaf and b.depth < d)],
             score_kind=kind,
-            stop=cfg,
+            stop=StopConfig(d, stop.min_expected),
             min_split_expected=z,
             seed=seed,
             n=pair.n,
         )
-        for cfg in cfgs
+        for d in depths
     }

@@ -102,10 +102,15 @@ class NullTable:
     @classmethod
     def from_csv(cls, path, n: int = 0) -> "NullTable":
         text = Path(path).read_text()
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0].strip() != "depth,n_bin,chi2":
+        lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+        if not lines or lines[0][1].strip() != "depth,n_bin,chi2":
             raise ValueError(f"{path}: expected header 'depth,n_bin,chi2'")
-        rows = [ln.split(",") for ln in lines[1:]]
+        rows = []
+        for i, ln in lines[1:]:
+            cells = ln.split(",")
+            if len(cells) != 3:
+                raise ValueError(f"{path}: line {i}: expected 3 cells, found {len(cells)}")
+            rows.append(cells)
         depths = np.array([int(r[0]) for r in rows], dtype=np.int64)
         n_bins = np.array([int(r[1]) for r in rows], dtype=np.int64)
         chi2s = np.array([float(r[2]) for r in rows])
@@ -114,11 +119,18 @@ class NullTable:
     @classmethod
     def from_json(cls, path) -> "NullTable":
         doc = json.loads(Path(path).read_text())
-        entries = np.asarray(doc["entries"], dtype=float)
+        bad = ValueError(f"{path}: expected an object with 'n' and N x 3 'entries'")
+        try:
+            n = int(doc["n"])
+            entries = np.asarray(doc["entries"], dtype=float)
+        except (KeyError, TypeError, ValueError):
+            raise bad from None
         if entries.size == 0:
             entries = entries.reshape(0, 3)
+        if entries.ndim != 2 or entries.shape[1] != 3:
+            raise bad
         return cls(
-            n=int(doc["n"]),
+            n=n,
             depths=entries[:, 0].astype(np.int64),
             n_bins=entries[:, 1].astype(np.int64),
             chi2s=entries[:, 2],

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from rankbin.bins import Binning, StopConfig, root_bin, should_stop
+from rankbin.splitting import UnsplittableBinError, max_score_split
+
 
 def chi_cell(o: float, e: float) -> float:
     return (o - e) ** 2 / e
@@ -92,3 +95,60 @@ def random_bin_setup(rng, min_pts=5, max_pts=200):
     coords = np.sort(rng.choice(np.arange(lower + 1, upper + 1), size=o, replace=False))
     e = float(rng.uniform(10.0, max(20.0, 3.0 * o)))
     return lower, upper, coords, e
+
+
+def replay_partitions(pair, kind, depths, stop, z, seed):
+    """Partitions per depth limit from a grown tree and a per-limit replay.
+
+    A second bookkeeping for ``bin_pair_by_depth``: grow once under the
+    deepest limit, recording each node's children by tree id, then re-run
+    the freeze/split rounds for each limit over that tree.  Splitting still
+    goes through the library's ``max_score_split``; this checks the
+    bookkeeping, not the splitter.  Node ``k``'s split draws from the
+    substream ``(seed, k)``.  Returns ``{depth: Binning}``.
+    """
+    def grow(cfg):
+        root = (root_bin(pair), 1)
+        children = {}
+        active = [] if should_stop(root[0], cfg) else [root]
+        while active:
+            nxt = []
+            for b, nid in active:
+                rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, nid)))
+                try:
+                    lo, hi = max_score_split(b, kind, z, rng)
+                except UnsplittableBinError:
+                    continue
+                pair_nodes = ((lo, 2 * nid), (hi, 2 * nid + 1))
+                children[nid] = pair_nodes
+                for child in pair_nodes:
+                    if not should_stop(child[0], cfg):
+                        nxt.append(child)
+            active = nxt
+        return root, children
+
+    def replay(root, children, cfg):
+        def frozen_at(nd):
+            return should_stop(nd[0], cfg) or nd[1] not in children
+
+        nodes = [root]
+        stopped = [frozen_at(root)]
+        while not all(stopped):
+            done = [nd for nd, st in zip(nodes, stopped) if st]
+            fresh = []
+            for nd, st in zip(nodes, stopped):
+                if not st:
+                    lo, hi = children[nd[1]]
+                    fresh.append(lo)
+                    fresh.append(hi)
+            nodes = done + fresh
+            stopped = [True] * len(done) + [frozen_at(nd) for nd in fresh]
+        return [nd[0] for nd in nodes]
+
+    cfgs = [StopConfig(d, stop.min_expected) for d in sorted(set(depths))]
+    root, children = grow(cfgs[-1])
+    return {
+        cfg.max_depth: Binning(bins=replay(root, children, cfg), score_kind=kind,
+                               stop=cfg, min_split_expected=z, seed=seed, n=pair.n)
+        for cfg in cfgs
+    }

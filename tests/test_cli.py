@@ -96,7 +96,7 @@ def test_scan_end_to_end_with_plots(tmp_path):
     assert (plots / "rank01_a__b.svg").exists()
 
 
-def test_usage_errors_exit_1(capsys):
+def test_usage_errors_exit_1(tmp_path, capsys):
     assert cli_main(["bogus-command"]) == 1
     assert cli_main(["bin", "--no-such-flag"]) == 1
     assert cli_main(["nullsim", "--n", "100", "--sims", "5",
@@ -104,7 +104,14 @@ def test_usage_errors_exit_1(capsys):
     assert cli_main(["bin", "--input", "i.csv", "--out", "o.json",
                      "--seed", "-3"]) == 1
     assert cli_main([]) == 1
-    capsys.readouterr()
+    # rejected before the matrix or the null table is read
+    matrix, null, out = tmp_path / "m.csv", tmp_path / "null.csv", tmp_path / "s.csv"
+    matrix.write_text("a,b\n" + "".join(f"{i},{i * 7 % 20}\n" for i in range(20)))
+    null.write_text("depth,n_bin,chi2\n6,1,0.5\n")
+    assert cli_main(["scan", "--input", str(matrix), "--null", str(null),
+                     "--out", str(out), "--plot-top", "3"]) == 1
+    assert "--plot-top requires --plot-dir" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_help_exits_0(capsys):
@@ -141,3 +148,16 @@ def test_data_errors_exit_2(tmp_path, capsys):
                      "--score", "chi", "--max-depth", "6",
                      "--out", str(tmp_path / "s.csv")]) == 2
     capsys.readouterr()
+    # malformed null tables: a short CSV row, a JSON document without entries
+    short_row = tmp_path / "short.csv"
+    short_row.write_text("depth,n_bin,chi2\n1,2\n")
+    no_entries = tmp_path / "no_entries.json"
+    no_entries.write_text('{"n": 5}')
+    for path, where in ((short_row, "short.csv: line 2"), (no_entries, "no_entries.json")):
+        assert cli_main(["pvalue", "--null", str(path), "--nbin", "3",
+                         "--chi2", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rankbin: data error:") and where in err
+    assert cli_main(["nullsim", "--n", "1", "--sims", "5",
+                     "--out", str(tmp_path / "n.csv")]) == 2
+    assert capsys.readouterr().err.startswith("rankbin: data error:")

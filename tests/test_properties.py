@@ -3,10 +3,12 @@
 Tiny n, z = 0, ``min_expected`` = 0, a diagonal (t = s) pair whose every
 split looks alike, and heavily tied raw data.  Each case checks that a
 single-depth run equals the same depth read off a depth sweep byte for
-byte, and the partition invariants of acceptance criterion 7.
+byte, that both equal the per-limit replay oracle, and the partition
+invariants of acceptance criterion 7.
 """
 
 import numpy as np
+from _oracles import replay_partitions
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -62,7 +64,9 @@ def test_single_depth_matches_sweep_and_partitions(
     stop = StopConfig(max_depth=depth, min_expected=min_expected)
     sweep = bin_pair_by_depth(pair, kind, range(depth + 1), stop, z=z, seed=seed)
     assert sorted(sweep) == list(range(depth + 1))
+    oracle = replay_partitions(pair, kind, range(depth + 1), stop, z, seed)
     for d, binning in sweep.items():
         single = bin_pair(pair, kind, StopConfig(d, min_expected), z=z, seed=seed)
         assert binning_to_json(single) == binning_to_json(binning)
+        assert binning_to_json(oracle[d]) == binning_to_json(binning)
         _check_partition(binning, n, z)
