@@ -112,7 +112,9 @@ def neg_log_returns(prices) -> np.ndarray:
     return -np.diff(np.log(p))
 
 
-def _check_null_config(null: NullTable, kind: str, stop: StopConfig, z: float):
+def _check_null_config(null: NullTable, n: int, kind: str, stop: StopConfig, z: float):
+    if null.n > 0 and null.n != n:
+        raise ValueError(f"null table was simulated for n={null.n}, not the {n} rows scanned")
     cfg = null.config
     if cfg is None:
         logger.warning("null table carries no config metadata; skipping check")
@@ -192,13 +194,14 @@ def scan_pairs(
 
     Columns are ranked afresh for each pair (with that pair's substream) so
     tie-breaking draws stay independent across the scan.  The null table
-    must have been simulated under the same kind/stop/z configuration.
+    must have been simulated for the same number of rows (when it records
+    one) and under the same kind/stop/z configuration.
     """
     names = list(table)
     if len(names) < 2:
         raise ValueError("need at least 2 columns to scan")
-    _check_null_config(null, kind, stop, z)
     cols = list(table.values())
+    _check_null_config(null, cols[0].size, kind, stop, z)
     jobs = [
         (ia, ib)
         for ia in range(len(names))

@@ -1,4 +1,4 @@
-"""Per-candidate split scores along one margin of a bin.
+"""Per-candidate split scores along the margins of many bins at once.
 
 Candidate split coordinates for a margin are the sorted member coordinates
 plus a pseudo-point one rank unit below the smallest member, which is what
@@ -8,6 +8,11 @@ is unchanged by dropping it).  A candidate producing a child with expected
 count below ``z`` on either side is gated to a score of zero; zero-width
 children (possible at both ends of the candidate vector) are gated
 unconditionally.
+
+``candidate_scores`` is the one scorer.  It works elementwise, so the
+engine calls it on the candidates of every bin of a level at once, and
+``chi_scores``, ``mi_scores``, ``rand_scores`` and ``gate_mask`` are
+one-margin calls of it on a validated ``CandidateVector``.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .bins import SCORE_KINDS
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,48 +62,68 @@ class CandidateVector:
 def lower_expected(coord, lower, upper, e):
     """Expected count of the lower child of a cut at ``coord`` in (lower, upper].
 
-    Shared by the size gate and ``splitting.split_at``, so a gate-passed
+    Shared by the engine's children, ``splitting.split_at`` and the halving
+    test, and evaluated the same way by the size gate, so a gate-passed
     split never stores a child expected a rounding error below the floor.
     """
     return (coord - lower) * (e / (upper - lower))
 
 
-def _score(
-    w: np.ndarray, e: float, z: float, kind: str,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gated scores and size-gate indicator per candidate of a raw ``w``.
+def candidate_scores(coord, olo, o, lower, dens, e, z: float, kind: str, draws=None):
+    """Scores and size-gate indicator of candidate cuts, elementwise.
 
-    ``w`` is laid out as in ``CandidateVector`` but not validated: the
-    splitter builds it from sorted rank coordinates, strictly increasing by
-    construction.  With z == 0 the positivity guards exclude zero-width
-    children, so no score divides by zero; a cut on the upper bound is also
-    excluded by coordinate, as there e - e_lo can round to 2e-16, not 0.
+    A cut at ``coord`` on a margin with lower bound ``lower``, ``dens`` =
+    e / (upper - lower) expected points per rank unit and ``e`` expected in
+    all, with ``olo`` of the margin's ``o`` members at or below it; all of
+    them floats (mixed integer and float arithmetic is several times
+    slower, and gives the same values).  Kind
+    "random" scores each cut with its entry of ``draws``.  Arguments
+    broadcast: one margin's candidates score against scalars, and a whole
+    level's against per-candidate arrays.  The score of a gated cut is
+    meaningless, and a cut on the upper bound is not gated here (there
+    e - e_lo can round to 2e-16 instead of 0): callers test the last
+    candidate of each margin by coordinate.
     """
-    inner = w[1:-1]
-    e_lo = lower_expected(inner, w[0], w[-1], e)
+    # lower_expected, with e / (upper - lower) evaluated once per margin
+    e_lo = coord - lower
+    e_lo *= dens
     e_hi = e - e_lo
-    ok = (e_lo >= z) & (e_hi >= z) & (e_lo > 0) & (e_hi > 0) & (inner < w[-1])
+    # With z > 0 the floor keeps both children wider than zero; with z == 0
+    # the positivity tests exclude zero-width children, so no kept score
+    # divides by zero.
+    ok = (e_lo >= z) & (e_hi >= z) if z > 0 else (e_lo > 0) & (e_hi > 0)
     if kind == "random":
-        return np.where(ok, rng.random(ok.size), 0.0), ok
+        return draws, ok
     if kind not in ("chi", "mi"):
         raise ValueError(f"unknown score kind {kind!r}")
-    o = ok.size - 1
-    scores = np.zeros(o + 1)
-    lo, hi = e_lo[ok], e_hi[ok]
-    olo = np.arange(o + 1, dtype=float)[ok]
-    if kind == "chi":
-        scores[ok] = (olo - lo) ** 2 / lo + (o - olo - hi) ** 2 / hi
-        return scores, ok
     ohi = o - olo
-    term_lo = np.zeros(olo.size)
-    term_hi = np.zeros(olo.size)
-    pos = olo > 0
-    term_lo[pos] = (olo[pos] / o) * np.log(olo[pos] / lo[pos])
-    pos = ohi > 0
-    term_hi[pos] = (ohi[pos] / o) * np.log(ohi[pos] / hi[pos])
-    scores[ok] = term_lo + term_hi
-    return scores, ok
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == "chi":
+            # (olo - e_lo)**2 / e_lo + (ohi - e_hi)**2 / e_hi, in place
+            lo = olo - e_lo
+            lo *= lo
+            lo /= e_lo
+            hi = ohi - e_hi
+            hi *= hi
+            hi /= e_hi
+            lo += hi
+            return lo, ok
+        return (np.where(olo > 0, (olo / o) * np.log(olo / e_lo), 0.0)
+                + np.where(ohi > 0, (ohi / o) * np.log(ohi / e_hi), 0.0)), ok
+
+
+def _one_segment(cand: CandidateVector, kind: str, rng=None):
+    """Gated scores (0 where gated) and gate of one candidate vector."""
+    if kind not in SCORE_KINDS:
+        raise ValueError(f"unknown score kind {kind!r}")
+    w = cand.w
+    inner = w[1:-1]
+    draws = rng.random(inner.size) if kind == "random" else None
+    scores, ok = candidate_scores(inner, np.arange(inner.size, dtype=float),
+                                  inner.size - 1.0, w[0], cand.e / (w[-1] - w[0]),
+                                  cand.e, cand.z, kind, draws)
+    ok[-1] &= inner[-1] < w[-1]
+    return np.where(ok, scores, 0.0), ok
 
 
 def child_expectations(cand: CandidateVector) -> np.ndarray:
@@ -106,12 +133,12 @@ def child_expectations(cand: CandidateVector) -> np.ndarray:
 
 def gate_mask(cand: CandidateVector) -> np.ndarray:
     """Size-gate indicator per candidate: both children wide enough."""
-    return _score(cand.w, cand.e, cand.z, "chi")[1]
+    return _one_segment(cand, "chi")[1]
 
 
 def chi_scores(cand: CandidateVector) -> np.ndarray:
     """Two-child chi-squared sums for each candidate, gated by size."""
-    return _score(cand.w, cand.e, cand.z, "chi")[0]
+    return _one_segment(cand, "chi")[0]
 
 
 def mi_scores(cand: CandidateVector) -> np.ndarray:
@@ -121,7 +148,7 @@ def mi_scores(cand: CandidateVector) -> np.ndarray:
     a bin holding fewer points than it expects has log-ratios below zero on
     both sides.
     """
-    return _score(cand.w, cand.e, cand.z, "mi")[0]
+    return _one_segment(cand, "mi")[0]
 
 
 def rand_scores(cand: CandidateVector, rng: np.random.Generator) -> np.ndarray:
@@ -130,4 +157,4 @@ def rand_scores(cand: CandidateVector, rng: np.random.Generator) -> np.ndarray:
     One draw is consumed per candidate whether or not it is gated, so the
     stream position after a call depends only on the candidate count.
     """
-    return _score(cand.w, cand.e, cand.z, "random", rng)[0]
+    return _one_segment(cand, "random", rng)[0]

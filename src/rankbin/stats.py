@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .bins import Binning, StopConfig
-from .engine import bin_pair_by_depth
+from .engine import check_growth_args, grow_levels
 from .ranks import RankedPair
 
 
@@ -110,10 +110,16 @@ class NullTable:
             cells = ln.split(",")
             if len(cells) != 3:
                 raise ValueError(f"{path}: line {i}: expected 3 cells, found {len(cells)}")
-            rows.append(cells)
-        depths = np.array([int(r[0]) for r in rows], dtype=np.int64)
-        n_bins = np.array([int(r[1]) for r in rows], dtype=np.int64)
-        chi2s = np.array([float(r[2]) for r in rows])
+            try:
+                row = (int(cells[0]), int(cells[1]), float(cells[2]))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {i}: {exc}") from None
+            if row[1] < 1 or row[2] < 0:
+                raise ValueError(f"{path}: line {i}: entries require n_bin >= 1 and chi2 >= 0")
+            rows.append(row)
+        depths = np.array([r[0] for r in rows], dtype=np.int64)
+        n_bins = np.array([r[1] for r in rows], dtype=np.int64)
+        chi2s = np.array([r[2] for r in rows], dtype=float)
         return cls(n=n, depths=depths, n_bins=n_bins, chi2s=chi2s, config=None)
 
     @classmethod
@@ -138,19 +144,56 @@ class NullTable:
         )
 
 
-def _null_replicate(args) -> list[tuple[int, int, float]]:
-    n, depths, kind, stop, z, seed, rep = args
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, rep)))
-    s = rng.permutation(n) + 1
-    t = rng.permutation(n) + 1
-    bin_seed = int(rng.integers(0, 2**63))
-    pair = RankedPair(s=s, t=t, n=n)
-    binned = bin_pair_by_depth(pair, kind, depths, stop, z=z, seed=bin_seed)
-    out = []
-    for d in sorted(binned):
-        chi2, n_bin = chi2_statistic(binned[d])
-        out.append((d, n_bin, chi2))
-    return out
+# Points grown together in one batch of null replicates: enough replicates
+# to share each level's array passes, few enough to keep them in cache.
+_NULL_CHUNK = 1 << 13
+
+
+def _running_sums(total: np.ndarray, terms: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """``total[r]`` plus tree r's ``terms``, added one at a time in order.
+
+    The sum runs left to right like ``chi2_statistic``'s loop (``np.sum``
+    adds pairwise), so each tree's statistic matches its binning's bit for bit.
+    """
+    counts = np.bincount(root, minlength=total.size)
+    grid = np.zeros((total.size, counts.max(initial=0) + 1))
+    grid[:, 0] = total
+    first = np.cumsum(counts) - counts
+    grid[root, np.arange(root.size) - first[root] + 1] = terms
+    return np.cumsum(grid, axis=1)[:, -1]
+
+
+def _null_chunk(args) -> list[tuple[int, int, float]]:
+    """Null rows of replicates ``reps``, their trees grown as one batch."""
+    n, depths, kind, stop, z, seed, reps = args
+    pairs, seeds = [], []
+    for rep in reps:
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, rep)))
+        s = rng.permutation(n) + 1
+        t = rng.permutation(n) + 1
+        seeds.append(int(rng.integers(0, 2**63)))
+        pairs.append(RankedPair(s=s, t=t, n=n))
+    # Partition d of a tree is its leaves above depth d, then its nodes at
+    # depth d, each in breadth-first order.
+    leaf_chi2 = np.zeros(len(pairs))
+    leaf_bins = np.zeros(len(pairs), dtype=np.int64)
+    by_depth = {}
+    for lv in grow_levels(pairs, seeds, kind, depths[-1], stop.min_expected, z):
+        dev = lv.observed - lv.expected
+        terms = dev * dev / lv.expected
+        if lv.depth in depths:
+            by_depth[lv.depth] = (
+                leaf_bins + np.bincount(lv.root, minlength=len(pairs)),
+                _running_sums(leaf_chi2, terms, lv.root),
+            )
+        leaf_chi2 = _running_sums(leaf_chi2, terms[lv.leaf], lv.root[lv.leaf])
+        leaf_bins = leaf_bins + np.bincount(lv.root[lv.leaf], minlength=len(pairs))
+    cols = [by_depth.get(d, (leaf_bins, leaf_chi2)) for d in depths]
+    return [
+        (d, int(n_bin[r]), float(chi2[r]))
+        for r in range(len(pairs))
+        for d, (n_bin, chi2) in zip(depths, cols)
+    ]
 
 
 def simulate_null(
@@ -169,21 +212,24 @@ def simulate_null(
     bins them once per requested depth limit under the given configuration.
     Replicate ``r`` derives all of its randomness from the seed material
     ``(seed, r)``, so the table is reproducible and independent of worker
-    count; entries are ordered by replicate then depth.
+    count; entries are ordered by replicate then depth.  Replicates are
+    grown together in batches of up to 8,192 points (one replicate if it
+    is larger), and workers take whole batches.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     if n_sim < 1:
         raise ValueError("n_sim must be >= 1")
-    depths = sorted(set(int(d) for d in depths))
-    jobs = [(n, depths, kind, stop, z, seed, rep) for rep in range(n_sim)]
+    depths = check_growth_args(depths, kind, z)
+    per = max(1, _NULL_CHUNK // n)
+    jobs = [(n, depths, kind, stop, z, seed, range(a, min(a + per, n_sim)))
+            for a in range(0, n_sim, per)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, n_sim // (8 * workers))
-            results = list(pool.map(_null_replicate, jobs, chunksize=chunk))
+            results = list(pool.map(_null_chunk, jobs))
     else:
-        results = [_null_replicate(j) for j in jobs]
-    rows = [row for rep_rows in results for row in rep_rows]
+        results = [_null_chunk(j) for j in jobs]
+    rows = [row for chunk_rows in results for row in chunk_rows]
     config = {
         "kind": kind,
         "depths": depths,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from rankbin.bins import Binning, StopConfig, root_bin, should_stop
+from rankbin.bins import Bin, Binning, StopConfig, root_bin, should_stop
 from rankbin.splitting import UnsplittableBinError, max_score_split
 
 
@@ -151,4 +151,153 @@ def replay_partitions(pair, kind, depths, stop, z, seed):
         cfg.max_depth: Binning(bins=replay(root, children, cfg), score_kind=kind,
                                stop=cfg, min_split_expected=z, seed=seed, n=pair.n)
         for cfg in cfgs
+    }
+
+
+# ---------------------------------------------------------------------------
+# The per-bin engine: one Bin and one scorer call per margin per bin, grown
+# breadth first.  This is the growth path the level-synchronous engine
+# replaced, kept verbatim as its byte-for-byte reference.
+
+
+def _lower_expected(coord, lower, upper, e):
+    return (coord - lower) * (e / (upper - lower))
+
+
+def per_bin_score(w, e, z, kind, rng=None):
+    """Gated scores and size-gate indicator per candidate of one margin."""
+    inner = w[1:-1]
+    e_lo = _lower_expected(inner, w[0], w[-1], e)
+    e_hi = e - e_lo
+    ok = (e_lo >= z) & (e_hi >= z) & (e_lo > 0) & (e_hi > 0) & (inner < w[-1])
+    if kind == "random":
+        return np.where(ok, rng.random(ok.size), 0.0), ok
+    if kind not in ("chi", "mi"):
+        raise ValueError(f"unknown score kind {kind!r}")
+    o = ok.size - 1
+    scores = np.zeros(o + 1)
+    lo, hi = e_lo[ok], e_hi[ok]
+    olo = np.arange(o + 1, dtype=float)[ok]
+    if kind == "chi":
+        scores[ok] = (olo - lo) ** 2 / lo + (o - olo - hi) ** 2 / hi
+        return scores, ok
+    ohi = o - olo
+    term_lo = np.zeros(olo.size)
+    term_hi = np.zeros(olo.size)
+    pos = olo > 0
+    term_lo[pos] = (olo[pos] / o) * np.log(olo[pos] / lo[pos])
+    pos = ohi > 0
+    term_hi[pos] = (ohi[pos] / o) * np.log(ohi[pos] / hi[pos])
+    scores[ok] = term_lo + term_hi
+    return scores, ok
+
+
+def per_bin_split_at(b, margin, coord):
+    """Children of ``b`` cut at ``coord``; points keep their order."""
+    lower = b.lower_s if margin == "s" else b.lower_t
+    upper = b.upper_s if margin == "s" else b.upper_t
+    assert lower < coord < upper
+    coords = b.points_s if margin == "s" else b.points_t
+    below = coords <= coord
+    e_lo = _lower_expected(coord, lower, upper, b.expected)
+    e_hi = b.expected - e_lo
+    if margin == "s":
+        lo = Bin(b.lower_s, coord, b.lower_t, b.upper_t,
+                 b.points_s[below], b.points_t[below], e_lo, b.depth + 1)
+        hi = Bin(coord, b.upper_s, b.lower_t, b.upper_t,
+                 b.points_s[~below], b.points_t[~below], e_hi, b.depth + 1)
+    else:
+        lo = Bin(b.lower_s, b.upper_s, b.lower_t, coord,
+                 b.points_s[below], b.points_t[below], e_lo, b.depth + 1)
+        hi = Bin(b.lower_s, b.upper_s, coord, b.upper_t,
+                 b.points_s[~below], b.points_t[~below], e_hi, b.depth + 1)
+    return lo, hi
+
+
+def _halve_coord(lower, upper):
+    return (lower + upper + 1) // 2
+
+
+def _halving_ok(b, margin, z):
+    if margin == "s":
+        lower, upper, side = b.lower_s, b.upper_s, b.side_s
+    else:
+        lower, upper, side = b.lower_t, b.upper_t, b.side_t
+    if side < 2:
+        return False
+    if z <= 0:
+        return True
+    e_lo = _lower_expected(_halve_coord(lower, upper), lower, upper, b.expected)
+    return e_lo >= z and b.expected - e_lo >= z
+
+
+def _margin_summary(scores, ok):
+    if not ok.any():
+        return True, 0.0, -1
+    idx = np.flatnonzero(ok)
+    vals = scores[idx]
+    k = int(np.argmax(vals))
+    flat = bool(idx.size > 1 and np.all(vals == vals[0]))
+    return flat, float(vals[k]), int(idx[k])
+
+
+def per_bin_max_score_split(b, kind, z, rng):
+    """Score both margins of one bin and split it; None if unsplittable."""
+    margins = []
+    for lower, coords, upper in ((b.lower_s, b.points_s, b.upper_s),
+                                 (b.lower_t, b.points_t, b.upper_t)):
+        coords = np.sort(coords)
+        w = np.concatenate(([lower, coords[0] - 1], coords, [upper])).astype(float)
+        margins.append((w, *_margin_summary(*per_bin_score(w, b.expected, z, kind, rng))))
+    (w_s, s_flat, s_best, s_idx), (w_t, t_flat, t_best, t_idx) = margins
+    if s_flat and t_flat:
+        if s_best > t_best:
+            margin = "s"
+        elif s_best < t_best:
+            margin = "t"
+        else:
+            margin = "s" if rng.random() < 0.5 else "t"
+        other = "t" if margin == "s" else "s"
+        if not _halving_ok(b, margin, z):
+            if not _halving_ok(b, other, z):
+                return None
+            margin = other
+        if margin == "s":
+            return per_bin_split_at(b, "s", _halve_coord(b.lower_s, b.upper_s))
+        return per_bin_split_at(b, "t", _halve_coord(b.lower_t, b.upper_t))
+    if t_idx < 0 or (s_idx >= 0 and s_best >= t_best):
+        return per_bin_split_at(b, "s", int(w_s[1 + s_idx]))
+    return per_bin_split_at(b, "t", int(w_t[1 + t_idx]))
+
+
+def per_bin_partitions(pair, kind, depths, stop, z, seed):
+    """``bin_pair_by_depth`` by the per-bin engine: ``{depth: Binning}``.
+
+    Grows the tree breadth first under the deepest limit, one bin at a
+    time, node ``k`` drawing from the substream ``(seed, k)``, and reads
+    limit ``d``'s partition off it: every node at depth ``d`` and every
+    leaf above it, in breadth-first order.
+    """
+    depths = sorted(set(depths))
+    cfg = StopConfig(depths[-1], stop.min_expected)
+    nodes = []
+    level = [(root_bin(pair), 1)]
+    while level:
+        nxt = []
+        for b, nid in level:
+            if should_stop(b, cfg):
+                nodes.append((b, True))
+                continue
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, nid)))
+            kids = per_bin_max_score_split(b, kind, z, rng)
+            nodes.append((b, kids is None))
+            if kids is not None:
+                nxt += [(kids[0], 2 * nid), (kids[1], 2 * nid + 1)]
+        level = nxt
+    return {
+        d: Binning(
+            bins=[b for b, leaf in nodes if b.depth == d or (leaf and b.depth < d)],
+            score_kind=kind, stop=StopConfig(d, stop.min_expected),
+            min_split_expected=z, seed=seed, n=pair.n)
+        for d in depths
     }

@@ -148,12 +148,26 @@ def test_data_errors_exit_2(tmp_path, capsys):
                      "--score", "chi", "--max-depth", "6",
                      "--out", str(tmp_path / "s.csv")]) == 2
     capsys.readouterr()
-    # malformed null tables: a short CSV row, a JSON document without entries
+    # a null simulated for another n, with a configuration that matches
+    simulate_null(50, [6], "chi", StopConfig(max_depth=6),
+                  n_sim=20, seed=1).to_json(null)
+    assert cli_main(["scan", "--input", str(matrix), "--null", str(null),
+                     "--score", "chi", "--max-depth", "6",
+                     "--out", str(tmp_path / "s.csv")]) == 2
+    assert "n=50" in capsys.readouterr().err
+    # malformed null tables: a short CSV row, a JSON document without
+    # entries, a non-numeric cell and an out-of-range row (after a blank line)
     short_row = tmp_path / "short.csv"
     short_row.write_text("depth,n_bin,chi2\n1,2\n")
     no_entries = tmp_path / "no_entries.json"
     no_entries.write_text('{"n": 5}')
-    for path, where in ((short_row, "short.csv: line 2"), (no_entries, "no_entries.json")):
+    non_numeric = tmp_path / "non_numeric.csv"
+    non_numeric.write_text("depth,n_bin,chi2\n1,2,3\n1,2,x\n")
+    out_of_range = tmp_path / "out_of_range.csv"
+    out_of_range.write_text("depth,n_bin,chi2\n\n1,0,3\n")
+    for path, where in ((short_row, "short.csv: line 2"), (no_entries, "no_entries.json"),
+                        (non_numeric, "non_numeric.csv: line 3"),
+                        (out_of_range, "out_of_range.csv: line 3")):
         assert cli_main(["pvalue", "--null", str(path), "--nbin", "3",
                          "--chi2", "1"]) == 2
         err = capsys.readouterr().err

@@ -141,6 +141,9 @@ def test_scan_rejects_mismatched_null_config():
         scan_pairs(table, "chi", StopConfig(max_depth=4), 5.0, 0, null)
     with pytest.raises(ValueError, match="mismatch"):
         scan_pairs(table, "chi", StopConfig(max_depth=6), 7.0, 0, null)
+    # a table simulated for another n, its configuration matching in full
+    with pytest.raises(ValueError, match="n=50"):
+        scan_pairs(table, "chi", StopConfig(max_depth=6), 5.0, 0, _null(50, depth=6))
     # empty bins always stop; a table simulated without that rule is refused
     other = NullTable(n=null.n, depths=null.depths, n_bins=null.n_bins,
                       chi2s=null.chi2s, config={**null.config, "stop_empty": False})
