@@ -7,14 +7,7 @@ simulated null.  See the README for a tour and ``demos/`` for worked
 scripts.
 """
 
-from .bins import (
-    Bin,
-    Binning,
-    StopConfig,
-    binning_to_json,
-    root_bin,
-    should_stop,
-)
+from .bins import Bin, Binning, StopConfig, binning_to_json
 from .engine import bin_pair, bin_pair_by_depth
 from .patterns import PatternSpec, generate
 from .plotting import render_binning
@@ -31,8 +24,6 @@ from .scan import (
     top_k,
     write_records_csv,
 )
-from .scoring import CandidateVector, chi_scores, mi_scores, rand_scores
-from .splitting import UnsplittableBinError, max_score_split, split_at
 from .stats import (
     NullTable,
     chi2_statistic,
@@ -48,40 +39,31 @@ __version__ = "0.1.0"
 __all__ = [
     "Bin",
     "Binning",
-    "CandidateVector",
     "IngestionError",
     "NullTable",
     "PatternSpec",
     "RankedPair",
     "ScanRecord",
     "StopConfig",
-    "UnsplittableBinError",
     "bin_pair",
     "bin_pair_by_depth",
     "binning_to_json",
     "bottom_k",
     "chi2_statistic",
-    "chi_scores",
     "empirical_p",
     "generate",
     "load_matrix",
-    "max_score_split",
-    "mi_scores",
     "mi_statistic",
     "middle_k",
     "neg_log_returns",
     "null_quantile_curve",
     "pearson_residuals",
-    "rand_scores",
     "rank",
     "rank_pair",
     "records_to_csv",
     "render_binning",
-    "root_bin",
     "scan_pairs",
-    "should_stop",
     "simulate_null",
-    "split_at",
     "top_k",
     "write_records_csv",
 ]

@@ -10,12 +10,9 @@ coordinates start at 1, so the root's lower bound 0 is never occupied.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .ranks import RankedPair
 
 SCORE_KINDS = ("chi", "mi", "random")
 
@@ -49,15 +46,6 @@ class Bin:
     def area(self) -> int:
         return self.side_s * self.side_t
 
-    def validate(self, n: int) -> None:
-        """Check every structural invariant; raises AssertionError on failure."""
-        assert self.lower_s < self.upper_s and self.lower_t < self.upper_t
-        assert self.depth >= 0 and self.expected >= 0
-        assert self.points_s.size == self.points_t.size
-        assert np.all((self.points_s > self.lower_s) & (self.points_s <= self.upper_s))
-        assert np.all((self.points_t > self.lower_t) & (self.points_t <= self.upper_t))
-        assert math.isclose(self.expected, self.area / n, rel_tol=1e-12)
-
 
 @dataclass(frozen=True)
 class StopConfig:
@@ -71,30 +59,6 @@ class StopConfig:
             raise ValueError("max_depth must be >= 0")
         if self.min_expected < 0:
             raise ValueError("min_expected must be >= 0")
-
-
-def should_stop(b: Bin, cfg: StopConfig) -> bool:
-    """True when any stop criterion holds for the bin, or it is empty."""
-    return (
-        b.depth >= cfg.max_depth
-        or b.expected <= cfg.min_expected
-        or b.observed == 0
-    )
-
-
-def root_bin(pair: RankedPair) -> Bin:
-    """The initial bin (0, n] x (0, n] holding every observation."""
-    n = pair.n
-    return Bin(
-        lower_s=0,
-        upper_s=n,
-        lower_t=0,
-        upper_t=n,
-        points_s=pair.s,
-        points_t=pair.t,
-        expected=float(n),
-        depth=0,
-    )
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
-"""Choosing the best binary split of many bins at once, and executing one.
+"""Choosing the best binary split of many bins at once.
 
 ``best_splits`` builds the candidate coordinates of both margins of every
 bin it is given, scores them with the requested rule, and picks each bin's
-split.  Candidates zeroed by the size gate are not selectable: the gate
-marks them forbidden, and treating their zeros as real scores would let them
-outrank genuinely negative scores (possible under mi scoring) or mask a
-flat score function.
+split.  Candidates failing the size gate are not selectable: the gate
+marks them forbidden, and scoring them zero instead would let them outrank
+genuinely negative scores (possible under mi scoring) or mask a flat score
+function.
 
 When the score function is flat across the eligible candidates of both
 margins -- the degenerate case, e.g. the uniform root bin, or a bin whose
@@ -16,9 +16,6 @@ would undercut the size floor z (possible on an odd side when expected
 barely exceeds 2z, since the ceiling makes the halves unequal) falls back
 to the other margin, and if both margins would undercut it the bin is
 reported unsplittable so the caller can freeze it.
-
-``max_score_split`` is a one-bin call of ``best_splits`` followed by
-``split_at``.
 """
 
 from __future__ import annotations
@@ -27,49 +24,12 @@ from typing import Callable
 
 import numpy as np
 
-from .bins import Bin
 from .scoring import candidate_scores, lower_expected
 
 # Points per chunk: every per-level pass runs over its arrays in chunks of
 # this many points (twice as many candidates over both margins), so the
 # temporaries, 64 KB of floats each, stay in cache.
 BLOCK = 1 << 13
-
-
-def split_at(b: Bin, margin: str, coord: int) -> tuple[Bin, Bin]:
-    """Split a bin at ``coord`` on margin ``'s'`` or ``'t'``.
-
-    The lower child keeps the half-open interval (lower, coord], so member
-    points sitting exactly on the split line land in the lower child.
-    Expected counts divide in proportion to side length.
-    """
-    if margin not in ("s", "t"):
-        raise ValueError("margin must be 's' or 't'")
-    lower = b.lower_s if margin == "s" else b.lower_t
-    upper = b.upper_s if margin == "s" else b.upper_t
-    if not (lower < coord < upper):
-        raise ValueError(
-            f"split coordinate {coord} outside open interval ({lower}, {upper})"
-        )
-    coords = b.points_s if margin == "s" else b.points_t
-    below = coords <= coord
-    e_lo = lower_expected(coord, lower, upper, b.expected)
-    e_hi = b.expected - e_lo
-    if margin == "s":
-        lo = Bin(b.lower_s, coord, b.lower_t, b.upper_t,
-                 b.points_s[below], b.points_t[below], e_lo, b.depth + 1)
-        hi = Bin(coord, b.upper_s, b.lower_t, b.upper_t,
-                 b.points_s[~below], b.points_t[~below], e_hi, b.depth + 1)
-    else:
-        lo = Bin(b.lower_s, b.upper_s, b.lower_t, coord,
-                 b.points_s[below], b.points_t[below], e_lo, b.depth + 1)
-        hi = Bin(b.lower_s, b.upper_s, coord, b.upper_t,
-                 b.points_s[~below], b.points_t[~below], e_hi, b.depth + 1)
-    return lo, hi
-
-
-class UnsplittableBinError(RuntimeError):
-    """No split of this bin can respect the minimum-size floor."""
 
 
 def chunk_nodes(seg: np.ndarray):
@@ -203,25 +163,3 @@ def best_splits(
         cut = np.where(degenerate, np.where(half_on_t, half_t, half_s), cut)
         splittable = ~degenerate | ok_s | ok_t
     return splittable, on_t, cut
-
-
-def max_score_split(
-    b: Bin, kind: str, z: float, rng: np.random.Generator
-) -> tuple[Bin, Bin]:
-    """Score both margins of a bin and split at the best candidate.
-
-    Randomness (random-score draws and the degenerate-tie margin pick) comes
-    from ``rng``; s-margin draws are consumed before t-margin draws, then
-    the tie pick if one is needed.
-    """
-    if b.observed == 0:
-        raise RuntimeError("cannot split an empty bin")
-    ok, on_t, cut = best_splits(
-        np.array([b.lower_s]), np.array([b.upper_s]), np.array([b.lower_t]),
-        np.array([b.upper_t]), np.array([b.expected]), np.array([b.observed]),
-        np.sort(b.points_s), np.sort(b.points_t), kind, z, lambda j: rng)
-    if not ok[0]:
-        raise UnsplittableBinError(
-            "halving either margin would create a child below the size floor"
-        )
-    return split_at(b, "t" if on_t[0] else "s", int(cut[0]))

@@ -72,8 +72,9 @@ class NullTable:
     def __post_init__(self):
         if not (self.depths.size == self.n_bins.size == self.chi2s.size):
             raise ValueError("entry columns must have equal length")
-        if self.depths.size and (self.n_bins.min() < 1 or self.chi2s.min() < 0):
-            raise ValueError("entries require n_bin >= 1 and chi2 >= 0")
+        if self.depths.size and (self.n_bins.min() < 1
+                                 or not np.all(np.isfinite(self.chi2s) & (self.chi2s >= 0))):
+            raise ValueError("entries require n_bin >= 1 and a finite chi2 >= 0")
 
     @property
     def size(self) -> int:
@@ -114,8 +115,9 @@ class NullTable:
                 row = (int(cells[0]), int(cells[1]), float(cells[2]))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {i}: {exc}") from None
-            if row[1] < 1 or row[2] < 0:
-                raise ValueError(f"{path}: line {i}: entries require n_bin >= 1 and chi2 >= 0")
+            if row[1] < 1 or not 0 <= row[2] < np.inf:
+                raise ValueError(
+                    f"{path}: line {i}: entries require n_bin >= 1 and a finite chi2 >= 0")
             rows.append(row)
         depths = np.array([r[0] for r in rows], dtype=np.int64)
         n_bins = np.array([r[1] for r in rows], dtype=np.int64)
@@ -135,13 +137,12 @@ class NullTable:
             entries = entries.reshape(0, 3)
         if entries.ndim != 2 or entries.shape[1] != 3:
             raise bad
-        return cls(
-            n=n,
-            depths=entries[:, 0].astype(np.int64),
-            n_bins=entries[:, 1].astype(np.int64),
-            chi2s=entries[:, 2],
-            config=doc.get("config"),
-        )
+        try:
+            return cls(n=n, depths=entries[:, 0].astype(np.int64),
+                       n_bins=entries[:, 1].astype(np.int64), chi2s=entries[:, 2],
+                       config=doc.get("config"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 # Points grown together in one batch of null replicates: enough replicates
@@ -270,10 +271,17 @@ def empirical_p(
     Null entries whose bin count lies within ``window`` of the observed one
     form the reference set.  If the window captures nothing it widens
     symmetrically until it holds at least 100 entries or spans the table.
+    Raises ``ValueError`` for an empty table, a window below 0, or an
+    observed pair with ``n_bin`` < 1 or a non-finite chi2.
     """
     if null.size == 0:
         raise ValueError("empty null table")
     obs_nb, obs_chi2 = int(observed[0]), float(observed[1])
+    if window < 0:
+        raise ValueError("window must be >= 0")
+    if obs_nb < 1 or not np.isfinite(obs_chi2):
+        raise ValueError(f"observed n_bin={obs_nb}, chi2={obs_chi2}: "
+                         "need n_bin >= 1 and a finite chi2")
     gap = np.abs(null.n_bins - obs_nb)
     in_win = gap <= window
     if not in_win.any():
@@ -295,6 +303,8 @@ def null_quantile_curve(
     """
     if not 0 < q < 1:
         raise ValueError("q must lie strictly between 0 and 1")
+    if window < 0:
+        raise ValueError("window must be >= 0")
     if null.size < min_count:
         raise ValueError(
             f"null table has {null.size} entries, fewer than min_count={min_count}"

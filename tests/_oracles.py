@@ -1,16 +1,73 @@
 """Independent oracles shared across tests.
 
 Everything here recomputes quantities from scratch (per-candidate counting,
-direct two-child evaluation) so that library results are checked against a
-second, structurally different implementation.
+direct two-child evaluation, the per-bin engine) so that library results
+are checked against a second, structurally different implementation.  Two
+thin wrappers put the library's batched scorer and splitter in the shape of
+one margin and one bin, and ``check_partition`` checks the invariants every
+partition must meet.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from rankbin.bins import Bin, Binning, StopConfig, root_bin, should_stop
-from rankbin.splitting import UnsplittableBinError, max_score_split
+from rankbin.bins import Bin, Binning, StopConfig
+from rankbin.scoring import candidate_scores
+from rankbin.splitting import best_splits
+
+
+def margin_scores(w, e, z, kind, rng=None):
+    """The library's gated scores (0 where gated) and gate on one margin.
+
+    ``w`` is [lower, pseudo, members..., upper], the candidates its interior
+    entries, scored by ``candidate_scores`` with the upper-bound test that
+    ``best_splits`` applies; kind "random" draws one number per candidate.
+    """
+    w = np.asarray(w, dtype=float)
+    inner = w[1:-1]
+    draws = rng.random(inner.size) if kind == "random" else None
+    scores, ok = candidate_scores(inner, np.arange(inner.size, dtype=float),
+                                  inner.size - 1.0, w[0], e / (w[-1] - w[0]), e, z,
+                                  kind, draws)
+    ok[-1] &= inner[-1] < w[-1]
+    return np.where(ok, scores, 0.0), ok
+
+
+def one_bin_split(b, kind, z, rng):
+    """The library's ``best_splits`` on one bin: (splittable, on t, cut)."""
+    ok, on_t, cut = best_splits(
+        np.array([b.lower_s]), np.array([b.upper_s]), np.array([b.lower_t]),
+        np.array([b.upper_t]), np.array([b.expected]), np.array([b.observed]),
+        np.sort(b.points_s), np.sort(b.points_t), kind, z, lambda j: rng)
+    return bool(ok[0]), bool(on_t[0]), int(cut[0])
+
+
+def check_partition(binning, z):
+    """Assert the partition invariants of acceptance criterion 7.
+
+    Every bin has ordered bounds, depth >= 0, its members inside ``(lower,
+    upper]`` on both margins and ``expected == area / n``; below the root
+    it expects at least ``z``.  The bins tile the n x n rank square without
+    overlap and hold every point once, and their expectations sum to n.
+    """
+    n, bins = binning.n, binning.bins
+    assert sum(b.observed for b in bins) == n
+    assert sum(b.area for b in bins) == n * n
+    assert abs(sum(b.expected for b in bins) - n) <= 1e-9 * n
+    grid = np.zeros((n, n), dtype=int)
+    for b in bins:
+        assert b.lower_s < b.upper_s and b.lower_t < b.upper_t and b.depth >= 0
+        assert b.points_s.size == b.points_t.size
+        assert np.all((b.points_s > b.lower_s) & (b.points_s <= b.upper_s))
+        assert np.all((b.points_t > b.lower_t) & (b.points_t <= b.upper_t))
+        assert math.isclose(b.expected, b.area / n, rel_tol=1e-12)
+        if b.depth > 0:
+            assert b.expected >= z
+        grid[b.lower_s:b.upper_s, b.lower_t:b.upper_t] += 1
+    assert np.all(grid == 1)
 
 
 def chi_cell(o: float, e: float) -> float:
@@ -101,35 +158,34 @@ def replay_partitions(pair, kind, depths, stop, z, seed):
     """Partitions per depth limit from a grown tree and a per-limit replay.
 
     A second bookkeeping for ``bin_pair_by_depth``: grow once under the
-    deepest limit, recording each node's children by tree id, then re-run
-    the freeze/split rounds for each limit over that tree.  Splitting still
-    goes through the library's ``max_score_split``; this checks the
-    bookkeeping, not the splitter.  Node ``k``'s split draws from the
-    substream ``(seed, k)``.  Returns ``{depth: Binning}``.
+    deepest limit with the per-bin splitter, recording each node's children
+    by tree id, then re-run the freeze/split rounds for each limit over that
+    tree.  Node ``k``'s split draws from the substream ``(seed, k)``.  A
+    node with children passed every stop criterion but depth, so under a
+    shallower limit only its depth can freeze it.  Returns
+    ``{depth: Binning}``.
     """
     def grow(cfg):
-        root = (root_bin(pair), 1)
+        root = (Bin(0, pair.n, 0, pair.n, pair.s, pair.t, float(pair.n), 0), 1)
         children = {}
-        active = [] if should_stop(root[0], cfg) else [root]
+        active = [root]
         while active:
             nxt = []
             for b, nid in active:
-                rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, nid)))
-                try:
-                    lo, hi = max_score_split(b, kind, z, rng)
-                except UnsplittableBinError:
+                if (b.depth >= cfg.max_depth or b.expected <= cfg.min_expected
+                        or b.observed == 0):
                     continue
-                pair_nodes = ((lo, 2 * nid), (hi, 2 * nid + 1))
-                children[nid] = pair_nodes
-                for child in pair_nodes:
-                    if not should_stop(child[0], cfg):
-                        nxt.append(child)
+                rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, nid)))
+                kids = per_bin_max_score_split(b, kind, z, rng)
+                if kids is not None:
+                    children[nid] = ((kids[0], 2 * nid), (kids[1], 2 * nid + 1))
+                    nxt += children[nid]
             active = nxt
         return root, children
 
     def replay(root, children, cfg):
         def frozen_at(nd):
-            return should_stop(nd[0], cfg) or nd[1] not in children
+            return nd[0].depth >= cfg.max_depth or nd[1] not in children
 
         nodes = [root]
         stopped = [frozen_at(root)]
@@ -281,11 +337,11 @@ def per_bin_partitions(pair, kind, depths, stop, z, seed):
     depths = sorted(set(depths))
     cfg = StopConfig(depths[-1], stop.min_expected)
     nodes = []
-    level = [(root_bin(pair), 1)]
+    level = [(Bin(0, pair.n, 0, pair.n, pair.s, pair.t, float(pair.n), 0), 1)]
     while level:
         nxt = []
         for b, nid in level:
-            if should_stop(b, cfg):
+            if b.depth >= cfg.max_depth or b.expected <= cfg.min_expected or b.observed == 0:
                 nodes.append((b, True))
                 continue
             rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, nid)))

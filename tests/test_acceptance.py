@@ -29,21 +29,18 @@ import time
 
 import numpy as np
 import pytest
-from _oracles import evaluation_sites, random_bin_setup, two_child_sum
+from _oracles import evaluation_sites, margin_scores, random_bin_setup, two_child_sum
 from scipy.stats import betabinom, binom
 from scipy.stats import chi2 as chi2_dist
 
 from rankbin import (
-    CandidateVector,
     PatternSpec,
     StopConfig,
     bin_pair,
     binning_to_json,
     chi2_statistic,
-    chi_scores,
     empirical_p,
     generate,
-    mi_scores,
     rank_pair,
     records_to_csv,
     scan_pairs,
@@ -100,11 +97,12 @@ def test_criterion_1_split_at_point_oracle():
     What does hold, and what this asserts: each gate-passing grid cut
     scores no more than the two evaluation sites (``evaluation_sites``)
     with its lower count that bracket it.  The left one is the candidate on
-    its left, valued by ``chi_scores``/``mi_scores`` themselves, or the
-    lower gate boundary when that candidate is gated; the right one is the
-    left limit at the next candidate or the upper gate boundary.  A scorer
-    that under-reports a candidate fails here whenever the score falls off
-    to that candidate's right and a grid cut lies there.
+    its left, valued by the library's ``candidate_scores`` itself (through
+    the one-margin ``margin_scores``), or the lower gate boundary when that
+    candidate is gated; the right one is the left limit at the next
+    candidate or the upper gate boundary.  A scorer that under-reports a
+    candidate fails here whenever the score falls off to that candidate's
+    right and a grid cut lies there.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(123456)
@@ -116,7 +114,6 @@ def test_criterion_1_split_at_point_oracle():
         lower, upper, coords, e = random_bin_setup(rng)
         o = coords.size
         w = np.concatenate(([lower, coords[0] - 1], coords, [upper])).astype(float)
-        cand = CandidateVector(w=w, e=e, z=z)
         dens = e / (upper - lower)
         grid = lower + (upper - lower) * (np.arange(1, 201) - 0.5) / 200.0
         grid = grid[~np.isin(grid, w[1:-1])]
@@ -124,8 +121,8 @@ def test_criterion_1_split_at_point_oracle():
         c_site, e1_site, e2_site, o1_site, k_site = map(
             np.array, zip(*evaluation_sites(lower, upper, coords, e, z)))
         gated_in = (e1_site >= z) & (e2_site >= z)
-        for kind, scorer in (("chi", chi_scores), ("mi", mi_scores)):
-            scores = scorer(cand)
+        for kind in ("chi", "mi"):
+            scores = margin_scores(w, e, z, kind)[0]
             site_val = np.array([
                 scores[k] if k >= 0 else two_child_sum(kind, o1, e1, o - o1, e2, z)
                 for e1, e2, o1, k in zip(e1_site, e2_site, o1_site, k_site)
@@ -173,10 +170,9 @@ def test_criterion_2_recurrence_vs_brute_force():
         o = coords.size
         z = float(rng.choice([0.0, 2.0, 5.0]))
         w = np.concatenate(([lower, coords[0] - 1], coords, [upper])).astype(float)
-        cand = CandidateVector(w=w, e=e, z=z)
         dens = e / (upper - lower)
-        for kind, scorer in (("chi", chi_scores), ("mi", mi_scores)):
-            got = scorer(cand)
+        for kind in ("chi", "mi"):
+            got = margin_scores(w, e, z, kind)[0]
             for k, c in enumerate(w[1:-1]):
                 e1 = (c - lower) * dens
                 o1 = int(np.count_nonzero(coords <= c))

@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
+from _oracles import check_partition
 
-from rankbin import (
-    Bin,
-    StopConfig,
-    bin_pair,
-    binning_to_json,
-    root_bin,
-    should_stop,
-)
+from rankbin import Bin, StopConfig, bin_pair, binning_to_json
 from rankbin.ranks import RankedPair
 
 
@@ -17,28 +11,40 @@ def _pair(n, seed=0):
     return RankedPair(s=rng.permutation(n) + 1, t=rng.permutation(n) + 1, n=n)
 
 
+def _root(pair):
+    """The partition at depth limit 0: the root bin alone."""
+    (b,) = bin_pair(pair, "chi", StopConfig(max_depth=0)).bins
+    return b
+
+
 def test_root_bin_examples():
-    b = root_bin(_pair(4))
+    b = _root(_pair(4))
     assert (b.lower_s, b.upper_s, b.lower_t, b.upper_t) == (0, 4, 0, 4)
     assert b.expected == 4.0 and b.depth == 0 and b.observed == 4
-    b1 = root_bin(RankedPair(s=np.array([1]), t=np.array([1]), n=1))
+    b1 = _root(RankedPair(s=np.array([1]), t=np.array([1]), n=1))
     assert (b1.upper_s, b1.upper_t, b1.expected) == (1, 1, 1.0)
 
 
 def test_root_bin_satisfies_invariants():
     for n in (1, 7, 50):
         p = _pair(n, seed=n)
-        root_bin(p).validate(n)
+        check_partition(bin_pair(p, "chi", StopConfig(max_depth=0)), 5.0)
 
 
 def test_should_stop_disjunction():
-    mk = lambda depth, e, o: Bin(0, 10, 0, 10, np.arange(1, o + 1),
-                                 np.arange(1, o + 1), e, depth)
-    cfg = StopConfig(max_depth=6, min_expected=10.0)
-    assert should_stop(mk(6, 50.0, 5), cfg)          # depth boundary
-    assert should_stop(mk(0, 10.0, 5), cfg)          # expected <= 10 boundary
-    assert should_stop(mk(0, 50.0, 0), cfg)          # empty
-    assert not should_stop(mk(2, 50.0, 12), StopConfig(max_depth=10))
+    # each criterion alone freezes a bin the others would let split
+    def n_bin(pair, max_depth, min_expected):
+        return bin_pair(pair, "chi", StopConfig(max_depth, min_expected), z=0.0).n_bin
+
+    pair = _pair(10, seed=1)
+    assert n_bin(pair, 1, 0.0) == 2       # depth boundary: the split root's children
+    assert n_bin(pair, 6, 10.0) == 1      # expected <= 10 boundary: the root of n = 10
+    assert n_bin(pair, 6, 9.99) > 1
+    # empty: with no depth or size stop left, a tree still ends in empty leaves
+    binning = bin_pair(_pair(40, seed=3), "chi", StopConfig(60, 0.0), z=0.0)
+    assert any(b.observed == 0 and b.area > 1 and b.depth < 60 for b in binning.bins)
+    assert max(b.depth for b in bin_pair(_pair(200, seed=2), "chi",
+                                         StopConfig(max_depth=10)).bins) > 2
 
 
 def test_stop_config_validation():
@@ -52,34 +58,21 @@ def test_stop_config_validation():
 def test_partition_every_grid_point_in_exactly_one_bin(n, kind):
     binning = bin_pair(_pair(n, seed=n), kind=kind,
                        stop=StopConfig(max_depth=5), z=5.0, seed=3)
-    gs, gt = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1))
-    membership = np.zeros(gs.shape, dtype=int)
-    for b in binning.bins:
-        membership += (
-            (gs > b.lower_s) & (gs <= b.upper_s)
-            & (gt > b.lower_t) & (gt <= b.upper_t)
-        )
-    assert np.all(membership == 1)
+    check_partition(binning, 5.0)
 
 
 def test_binning_aggregate_invariants():
-    n = 500
-    binning = bin_pair(_pair(n, seed=2), kind="chi",
+    binning = bin_pair(_pair(500, seed=2), kind="chi",
                        stop=StopConfig(max_depth=8), z=5.0, seed=1)
-    assert sum(b.area for b in binning.bins) == n * n
-    assert sum(b.observed for b in binning.bins) == n
-    assert abs(sum(b.expected for b in binning.bins) - n) <= 1e-9 * n
-    for b in binning.bins:
-        b.validate(n)
+    check_partition(binning, 5.0)
 
 
 def test_child_expected_proportional_to_side():
-    from rankbin import split_at
-
-    parent = root_bin(_pair(10, seed=4))
-    lo, hi = split_at(parent, "s", 4)
-    assert lo.expected == parent.expected * lo.side_s / parent.side_s
-    assert hi.expected == parent.expected * hi.side_s / parent.side_s
+    parent = _root(_pair(10, seed=4))
+    lo, hi = bin_pair(_pair(10, seed=4), "chi", StopConfig(1, 0.0), z=0.0).bins
+    side = "side_s" if lo.side_t == parent.side_t else "side_t"
+    assert lo.expected == parent.expected * getattr(lo, side) / getattr(parent, side)
+    assert hi.expected == parent.expected * getattr(hi, side) / getattr(parent, side)
 
 
 def test_json_schema_field_order_and_17_digits():

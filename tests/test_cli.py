@@ -172,6 +172,27 @@ def test_data_errors_exit_2(tmp_path, capsys):
                          "--chi2", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("rankbin: data error:") and where in err
+    # a non-finite null entry, which no observed value can reach
+    nan_csv = tmp_path / "nan.csv"
+    nan_csv.write_text("depth,n_bin,chi2\n6,3,nan\n6,3,5\n")
+    inf_csv = tmp_path / "inf.csv"
+    inf_csv.write_text("depth,n_bin,chi2\n6,3,5\n6,3,inf\n")
+    nan_json = tmp_path / "nan.json"
+    nan_json.write_text('{"n": 5, "entries": [[6, 3, NaN], [6, 3, 5]]}')
+    for path, where in ((nan_csv, "nan.csv: line 2"), (inf_csv, "inf.csv: line 3"),
+                        (nan_json, "nan.json")):
+        assert cli_main(["pvalue", "--null", str(path), "--nbin", "3",
+                         "--chi2", "100"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rankbin: data error:") and where in err
+    # an observed pair or a window that empirical_p cannot place
+    good = tmp_path / "good.csv"
+    good.write_text("depth,n_bin,chi2\n6,3,1\n6,3,5\n")
+    for extra in (["--nbin", "3", "--chi2", "nan"], ["--nbin", "3", "--chi2", "inf"],
+                  ["--nbin", "3", "--chi2", "1", "--window", "-5"],
+                  ["--nbin", "-7", "--chi2", "1"], ["--nbin", "0", "--chi2", "1"]):
+        assert cli_main(["pvalue", "--null", str(good)] + extra) == 2
+        assert capsys.readouterr().err.startswith("rankbin: data error:")
     assert cli_main(["nullsim", "--n", "1", "--sims", "5",
                      "--out", str(tmp_path / "n.csv")]) == 2
     assert capsys.readouterr().err.startswith("rankbin: data error:")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from _oracles import check_partition
 
 from rankbin import (
     StopConfig,
@@ -21,9 +22,7 @@ def test_partition_invariants_on_uniform_data():
     n = 1000
     binning = bin_pair(_pair(n, seed=1), kind="chi",
                        stop=StopConfig(max_depth=6), z=5.0, seed=0)
-    assert sum(b.area for b in binning.bins) == n * n
-    assert sum(b.observed for b in binning.bins) == n
-    assert abs(sum(b.expected for b in binning.bins) - n) <= 1e-9 * n
+    check_partition(binning, 5.0)
 
 
 def test_max_depth_zero_returns_single_root_bin():

@@ -10,7 +10,7 @@ simulation is checked row for row against the per-bin engine.
 
 import numpy as np
 import pytest
-from _oracles import per_bin_partitions, replay_partitions
+from _oracles import check_partition, per_bin_partitions, replay_partitions
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -36,19 +36,6 @@ def _pair(shape: str, n: int, seed: int) -> RankedPair:
         # four distinct values per margin: ranks come from tie-breaking draws
         return rank_pair(rng.integers(0, 4, n), rng.integers(0, 4, n), rng)
     return RankedPair(s=rng.permutation(n) + 1, t=rng.permutation(n) + 1, n=n)
-
-
-def _check_partition(binning, n: int, z: float) -> None:
-    bins = binning.bins
-    assert sum(b.observed for b in bins) == n
-    assert sum(b.area for b in bins) == n * n
-    grid = np.zeros((n, n), dtype=int)
-    for b in bins:
-        b.validate(n)  # bounds, membership, expected == area / n
-        grid[b.lower_s:b.upper_s, b.lower_t:b.upper_t] += 1
-        if b.depth > 0:
-            assert b.expected >= z
-    assert np.all(grid == 1)  # the bins tile rank space without overlap
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -80,7 +67,7 @@ def test_single_depth_matches_sweep_and_partitions(
         single = bin_pair(pair, kind, StopConfig(d, min_expected), z=z, seed=seed)
         assert binning_to_json(single) == binning_to_json(binning)
         assert binning_to_json(oracle[d]) == binning_to_json(binning)
-        _check_partition(binning, n, z)
+        check_partition(binning, z)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)

@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
+from _oracles import one_bin_split, per_bin_split_at
 
-from rankbin import (
-    Bin,
-    StopConfig,
-    UnsplittableBinError,
-    max_score_split,
-    root_bin,
-    split_at,
-)
+from rankbin import Bin, StopConfig, bin_pair_by_depth
 from rankbin.ranks import RankedPair
 
 
@@ -22,43 +16,104 @@ def _pair(n, seed=0):
     return RankedPair(s=rng.permutation(n) + 1, t=rng.permutation(n) + 1, n=n)
 
 
+def _children(b, kind, z, rng):
+    """Cut ``b`` where the library's ``best_splits`` chooses to."""
+    ok, on_t, cut = one_bin_split(b, kind, z, rng)
+    assert ok
+    return per_bin_split_at(b, "t" if on_t else "s", cut)
+
+
+def _splits(pair, kind, max_depth, z=5.0, seed=0):
+    """Every split the engine makes growing ``pair``: (parent, lower, upper).
+
+    A depth limit's partition lists the nodes at that depth in breadth-first
+    order, so the children of each split node come as a lower, upper pair.
+    """
+    parts = bin_pair_by_depth(pair, kind, range(max_depth + 1),
+                              StopConfig(max_depth, 0.0), z=z, seed=seed)
+    out = []
+    for d in range(max_depth):
+        parents = {(b.lower_s, b.upper_s, b.lower_t, b.upper_t): b
+                   for b in parts[d].bins if b.depth == d}
+        kids = [b for b in parts[d + 1].bins if b.depth == d + 1]
+        for lo, hi in zip(kids[0::2], kids[1::2]):
+            out.append((parents[(lo.lower_s, hi.upper_s, lo.lower_t, hi.upper_t)], lo, hi))
+    assert out
+    return out
+
+
+def _margin(parent, lo):
+    """The cut margin of a split: (on s, lower bound, upper bound, cut)."""
+    if lo.upper_s < parent.upper_s:
+        return True, parent.lower_s, parent.upper_s, lo.upper_s
+    return False, parent.lower_t, parent.upper_t, lo.upper_t
+
+
 def test_split_at_proportional_expected():
-    b = mk_bin(0, 10, 0, 10, [2, 5, 8], [3, 6, 9], 10.0)
-    lo, hi = split_at(b, "s", 4)
-    assert (lo.lower_s, lo.upper_s) == (0, 4)
-    assert (hi.lower_s, hi.upper_s) == (4, 10)
-    assert lo.expected == 4.0 and hi.expected == 6.0
-    assert lo.lower_t == hi.lower_t == 0 and lo.upper_t == hi.upper_t == 10
-    assert lo.depth == hi.depth == 1
+    for kind in ("chi", "mi", "random"):
+        for parent, lo, hi in _splits(_pair(200, seed=5), kind, 6):
+            on_s, lower, upper, cut = _margin(parent, lo)
+            if on_s:
+                assert (lo.lower_t, lo.upper_t) == (hi.lower_t, hi.upper_t) \
+                    == (parent.lower_t, parent.upper_t)
+                assert (lo.lower_s, hi.lower_s, hi.upper_s) == (lower, cut, upper)
+            else:
+                assert (lo.lower_s, lo.upper_s) == (hi.lower_s, hi.upper_s) \
+                    == (parent.lower_s, parent.upper_s)
+                assert (lo.lower_t, hi.lower_t, hi.upper_t) == (lower, cut, upper)
+            share = (cut - lower) / (upper - lower)
+            assert lo.expected == pytest.approx(parent.expected * share, rel=1e-12)
+            assert hi.expected == parent.expected - lo.expected
+            assert lo.depth == hi.depth == parent.depth + 1
 
 
 def test_split_at_boundary_point_goes_to_lower_child():
-    b = mk_bin(0, 10, 0, 10, [4, 7], [1, 2], 10.0)
-    lo, hi = split_at(b, "s", 4)
-    assert lo.points_s.tolist() == [4]
-    assert hi.points_s.tolist() == [7]
+    on_line = 0
+    for parent, lo, hi in _splits(_pair(200, seed=6), "chi", 6):
+        on_s, _, _, cut = _margin(parent, lo)
+        coords, lo_c, hi_c = ((parent.points_s, lo.points_s, hi.points_s) if on_s
+                              else (parent.points_t, lo.points_t, hi.points_t))
+        if cut in coords:
+            on_line += 1
+            assert cut in lo_c
+        assert np.all(lo_c <= cut) and np.all(hi_c > cut)
+    assert on_line > 10  # chi cuts mostly sit on a member
 
 
 def test_split_at_conserves_points_and_area():
-    rng = np.random.default_rng(5)
-    s = rng.choice(np.arange(1, 51), size=20, replace=False)
-    t = rng.choice(np.arange(1, 51), size=20, replace=False)
-    b = mk_bin(0, 50, 0, 50, np.sort(s), t[np.argsort(s)], 25.0)
-    lo, hi = split_at(b, "t", 30)
-    assert lo.observed + hi.observed == b.observed
-    assert lo.area + hi.area == b.area
-    assert lo.expected + hi.expected == pytest.approx(b.expected)
-    merged = np.sort(np.concatenate([lo.points_s, hi.points_s]))
-    assert np.array_equal(merged, np.sort(b.points_s))
+    for kind in ("chi", "mi", "random"):
+        for parent, lo, hi in _splits(_pair(150, seed=7), kind, 6, z=2.0, seed=3):
+            assert lo.observed + hi.observed == parent.observed
+            assert lo.area + hi.area == parent.area
+            assert lo.expected + hi.expected == pytest.approx(parent.expected)
+            for side in ("points_s", "points_t"):
+                merged = np.sort(np.concatenate([getattr(lo, side), getattr(hi, side)]))
+                assert np.array_equal(merged, np.sort(getattr(parent, side)))
 
 
-def test_split_at_rejects_out_of_range_coordinates():
-    b = mk_bin(3, 8, 0, 10, [5], [5], 5.0)
-    for bad in (3, 8, 2, 11):
-        with pytest.raises(ValueError):
-            split_at(b, "s", bad)
-    with pytest.raises(ValueError):
-        split_at(b, "x", 5)
+def test_cut_lies_strictly_inside_the_bin():
+    # a cut on or outside either bound would leave a child of zero or
+    # negative width; small sides, members on the upper bound and z = 0
+    # are where one could slip through
+    rng = np.random.default_rng(17)
+    seen = {"s": 0, "t": 0, "unsplittable": 0}
+    for trial in range(600):
+        ls, lt = (int(v) for v in rng.integers(0, 50, 2))
+        side_s, side_t = (int(v) for v in rng.integers(1, 25, 2))
+        o = int(rng.integers(1, min(side_s, side_t) + 1))
+        s = rng.choice(np.arange(ls + 1, ls + side_s + 1), size=o, replace=False)
+        t = rng.choice(np.arange(lt + 1, lt + side_t + 1), size=o, replace=False)
+        b = mk_bin(ls, ls + side_s, lt, lt + side_t, s, t, rng.uniform(0.5, 40.0))
+        kind = ("chi", "mi", "random")[trial % 3]
+        z = (0.0, 2.0, 5.0)[trial // 3 % 3]
+        ok, on_t, cut = one_bin_split(b, kind, z, np.random.default_rng(trial))
+        if not ok:
+            seen["unsplittable"] += 1
+            continue
+        lower, upper = (b.lower_t, b.upper_t) if on_t else (b.lower_s, b.upper_s)
+        assert lower < cut < upper
+        seen["t" if on_t else "s"] += 1
+    assert min(seen.values()) > 0
 
 
 def test_root_bin_halves_at_midpoint_on_random_margin():
@@ -67,15 +122,11 @@ def test_root_bin_halves_at_midpoint_on_random_margin():
     n = 1000
     margins = set()
     for seed in range(8):
-        b = root_bin(_pair(n, seed=seed))
-        rng = np.random.default_rng(seed)
-        lo, hi = max_score_split(b, "chi", 5.0, rng)
-        if lo.upper_s != n:
-            margins.add("s")
-            assert lo.upper_s == 500 and hi.lower_s == 500
-        else:
-            margins.add("t")
-            assert lo.upper_t == 500 and hi.lower_t == 500
+        p = _pair(n, seed=seed)
+        b = mk_bin(0, n, 0, n, p.s, p.t, n)
+        ok, on_t, cut = one_bin_split(b, "chi", 5.0, np.random.default_rng(seed))
+        assert ok and cut == 500
+        margins.add("t" if on_t else "s")
     assert margins == {"s", "t"}
 
 
@@ -84,17 +135,16 @@ def test_halving_coordinate_is_ceiling_of_midpoint():
     # square bin tie every eligible score
     pts = [4, 5, 6, 7, 8]
     b = mk_bin(3, 8, 3, 8, pts, pts, 25.0)
-    lo, hi = max_score_split(b, "chi", 0.0, np.random.default_rng(0))
-    assert lo.upper_s == 6 or lo.upper_t == 6
+    ok, _, cut = one_bin_split(b, "chi", 0.0, np.random.default_rng(0))
+    assert ok and cut == 6
 
 
 def test_worked_example_splits_on_s_at_5():
     # s-candidates [0,1,2,5,10] score [1.11, 1.56, 2.0] (max 2.0 at coord 5);
     # t-candidates [0,3,4,6,10] score below 2.0 everywhere
     b = mk_bin(0, 10, 0, 10, [2, 5], [4, 6], 4.0)
-    lo, hi = max_score_split(b, "chi", 0.0, np.random.default_rng(0))
-    assert (lo.lower_s, lo.upper_s) == (0, 5)
-    assert (hi.lower_s, hi.upper_s) == (5, 10)
+    assert one_bin_split(b, "chi", 0.0, np.random.default_rng(0)) == (True, False, 5)
+    lo, hi = per_bin_split_at(b, "s", 5)
     assert lo.observed == 2 and hi.observed == 0
 
 
@@ -104,11 +154,10 @@ def test_deterministic_for_chi_and_mi_off_tie_case():
     t = rng.choice(np.arange(1, 101), size=30, replace=False)
     b = mk_bin(0, 100, 0, 100, s, t, 40.0)
     for kind in ("chi", "mi"):
-        first = max_score_split(b, kind, 5.0, np.random.default_rng(1))
+        first = one_bin_split(b, kind, 5.0, np.random.default_rng(1))
+        assert first[0]
         for seed in range(2, 6):
-            again = max_score_split(b, kind, 5.0, np.random.default_rng(seed))
-            assert again[0].upper_s == first[0].upper_s
-            assert again[0].upper_t == first[0].upper_t
+            assert one_bin_split(b, kind, 5.0, np.random.default_rng(seed)) == first
 
 
 def test_children_satisfy_invariants_and_partition_parent():
@@ -119,7 +168,7 @@ def test_children_satisfy_invariants_and_partition_parent():
             s = np.sort(rng.choice(np.arange(1, n + 1), size=50, replace=False))
             t = rng.choice(np.arange(1, n + 1), size=50, replace=False)
             b = mk_bin(0, n, 0, n, s, t, n / 2, depth=1)
-            lo, hi = max_score_split(b, kind, 5.0, np.random.default_rng(trial))
+            lo, hi = _children(b, kind, 5.0, np.random.default_rng(trial))
             assert lo.observed + hi.observed == b.observed
             assert lo.area + hi.area == b.area
             assert lo.depth == hi.depth == 2
@@ -131,7 +180,7 @@ def test_mi_negative_scores_do_not_select_gated_candidates():
     # a sparse bin whose eligible mi scores are all negative: the split must
     # still respect the size floor rather than jump to a gated zero
     b = mk_bin(0, 100, 0, 100, [1, 50], [40, 90], 15.0)
-    lo, hi = max_score_split(b, "mi", 5.0, np.random.default_rng(0))
+    lo, hi = _children(b, "mi", 5.0, np.random.default_rng(0))
     assert min(lo.expected, hi.expected) >= 5.0
 
 
@@ -140,20 +189,16 @@ def test_line_square_bin_is_halved():
     # so the bin halves instead of slicing at the first eligible candidate
     pts = np.arange(1, 501)
     b = mk_bin(0, 500, 0, 500, pts, pts, 250.0, depth=2)
-    lo, hi = max_score_split(b, "chi", 5.0, np.random.default_rng(4))
+    ok, _, cut = one_bin_split(b, "chi", 5.0, np.random.default_rng(4))
+    assert ok and cut == 250
+    lo, hi = _children(b, "chi", 5.0, np.random.default_rng(4))
     assert {lo.side_s * lo.side_t, hi.side_s * hi.side_t} == {500 * 250}
-
-
-def test_empty_bin_is_invalid_state():
-    b = mk_bin(0, 10, 0, 10, [], [], 10.0)
-    with pytest.raises(RuntimeError):
-        max_score_split(b, "chi", 5.0, np.random.default_rng(0))
 
 
 def test_unknown_kind_rejected():
     b = mk_bin(0, 10, 0, 10, [5], [5], 10.0)
     with pytest.raises(ValueError):
-        max_score_split(b, "quux", 5.0, np.random.default_rng(0))
+        one_bin_split(b, "quux", 5.0, np.random.default_rng(0))
 
 
 def test_unsplittable_when_both_halvings_undercut_floor():
@@ -162,8 +207,8 @@ def test_unsplittable_when_both_halvings_undercut_floor():
     pts_s = [3, 18]
     pts_t = [5, 88]
     b = mk_bin(0, 21, 0, 93, pts_s, pts_t, 10.05)
-    with pytest.raises(UnsplittableBinError):
-        max_score_split(b, "chi", 5.0, np.random.default_rng(0))
+    splittable, _, _ = one_bin_split(b, "chi", 5.0, np.random.default_rng(0))
+    assert not splittable
 
 
 def test_degenerate_halving_prefers_margin_that_respects_floor():
@@ -172,6 +217,6 @@ def test_degenerate_halving_prefers_margin_that_respects_floor():
     pts_t = [100, 800]
     b = mk_bin(0, 11, 0, 966, pts_s, pts_t, 10.5)
     for seed in range(6):
-        lo, hi = max_score_split(b, "chi", 5.0, np.random.default_rng(seed))
+        assert one_bin_split(b, "chi", 5.0, np.random.default_rng(seed)) == (True, True, 483)
+        lo, hi = per_bin_split_at(b, "t", 483)
         assert min(lo.expected, hi.expected) >= 5.0
-        assert lo.upper_t == 483  # halved on t

@@ -151,6 +151,8 @@ def test_quantile_curve_insufficient_data():
         null_quantile_curve(table, 0.95, min_count=50)
     with pytest.raises(ValueError):
         null_quantile_curve(_table(np.full(60, 5), np.ones(60)), 0.0)
+    with pytest.raises(ValueError, match="window"):
+        null_quantile_curve(_table(np.full(60, 5), np.ones(60)), 0.95, window=-1)
 
 
 def test_null_table_csv_round_trip(tmp_path):
