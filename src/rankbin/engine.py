@@ -2,8 +2,8 @@
 
 The trees are grown under the deepest requested limit, one level at a time.
 Each pass takes every node at one depth of every tree in the batch (one
-tree for ``bin_pair``, a batch of null replicates for
-``stats.simulate_null``), freezes those meeting a stop criterion, and
+tree for ``bin_pair``, a batch of null replicates or scan pairs for
+``stats.tree_statistics``), freezes those meeting a stop criterion, and
 scores and splits all the others at once with ``splitting.best_splits``.
 A node that cannot be split is frozen too.
 
@@ -24,8 +24,8 @@ above depth ``d`` and every node at depth ``d``.  Below ``d`` the stop
 criteria of limit ``d`` and of the deepest limit differ only in the depth
 test, so a node freezes under ``d`` exactly when it is a leaf of the grown
 tree.  ``bin_pair_by_depth`` builds ``Bin`` objects only for the nodes its
-partitions return; the null simulation reads its statistics straight off
-each level's per-node counts and builds none.
+partitions return; ``stats.tree_statistics`` reads its statistics straight
+off each level's per-node counts and builds none.
 
 Randomness is splittable: every bin in the binary split tree owns a
 substream derived from the run seed and the bin's tree position (root id 1,

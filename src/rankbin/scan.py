@@ -8,6 +8,8 @@ and residualizing a volatility model on returns) happens upstream.
 
 Each pair derives its own random substream from the scan seed and the two
 column indices, so results do not depend on worker count or scheduling.
+Pairs are batched and read off like null replicates (``stats.tree_batches``,
+``stats.tree_statistics``); ``pair_binning`` rebuilds one pair's binning.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from .bins import Binning, StopConfig
-from .engine import bin_pair
+from .engine import bin_pair, check_growth_args
 from .ranks import RankedPair, rank
-from .stats import NullTable, chi2_statistic, empirical_p
+from .stats import NullTable, empirical_p, tree_batches, tree_statistics
 
 logger = logging.getLogger(__name__)
 
@@ -138,7 +140,7 @@ def _check_null_config(null: NullTable, n: int, kind: str, stop: StopConfig, z: 
 
 
 # Per-process scan context, installed once per worker by _scan_init so that
-# the column data is not re-pickled for every pair.
+# the column data is not re-pickled for every batch.
 _SCAN_STATE: dict = {}
 
 
@@ -146,23 +148,18 @@ def _scan_init(cols, kind, stop, z, base_seed) -> None:
     _SCAN_STATE["ctx"] = (cols, kind, stop, z, base_seed)
 
 
-def _seeded_binning(cols, ia, ib, kind, stop, z, base_seed) -> Binning:
-    """Rank and bin one column pair from its own substream (scan and plots)."""
-    ss = np.random.SeedSequence(entropy=(base_seed, ia, ib))
-    ss_a, ss_b, ss_bin = ss.spawn(3)
+def _seeded_pair(cols, ia, ib, base_seed) -> tuple[RankedPair, int]:
+    """Rank one column pair from its own substream; return it and its binning seed."""
+    ss_a, ss_b, ss_bin = np.random.SeedSequence(entropy=(base_seed, ia, ib)).spawn(3)
     s = rank(cols[ia], np.random.default_rng(ss_a))
     t = rank(cols[ib], np.random.default_rng(ss_b))
-    pair = RankedPair(s=s, t=t, n=s.size)
-    bin_seed = int(ss_bin.generate_state(1, np.uint64)[0])
-    return bin_pair(pair, kind=kind, stop=stop, z=z, seed=bin_seed)
+    return RankedPair(s=s, t=t, n=s.size), int(ss_bin.generate_state(1, np.uint64)[0])
 
 
-def _pair_stat(idx: tuple[int, int]) -> tuple[int, int, int, float]:
+def _scan_batch(jobs: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
     cols, kind, stop, z, base_seed = _SCAN_STATE["ctx"]
-    ia, ib = idx
-    binning = _seeded_binning(cols, ia, ib, kind, stop, z, base_seed)
-    chi2, n_bin = chi2_statistic(binning)
-    return ia, ib, n_bin, chi2
+    trees = [_seeded_pair(cols, ia, ib, base_seed) for ia, ib in jobs]
+    return tree_statistics(trees, [stop.max_depth], kind, stop, z)
 
 
 def pair_binning(
@@ -176,8 +173,9 @@ def pair_binning(
 ) -> Binning:
     """Rebuild the exact binning the scan used for one named pair."""
     names = list(table)
-    ia, ib = names.index(name_a), names.index(name_b)
-    return _seeded_binning(list(table.values()), ia, ib, kind, stop, z, base_seed)
+    pair, seed = _seeded_pair(list(table.values()), names.index(name_a),
+                              names.index(name_b), base_seed)
+    return bin_pair(pair, kind=kind, stop=stop, z=z, seed=seed)
 
 
 def scan_pairs(
@@ -193,30 +191,37 @@ def scan_pairs(
     """Score every unordered column pair and sort by descending chi2.
 
     Columns are ranked afresh for each pair (with that pair's substream) so
-    tie-breaking draws stay independent across the scan.  The null table
-    must have been simulated for the same number of rows (when it records
-    one) and under the same kind/stop/z configuration.
+    tie-breaking draws stay independent across the scan; pairs are grown and
+    read off in the batches of ``stats.tree_batches``, a worker taking whole
+    batches.  The null table must have been simulated for the same number of
+    rows (when it records one) and under the same kind/stop/z configuration;
+    it and ``window`` >= 0 are checked before any tree is grown.
     """
     names = list(table)
     if len(names) < 2:
         raise ValueError("need at least 2 columns to scan")
     cols = list(table.values())
     _check_null_config(null, cols[0].size, kind, stop, z)
+    check_growth_args([stop.max_depth], kind, z)
+    if window < 0:
+        raise ValueError("window must be >= 0")
     jobs = [
         (ia, ib)
         for ia in range(len(names))
         for ib in range(ia + 1, len(names))
     ]
+    batches = [jobs[b] for b in tree_batches(cols[0].size, len(jobs))]
     ctx = (cols, kind, stop, z, base_seed)
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_scan_init, initargs=ctx
         ) as pool:
-            chunk = max(1, len(jobs) // (8 * workers))
-            stats = list(pool.map(_pair_stat, jobs, chunksize=chunk))
+            results = list(pool.map(_scan_batch, batches))
     else:
         _scan_init(*ctx)
-        stats = [_pair_stat(j) for j in jobs]
+        results = [_scan_batch(b) for b in batches]
+    n_bins = np.concatenate([n_bin for n_bin, _ in results])[:, 0].tolist()
+    chi2s = np.concatenate([chi2 for _, chi2 in results])[:, 0].tolist()
     records = [
         ScanRecord(
             name_a=names[ia],
@@ -225,7 +230,7 @@ def scan_pairs(
             chi2=chi2,
             p_emp=empirical_p(null, (n_bin, chi2), window=window),
         )
-        for ia, ib, n_bin, chi2 in stats
+        for (ia, ib), n_bin, chi2 in zip(jobs, n_bins, chi2s)
     ]
     records.sort(key=lambda r: -r.chi2)
     return records

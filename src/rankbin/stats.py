@@ -72,9 +72,9 @@ class NullTable:
     def __post_init__(self):
         if not (self.depths.size == self.n_bins.size == self.chi2s.size):
             raise ValueError("entry columns must have equal length")
-        if self.depths.size and (self.n_bins.min() < 1
+        if self.depths.size and (self.depths.min() < 0 or self.n_bins.min() < 1
                                  or not np.all(np.isfinite(self.chi2s) & (self.chi2s >= 0))):
-            raise ValueError("entries require n_bin >= 1 and a finite chi2 >= 0")
+            raise ValueError("entries require depth >= 0, n_bin >= 1 and a finite chi2 >= 0")
 
     @property
     def size(self) -> int:
@@ -115,9 +115,9 @@ class NullTable:
                 row = (int(cells[0]), int(cells[1]), float(cells[2]))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {i}: {exc}") from None
-            if row[1] < 1 or not 0 <= row[2] < np.inf:
-                raise ValueError(
-                    f"{path}: line {i}: entries require n_bin >= 1 and a finite chi2 >= 0")
+            if row[0] < 0 or row[1] < 1 or not 0 <= row[2] < np.inf:
+                raise ValueError(f"{path}: line {i}: entries require depth >= 0, "
+                                 "n_bin >= 1 and a finite chi2 >= 0")
             rows.append(row)
         depths = np.array([r[0] for r in rows], dtype=np.int64)
         n_bins = np.array([r[1] for r in rows], dtype=np.int64)
@@ -137,6 +137,10 @@ class NullTable:
             entries = entries.reshape(0, 3)
         if entries.ndim != 2 or entries.shape[1] != 3:
             raise bad
+        ints = entries[:, :2]
+        # NaN fails every comparison and inf the bound, which keeps the cast exact
+        if not np.all((ints == np.floor(ints)) & (ints >= 0) & (ints < 2**63)):
+            raise ValueError(f"{path}: depth and n_bin entries must be integers >= 0")
         try:
             return cls(n=n, depths=entries[:, 0].astype(np.int64),
                        n_bins=entries[:, 1].astype(np.int64), chi2s=entries[:, 2],
@@ -145,9 +149,15 @@ class NullTable:
             raise ValueError(f"{path}: {exc}") from None
 
 
-# Points grown together in one batch of null replicates: enough replicates
-# to share each level's array passes, few enough to keep them in cache.
-_NULL_CHUNK = 1 << 13
+# Points grown together in one batch of trees: enough trees to share each
+# level's array passes, few enough to keep them in cache.
+_BATCH_POINTS = 1 << 13
+
+
+def tree_batches(n: int, count: int) -> list[slice]:
+    """Slices batching ``count`` trees of ``n`` points: up to 8,192 points, or one tree."""
+    per = max(1, _BATCH_POINTS // n)
+    return [slice(a, min(a + per, count)) for a in range(0, count, per)]
 
 
 def _running_sums(total: np.ndarray, terms: np.ndarray, root: np.ndarray) -> np.ndarray:
@@ -164,16 +174,19 @@ def _running_sums(total: np.ndarray, terms: np.ndarray, root: np.ndarray) -> np.
     return np.cumsum(grid, axis=1)[:, -1]
 
 
-def _null_chunk(args) -> list[tuple[int, int, float]]:
-    """Null rows of replicates ``reps``, their trees grown as one batch."""
-    n, depths, kind, stop, z, seed, reps = args
-    pairs, seeds = [], []
-    for rep in reps:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, rep)))
-        s = rng.permutation(n) + 1
-        t = rng.permutation(n) + 1
-        seeds.append(int(rng.integers(0, 2**63)))
-        pairs.append(RankedPair(s=s, t=t, n=n))
+def tree_statistics(
+    trees: list[tuple[RankedPair, int]], depths: list[int], kind: str,
+    stop: StopConfig, z: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bin count and chi2 statistic of each tree under each depth limit.
+
+    ``trees`` lists (pair, binning seed) couples, grown as one batch under
+    the deepest of the sorted, validated ``depths``.  Entry [r, i] of both
+    arrays belongs to tree r's partition under ``depths[i]``, and equals
+    ``chi2_statistic`` of that ``bin_pair`` binning bit for bit.  No ``Bin``
+    is built: each statistic is summed from the per-node counts.
+    """
+    pairs, seeds = map(list, zip(*trees))
     # Partition d of a tree is its leaves above depth d, then its nodes at
     # depth d, each in breadth-first order.
     leaf_chi2 = np.zeros(len(pairs))
@@ -190,11 +203,20 @@ def _null_chunk(args) -> list[tuple[int, int, float]]:
         leaf_chi2 = _running_sums(leaf_chi2, terms[lv.leaf], lv.root[lv.leaf])
         leaf_bins = leaf_bins + np.bincount(lv.root[lv.leaf], minlength=len(pairs))
     cols = [by_depth.get(d, (leaf_bins, leaf_chi2)) for d in depths]
-    return [
-        (d, int(n_bin[r]), float(chi2[r]))
-        for r in range(len(pairs))
-        for d, (n_bin, chi2) in zip(depths, cols)
-    ]
+    return (np.column_stack([n_bin for n_bin, _ in cols]),
+            np.column_stack([chi2 for _, chi2 in cols]))
+
+
+def _null_chunk(args) -> tuple[np.ndarray, np.ndarray]:
+    """``tree_statistics`` of null replicates ``reps``."""
+    n, depths, kind, stop, z, seed, reps = args
+    trees = []
+    for rep in reps:
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, rep)))
+        s = rng.permutation(n) + 1
+        t = rng.permutation(n) + 1
+        trees.append((RankedPair(s=s, t=t, n=n), int(rng.integers(0, 2**63))))
+    return tree_statistics(trees, depths, kind, stop, z)
 
 
 def simulate_null(
@@ -214,23 +236,21 @@ def simulate_null(
     Replicate ``r`` derives all of its randomness from the seed material
     ``(seed, r)``, so the table is reproducible and independent of worker
     count; entries are ordered by replicate then depth.  Replicates are
-    grown together in batches of up to 8,192 points (one replicate if it
-    is larger), and workers take whole batches.
+    grown in the batches of ``tree_batches`` and read off by
+    ``tree_statistics``; workers take whole batches.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     if n_sim < 1:
         raise ValueError("n_sim must be >= 1")
     depths = check_growth_args(depths, kind, z)
-    per = max(1, _NULL_CHUNK // n)
-    jobs = [(n, depths, kind, stop, z, seed, range(a, min(a + per, n_sim)))
-            for a in range(0, n_sim, per)]
+    jobs = [(n, depths, kind, stop, z, seed, range(n_sim)[b])
+            for b in tree_batches(n, n_sim)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_null_chunk, jobs))
     else:
         results = [_null_chunk(j) for j in jobs]
-    rows = [row for chunk_rows in results for row in chunk_rows]
     config = {
         "kind": kind,
         "depths": depths,
@@ -241,9 +261,9 @@ def simulate_null(
     }
     return NullTable(
         n=n,
-        depths=np.array([r[0] for r in rows], dtype=np.int64),
-        n_bins=np.array([r[1] for r in rows], dtype=np.int64),
-        chi2s=np.array([r[2] for r in rows]),
+        depths=np.tile(np.array(depths, dtype=np.int64), n_sim),
+        n_bins=np.concatenate([n_bins for n_bins, _ in results]).ravel(),
+        chi2s=np.concatenate([chi2s for _, chi2s in results]).ravel(),
         config=config,
     )
 

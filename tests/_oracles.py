@@ -5,7 +5,7 @@ direct two-child evaluation, the per-bin engine) so that library results
 are checked against a second, structurally different implementation.  Two
 thin wrappers put the library's batched scorer and splitter in the shape of
 one margin and one bin, and ``check_partition`` checks the invariants every
-partition must meet.
+partition must meet.  ``per_pair_scan`` is the scan one pair at a time.
 """
 
 from __future__ import annotations
@@ -15,8 +15,12 @@ import math
 import numpy as np
 
 from rankbin.bins import Bin, Binning, StopConfig
+from rankbin.engine import bin_pair
+from rankbin.ranks import RankedPair, rank
+from rankbin.scan import ScanRecord
 from rankbin.scoring import candidate_scores
 from rankbin.splitting import best_splits
+from rankbin.stats import chi2_statistic, empirical_p
 
 
 def margin_scores(w, e, z, kind, rng=None):
@@ -357,3 +361,27 @@ def per_bin_partitions(pair, kind, depths, stop, z, seed):
             min_split_expected=z, seed=seed, n=pair.n)
         for d in depths
     }
+
+
+def per_pair_scan(table, kind, stop, z, base_seed, null, window=2):
+    """``scan_pairs`` one pair at a time: one ``bin_pair`` and one
+    ``chi2_statistic`` per pair.
+
+    Pair (a, b) of column indices draws from ``SeedSequence((base_seed, a,
+    b)).spawn(3)``: the first child ranks column a, the second column b, and
+    the third's first 64-bit word seeds the binning.
+    """
+    names, cols = list(table), list(table.values())
+    records = []
+    for a in range(len(names)):
+        for b in range(a + 1, len(names)):
+            ss_a, ss_b, ss_bin = np.random.SeedSequence(entropy=(base_seed, a, b)).spawn(3)
+            s = rank(cols[a], np.random.default_rng(ss_a))
+            t = rank(cols[b], np.random.default_rng(ss_b))
+            binning = bin_pair(RankedPair(s=s, t=t, n=s.size), kind, stop, z,
+                               seed=int(ss_bin.generate_state(1, np.uint64)[0]))
+            chi2, n_bin = chi2_statistic(binning)
+            records.append(ScanRecord(names[a], names[b], n_bin, chi2,
+                                      empirical_p(null, (n_bin, chi2), window=window)))
+    records.sort(key=lambda r: -r.chi2)
+    return records

@@ -155,6 +155,14 @@ def test_data_errors_exit_2(tmp_path, capsys):
                      "--score", "chi", "--max-depth", "6",
                      "--out", str(tmp_path / "s.csv")]) == 2
     assert "n=50" in capsys.readouterr().err
+    # a negative window, refused before any pair is binned
+    simulate_null(100, [6], "chi", StopConfig(max_depth=6),
+                  n_sim=20, seed=1).to_json(null)
+    assert cli_main(["scan", "--input", str(matrix), "--null", str(null),
+                     "--score", "chi", "--max-depth", "6", "--window", "-1",
+                     "--out", str(tmp_path / "s.csv")]) == 2
+    assert "window must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
     # malformed null tables: a short CSV row, a JSON document without
     # entries, a non-numeric cell and an out-of-range row (after a blank line)
     short_row = tmp_path / "short.csv"
@@ -179,8 +187,14 @@ def test_data_errors_exit_2(tmp_path, capsys):
     inf_csv.write_text("depth,n_bin,chi2\n6,3,5\n6,3,inf\n")
     nan_json = tmp_path / "nan.json"
     nan_json.write_text('{"n": 5, "entries": [[6, 3, NaN], [6, 3, 5]]}')
+    # a depth that is not a number and an n_bin that is not an integer
+    nan_depth = tmp_path / "nan_depth.json"
+    nan_depth.write_text('{"n": 5, "entries": [[NaN, 3, 5], [6, 3, 5]]}')
+    frac_nbin = tmp_path / "frac_nbin.json"
+    frac_nbin.write_text('{"n": 5, "entries": [[6, 3, 5], [6, 3.7, 5]]}')
     for path, where in ((nan_csv, "nan.csv: line 2"), (inf_csv, "inf.csv: line 3"),
-                        (nan_json, "nan.json")):
+                        (nan_json, "nan.json"), (nan_depth, "nan_depth.json"),
+                        (frac_nbin, "frac_nbin.json")):
         assert cli_main(["pvalue", "--null", str(path), "--nbin", "3",
                          "--chi2", "100"]) == 2
         err = capsys.readouterr().err

@@ -5,12 +5,13 @@ split looks alike, and heavily tied raw data.  Each case checks that a
 single-depth run equals the same depth read off a depth sweep byte for
 byte, that both equal the per-limit replay oracle and the per-bin engine,
 and the partition invariants of acceptance criterion 7.  The batched null
-simulation is checked row for row against the per-bin engine.
+simulation is checked row for row against the per-bin engine, and the
+batched scan against one ``bin_pair`` per pair.
 """
 
 import numpy as np
 import pytest
-from _oracles import check_partition, per_bin_partitions, replay_partitions
+from _oracles import check_partition, per_bin_partitions, per_pair_scan, replay_partitions
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,10 +22,12 @@ from rankbin import (
     bin_pair_by_depth,
     binning_to_json,
     chi2_statistic,
+    records_to_csv,
+    scan_pairs,
     simulate_null,
 )
 from rankbin.ranks import RankedPair, rank_pair
-from rankbin.stats import _NULL_CHUNK
+from rankbin.stats import _BATCH_POINTS
 
 
 def _pair(shape: str, n: int, seed: int) -> RankedPair:
@@ -115,7 +118,7 @@ def _per_bin_null(n, depths, kind, stop, z, n_sim, seed):
     # two batches, the second partly filled
     (1000, range(2, 11), "chi", 10.0, 5.0, 11, 1),
     # one replicate larger than a batch
-    (_NULL_CHUNK + 808, [2, 4], "random", 10.0, 5.0, 2, 1),
+    (_BATCH_POINTS + 808, [2, 4], "random", 10.0, 5.0, 2, 1),
     # the smallest n, down to single points
     (2, [0, 1, 2], "mi", 0.0, 0.0, 7, 1),
     # batches spread over worker processes
@@ -128,3 +131,52 @@ def test_batched_null_matches_per_bin_replicates(n, depths, kind, min_expected,
                         workers=workers)
     want = _per_bin_null(n, depths, kind, stop, z, n_sim, 13)
     assert got.to_csv_text() == want.to_csv_text()
+
+
+def _scan_table(shapes, n, seed):
+    rng = np.random.default_rng(seed)
+    make = {"normal": lambda: rng.normal(size=n),
+            "tied": lambda: rng.integers(0, 4, n).astype(float),
+            "constant": lambda: np.full(n, 1.5)}
+    return {f"c{i}": make[shape]() for i, shape in enumerate(shapes)}
+
+
+def _scan_null(n, kind, stop, z, seed):
+    """A synthetic null table whose recorded configuration matches the scan's."""
+    rng = np.random.default_rng(seed)
+    return NullTable(n=n, depths=np.full(200, stop.max_depth, dtype=np.int64),
+                     n_bins=rng.integers(1, 40, 200), chi2s=rng.uniform(0, 60, 200),
+                     config={"kind": kind, "z": z, "min_expected": stop.min_expected,
+                             "stop_empty": True, "depths": [stop.max_depth]})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 300),
+    shapes=st.lists(st.sampled_from(["normal", "tied", "constant"]),
+                    min_size=2, max_size=12),
+    kind=st.sampled_from(["chi", "mi", "random"]),
+    z=st.sampled_from([0.0, 5.0]),
+    min_expected=st.sampled_from([0.0, 10.0]),
+    depth=st.integers(0, 8),
+    data_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**32 - 1),
+    workers=st.sampled_from([1, 2]),
+)
+# 45 pairs at 32 trees per batch: a full batch and a partial one
+@example(n=250, shapes=["normal", "tied", "constant", "normal", "normal"] * 2,
+         kind="chi", z=5.0, min_expected=10.0, depth=6, data_seed=0, seed=0, workers=2)
+# rows beyond one batch: every batch holds a single tree
+@example(n=_BATCH_POINTS + 808, shapes=["normal", "tied", "constant"], kind="random",
+         z=5.0, min_expected=10.0, depth=6, data_seed=1, seed=2, workers=1)
+def test_batched_scan_matches_per_pair_scan(
+    n, shapes, kind, z, min_expected, depth, data_seed, seed, workers
+):
+    table = _scan_table(shapes, n, data_seed)
+    stop = StopConfig(max_depth=depth, min_expected=min_expected)
+    null = _scan_null(n, kind, stop, z, data_seed)
+    got = scan_pairs(table, kind, stop, z, seed, null, workers=workers)
+    want = per_pair_scan(table, kind, stop, z, seed, null)
+    assert records_to_csv(got) == records_to_csv(want)
+    # the CSV rounds chi2 to 10 digits; the records hold it bit for bit
+    assert got == want

@@ -190,3 +190,31 @@ def test_scan_deterministic_across_workers():
     serial = scan_pairs(table, **kw, workers=1)
     parallel = scan_pairs(table, **kw, workers=4)
     assert records_to_csv(serial) == records_to_csv(parallel)
+
+
+def test_scan_deterministic_across_workers_and_batches():
+    # 4 trees of 2,000 points per batch: 15 pairs make 4 batches
+    rng = np.random.default_rng(8)
+    n = 2000
+    table = {f"c{i}": rng.normal(size=n) for i in range(6)}
+    null = _null(n, seed=9)
+    kw = dict(kind="chi", stop=StopConfig(max_depth=6), z=5.0,
+              base_seed=23, null=null)
+    serial = records_to_csv(scan_pairs(table, **kw, workers=1))
+    for workers in (2, 4):
+        assert records_to_csv(scan_pairs(table, **kw, workers=workers)) == serial
+
+
+def test_scan_checks_window_before_growing_trees(monkeypatch):
+    rng = np.random.default_rng(4)
+    table = {"a": rng.normal(size=100), "b": rng.normal(size=100)}
+    null = _null(100)
+
+    def grown(*args, **kwargs):
+        raise AssertionError("a tree was grown")
+
+    monkeypatch.setattr("rankbin.scan.tree_statistics", grown)
+    with pytest.raises(ValueError, match="window"):
+        scan_pairs(table, "chi", StopConfig(max_depth=6), 5.0, 0, null, window=-1)
+    with pytest.raises(AssertionError, match="grown"):
+        scan_pairs(table, "chi", StopConfig(max_depth=6), 5.0, 0, null, window=0)
