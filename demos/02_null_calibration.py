@@ -9,7 +9,7 @@ inflates the statistic until nearly every replicate exceeds the reference.
 Empirical 0.95/0.99 quantile curves against bin count are printed for use
 as critical values.
 
-Run:  python demos/02_null_calibration.py        (~1 minute)
+Run:  python demos/02_null_calibration.py        (a few seconds)
 """
 
 import numpy as np

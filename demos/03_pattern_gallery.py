@@ -8,7 +8,7 @@ splits at depth 10, placed against a simulated null by empirical p-value,
 and rendered as a residual-shaded SVG (one shared hue range across the
 gallery so panels compare directly).
 
-Run:  python demos/03_pattern_gallery.py        (~1 minute)
+Run:  python demos/03_pattern_gallery.py        (a few seconds)
 """
 
 from pathlib import Path

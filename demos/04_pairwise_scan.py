@@ -8,7 +8,7 @@ bottom pairs with a shared residual hue range: strongly dependent pairs
 show red diagonals and blue corners, middling ones a faint version of the
 same shape, and the weakest look like flat noise.
 
-Run:  python demos/04_pairwise_scan.py        (~1 minute)
+Run:  python demos/04_pairwise_scan.py        (a few seconds)
 """
 
 from pathlib import Path

@@ -164,7 +164,7 @@ def _read_xy(path) -> tuple[np.ndarray, np.ndarray]:
 
 def _load_null(path) -> NullTable:
     with open(path) as fh:
-        head = fh.read(1)
+        head = fh.read().lstrip()[:1]
     if head == "{":
         return NullTable.from_json(path)
     return NullTable.from_csv(path)

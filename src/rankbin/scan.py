@@ -8,24 +8,25 @@ and residualizing a volatility model on returns) happens upstream.
 
 Each pair derives its own random substream from the scan seed and the two
 column indices, so results do not depend on worker count or scheduling.
-Pairs are batched and read off like null replicates (``stats.tree_batches``,
-``stats.tree_statistics``); ``pair_binning`` rebuilds one pair's binning.
+Pairs are grown and read off by the runner that grows null replicates,
+``stats.tree_statistics``; ``pair_binning`` rebuilds one pair's binning.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from .bins import Binning, StopConfig
-from .engine import bin_pair, check_growth_args
+from .engine import bin_pair
 from .ranks import RankedPair, rank
-from .stats import NullTable, empirical_p, tree_batches, tree_statistics
+from .stats import NullTable, empirical_p, tree_statistics
 
 logger = logging.getLogger(__name__)
 
@@ -114,52 +115,13 @@ def neg_log_returns(prices) -> np.ndarray:
     return -np.diff(np.log(p))
 
 
-def _check_null_config(null: NullTable, n: int, kind: str, stop: StopConfig, z: float):
-    if null.n > 0 and null.n != n:
-        raise ValueError(f"null table was simulated for n={null.n}, not the {n} rows scanned")
-    cfg = null.config
-    if cfg is None:
-        logger.warning("null table carries no config metadata; skipping check")
-        return
-    problems = []
-    if cfg.get("kind") != kind:
-        problems.append(f"kind {cfg.get('kind')!r} != {kind!r}")
-    if cfg.get("z") != z:
-        problems.append(f"z {cfg.get('z')!r} != {z!r}")
-    if cfg.get("min_expected") != stop.min_expected:
-        problems.append(
-            f"min_expected {cfg.get('min_expected')!r} != {stop.min_expected!r}"
-        )
-    # empty bins always stop, so a table simulated otherwise cannot match
-    if cfg.get("stop_empty") is not True:
-        problems.append(f"stop_empty {cfg.get('stop_empty')!r} != True")
-    if "depths" in cfg and stop.max_depth not in cfg["depths"]:
-        problems.append(f"depth {stop.max_depth} not in simulated {cfg['depths']}")
-    if problems:
-        raise ValueError("null table configuration mismatch: " + "; ".join(problems))
-
-
-# Per-process scan context, installed once per worker by _scan_init so that
-# the column data is not re-pickled for every batch.
-_SCAN_STATE: dict = {}
-
-
-def _scan_init(cols, kind, stop, z, base_seed) -> None:
-    _SCAN_STATE["ctx"] = (cols, kind, stop, z, base_seed)
-
-
-def _seeded_pair(cols, ia, ib, base_seed) -> tuple[RankedPair, int]:
-    """Rank one column pair from its own substream; return it and its binning seed."""
+def _seeded_pair(cols, jobs, base_seed, i) -> tuple[RankedPair, int]:
+    """Rank column pair ``jobs[i]`` from its own substream; return it and its binning seed."""
+    ia, ib = jobs[i]
     ss_a, ss_b, ss_bin = np.random.SeedSequence(entropy=(base_seed, ia, ib)).spawn(3)
     s = rank(cols[ia], np.random.default_rng(ss_a))
     t = rank(cols[ib], np.random.default_rng(ss_b))
     return RankedPair(s=s, t=t, n=s.size), int(ss_bin.generate_state(1, np.uint64)[0])
-
-
-def _scan_batch(jobs: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    cols, kind, stop, z, base_seed = _SCAN_STATE["ctx"]
-    trees = [_seeded_pair(cols, ia, ib, base_seed) for ia, ib in jobs]
-    return tree_statistics(trees, [stop.max_depth], kind, stop, z)
 
 
 def pair_binning(
@@ -173,8 +135,8 @@ def pair_binning(
 ) -> Binning:
     """Rebuild the exact binning the scan used for one named pair."""
     names = list(table)
-    pair, seed = _seeded_pair(list(table.values()), names.index(name_a),
-                              names.index(name_b), base_seed)
+    pair, seed = _seeded_pair(list(table.values()),
+                              [(names.index(name_a), names.index(name_b))], base_seed, 0)
     return bin_pair(pair, kind=kind, stop=stop, z=z, seed=seed)
 
 
@@ -192,36 +154,26 @@ def scan_pairs(
 
     Columns are ranked afresh for each pair (with that pair's substream) so
     tie-breaking draws stay independent across the scan; pairs are grown and
-    read off in the batches of ``stats.tree_batches``, a worker taking whole
-    batches.  The null table must have been simulated for the same number of
-    rows (when it records one) and under the same kind/stop/z configuration;
-    it and ``window`` >= 0 are checked before any tree is grown.
+    read off in batches by ``stats.tree_statistics``.  The matrix needs a row,
+    and the null table must have been simulated for the same number of rows
+    (when it records one) and under the same kind/stop/z configuration
+    (``NullTable.check_config``); these, ``window`` >= 0, the kind and z are
+    checked before any tree is grown.
     """
     names = list(table)
     if len(names) < 2:
         raise ValueError("need at least 2 columns to scan")
     cols = list(table.values())
-    _check_null_config(null, cols[0].size, kind, stop, z)
-    check_growth_args([stop.max_depth], kind, z)
+    n = cols[0].size
+    if n < 1:
+        raise ValueError("need at least 1 row to scan")
+    null.check_config(n, kind, stop, z)
     if window < 0:
         raise ValueError("window must be >= 0")
-    jobs = [
-        (ia, ib)
-        for ia in range(len(names))
-        for ib in range(ia + 1, len(names))
-    ]
-    batches = [jobs[b] for b in tree_batches(cols[0].size, len(jobs))]
-    ctx = (cols, kind, stop, z, base_seed)
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_scan_init, initargs=ctx
-        ) as pool:
-            results = list(pool.map(_scan_batch, batches))
-    else:
-        _scan_init(*ctx)
-        results = [_scan_batch(b) for b in batches]
-    n_bins = np.concatenate([n_bin for n_bin, _ in results])[:, 0].tolist()
-    chi2s = np.concatenate([chi2 for _, chi2 in results])[:, 0].tolist()
+    jobs = list(combinations(range(len(names)), 2))
+    n_bins, chi2s = tree_statistics(partial(_seeded_pair, cols, jobs, base_seed), len(jobs),
+                                    n, [stop.max_depth], kind, stop, z, workers)
+    n_bins, chi2s = n_bins[:, 0].tolist(), chi2s[:, 0].tolist()
     records = [
         ScanRecord(
             name_a=names[ia],

@@ -12,8 +12,10 @@ comparable bin count.
 from __future__ import annotations
 
 import json
+import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,9 @@ import numpy as np
 from .bins import Binning, StopConfig
 from .engine import check_growth_args, grow_levels
 from .ranks import RankedPair
+from .splitting import BLOCK
+
+logger = logging.getLogger(__name__)
 
 
 def chi2_statistic(binning: Binning) -> tuple[float, int]:
@@ -75,10 +80,42 @@ class NullTable:
         if self.depths.size and (self.depths.min() < 0 or self.n_bins.min() < 1
                                  or not np.all(np.isfinite(self.chi2s) & (self.chi2s >= 0))):
             raise ValueError("entries require depth >= 0, n_bin >= 1 and a finite chi2 >= 0")
+        if self.config is not None and not isinstance(self.config, dict):
+            raise ValueError("config must be an object or null")
+        cfg_depths = (self.config or {}).get("depths", [])
+        if not (isinstance(cfg_depths, list) and all(type(d) is int for d in cfg_depths)):
+            raise ValueError("config depths must be a list of integers")
 
     @property
     def size(self) -> int:
         return int(self.depths.size)
+
+    def check_config(self, n: int, kind: str, stop: StopConfig, z: float) -> None:
+        """Refuse a table simulated for another row count or configuration
+        (where it records them); a table without ``config`` draws a warning."""
+        if self.n > 0 and self.n != n:
+            raise ValueError(
+                f"null table was simulated for n={self.n}, not the {n} rows scanned")
+        cfg = self.config
+        if cfg is None:
+            logger.warning("null table carries no config metadata; skipping check")
+            return
+        problems = []
+        if cfg.get("kind") != kind:
+            problems.append(f"kind {cfg.get('kind')!r} != {kind!r}")
+        if cfg.get("z") != z:
+            problems.append(f"z {cfg.get('z')!r} != {z!r}")
+        if cfg.get("min_expected") != stop.min_expected:
+            problems.append(
+                f"min_expected {cfg.get('min_expected')!r} != {stop.min_expected!r}"
+            )
+        # empty bins always stop, so a table simulated otherwise cannot match
+        if cfg.get("stop_empty") is not True:
+            problems.append(f"stop_empty {cfg.get('stop_empty')!r} != True")
+        if "depths" in cfg and stop.max_depth not in cfg["depths"]:
+            problems.append(f"depth {stop.max_depth} not in simulated {cfg['depths']}")
+        if problems:
+            raise ValueError("null table configuration mismatch: " + "; ".join(problems))
 
     def to_csv(self, path) -> None:
         Path(path).write_text(self.to_csv_text())
@@ -101,7 +138,7 @@ class NullTable:
         Path(path).write_text(json.dumps(doc))
 
     @classmethod
-    def from_csv(cls, path, n: int = 0) -> "NullTable":
+    def from_csv(cls, path) -> "NullTable":
         text = Path(path).read_text()
         lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
         if not lines or lines[0][1].strip() != "depth,n_bin,chi2":
@@ -122,7 +159,7 @@ class NullTable:
         depths = np.array([r[0] for r in rows], dtype=np.int64)
         n_bins = np.array([r[1] for r in rows], dtype=np.int64)
         chi2s = np.array([r[2] for r in rows], dtype=float)
-        return cls(n=n, depths=depths, n_bins=n_bins, chi2s=chi2s, config=None)
+        return cls(n=0, depths=depths, n_bins=n_bins, chi2s=chi2s, config=None)
 
     @classmethod
     def from_json(cls, path) -> "NullTable":
@@ -149,17 +186,6 @@ class NullTable:
             raise ValueError(f"{path}: {exc}") from None
 
 
-# Points grown together in one batch of trees: enough trees to share each
-# level's array passes, few enough to keep them in cache.
-_BATCH_POINTS = 1 << 13
-
-
-def tree_batches(n: int, count: int) -> list[slice]:
-    """Slices batching ``count`` trees of ``n`` points: up to 8,192 points, or one tree."""
-    per = max(1, _BATCH_POINTS // n)
-    return [slice(a, min(a + per, count)) for a in range(0, count, per)]
-
-
 def _running_sums(total: np.ndarray, terms: np.ndarray, root: np.ndarray) -> np.ndarray:
     """``total[r]`` plus tree r's ``terms``, added one at a time in order.
 
@@ -174,25 +200,28 @@ def _running_sums(total: np.ndarray, terms: np.ndarray, root: np.ndarray) -> np.
     return np.cumsum(grid, axis=1)[:, -1]
 
 
-def tree_statistics(
-    trees: list[tuple[RankedPair, int]], depths: list[int], kind: str,
-    stop: StopConfig, z: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bin count and chi2 statistic of each tree under each depth limit.
+# The job a worker process's pool initializer installed, so the tree source
+# reaches each process once rather than with every batch.
+_WORKER_JOB: dict = {}
 
-    ``trees`` lists (pair, binning seed) couples, grown as one batch under
-    the deepest of the sorted, validated ``depths``.  Entry [r, i] of both
-    arrays belongs to tree r's partition under ``depths[i]``, and equals
-    ``chi2_statistic`` of that ``bin_pair`` binning bit for bit.  No ``Bin``
-    is built: each statistic is summed from the per-node counts.
+
+def _install_job(job) -> None:
+    _WORKER_JOB["job"] = job
+
+
+def _batch_statistics(trees: range, job=None) -> tuple[np.ndarray, np.ndarray]:
+    """Grow trees ``trees`` of ``job`` (by default the installed one) as one batch.
+
+    Partition d of a tree is its leaves above depth d, then its nodes at
+    depth d, each in breadth-first order; its statistic is summed from the
+    per-node counts, without building a ``Bin``.
     """
-    pairs, seeds = map(list, zip(*trees))
-    # Partition d of a tree is its leaves above depth d, then its nodes at
-    # depth d, each in breadth-first order.
+    source, depths, kind, min_expected, z = job or _WORKER_JOB["job"]
+    pairs, seeds = map(list, zip(*map(source, trees)))
     leaf_chi2 = np.zeros(len(pairs))
     leaf_bins = np.zeros(len(pairs), dtype=np.int64)
     by_depth = {}
-    for lv in grow_levels(pairs, seeds, kind, depths[-1], stop.min_expected, z):
+    for lv in grow_levels(pairs, seeds, kind, depths[-1], min_expected, z):
         dev = lv.observed - lv.expected
         terms = dev * dev / lv.expected
         if lv.depth in depths:
@@ -207,16 +236,40 @@ def tree_statistics(
             np.column_stack([chi2 for _, chi2 in cols]))
 
 
-def _null_chunk(args) -> tuple[np.ndarray, np.ndarray]:
-    """``tree_statistics`` of null replicates ``reps``."""
-    n, depths, kind, stop, z, seed, reps = args
-    trees = []
-    for rep in reps:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, rep)))
-        s = rng.permutation(n) + 1
-        t = rng.permutation(n) + 1
-        trees.append((RankedPair(s=s, t=t, n=n), int(rng.integers(0, 2**63))))
-    return tree_statistics(trees, depths, kind, stop, z)
+def tree_statistics(
+    source, count: int, n: int, depths, kind: str, stop: StopConfig, z: float,
+    workers: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bin count and chi2 statistic of each of ``count`` trees under each depth limit.
+
+    ``source(i)`` returns tree i's (pair of ``n`` >= 1 points, binning seed) and
+    must pickle: a ``functools.partial`` of a module-level function.  Trees are
+    built and grown in batches of up to ``splitting.BLOCK`` points (one tree if
+    larger) under the deepest of the sorted, validated ``depths``.  Entry [i, k]
+    of both arrays belongs to tree i's partition under the k-th depth and equals
+    ``chi2_statistic`` of that ``bin_pair`` binning bit for bit.  Batches run
+    serially, or over one process pool of at most one worker per batch.
+    """
+    job = (source, check_growth_args(depths, kind, z), kind, stop.min_expected, z)
+    per = max(1, BLOCK // n)
+    batches = [range(a, min(a + per, count)) for a in range(0, count, per)]
+    workers = min(workers, len(batches))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_install_job,
+                                 initargs=(job,)) as pool:
+            results = list(pool.map(_batch_statistics, batches))
+    else:
+        results = [_batch_statistics(b, job) for b in batches]
+    return (np.concatenate([n_bins for n_bins, _ in results]),
+            np.concatenate([chi2s for _, chi2s in results]))
+
+
+def _null_tree(n: int, seed: int, rep: int) -> tuple[RankedPair, int]:
+    """Null replicate ``rep``: two uniform permutations and a binning seed."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, rep)))
+    s = rng.permutation(n) + 1
+    t = rng.permutation(n) + 1
+    return RankedPair(s=s, t=t, n=n), int(rng.integers(0, 2**63))
 
 
 def simulate_null(
@@ -236,21 +289,15 @@ def simulate_null(
     Replicate ``r`` derives all of its randomness from the seed material
     ``(seed, r)``, so the table is reproducible and independent of worker
     count; entries are ordered by replicate then depth.  Replicates are
-    grown in the batches of ``tree_batches`` and read off by
-    ``tree_statistics``; workers take whole batches.
+    grown in batches and read off by ``tree_statistics``.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     if n_sim < 1:
         raise ValueError("n_sim must be >= 1")
     depths = check_growth_args(depths, kind, z)
-    jobs = [(n, depths, kind, stop, z, seed, range(n_sim)[b])
-            for b in tree_batches(n, n_sim)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_null_chunk, jobs))
-    else:
-        results = [_null_chunk(j) for j in jobs]
+    n_bins, chi2s = tree_statistics(partial(_null_tree, n, seed), n_sim, n, depths,
+                                    kind, stop, z, workers)
     config = {
         "kind": kind,
         "depths": depths,
@@ -262,8 +309,8 @@ def simulate_null(
     return NullTable(
         n=n,
         depths=np.tile(np.array(depths, dtype=np.int64), n_sim),
-        n_bins=np.concatenate([n_bins for n_bins, _ in results]).ravel(),
-        chi2s=np.concatenate([chi2s for _, chi2s in results]).ravel(),
+        n_bins=n_bins.ravel(),
+        chi2s=chi2s.ravel(),
         config=config,
     )
 

@@ -57,6 +57,19 @@ def test_pvalue_prints_one_for_zero_statistic(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1.0"
 
 
+def test_pvalue_reads_json_null_after_leading_blanks(tmp_path, capsys):
+    from rankbin import StopConfig, simulate_null
+
+    null = tmp_path / "null.json"
+    simulate_null(150, [6], "chi", StopConfig(max_depth=6), n_sim=15, seed=2).to_json(null)
+    args = ["pvalue", "--null", str(null), "--nbin", "20", "--chi2", "30"]
+    assert cli_main(args) == 0
+    plain = capsys.readouterr().out
+    null.write_text(" \n\t" + null.read_text())
+    assert cli_main(args) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_pattern_writes_csv(tmp_path):
     out = tmp_path / "wave.csv"
     code = cli_main(["pattern", "--kind", "wave", "--n", "50",
@@ -162,6 +175,23 @@ def test_data_errors_exit_2(tmp_path, capsys):
                      "--score", "chi", "--max-depth", "6", "--window", "-1",
                      "--out", str(tmp_path / "s.csv")]) == 2
     assert "window must be >= 0" in capsys.readouterr().err
+    # a matrix with a header and no rows, against a bare CSV null
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text("a,b,c\n")
+    null_csv = tmp_path / "null.csv"
+    simulate_null(100, [6], "chi", StopConfig(max_depth=6),
+                  n_sim=20, seed=1).to_csv(null_csv)
+    assert cli_main(["scan", "--input", str(header_only), "--null", str(null_csv),
+                     "--out", str(tmp_path / "s.csv")]) == 2
+    assert "at least 1 row" in capsys.readouterr().err
+    # a config that is not an object, and config depths that are not a list
+    for name, config in (("list_config.json", "[1]"),
+                         ("int_depths.json", '{"kind": "chi", "depths": 6}')):
+        (tmp_path / name).write_text(f'{{"n": 100, "config": {config}, "entries": []}}')
+        assert cli_main(["scan", "--input", str(matrix), "--null", str(tmp_path / name),
+                         "--out", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rankbin: data error:") and name in err
     assert not (tmp_path / "s.csv").exists()
     # malformed null tables: a short CSV row, a JSON document without
     # entries, a non-numeric cell and an out-of-range row (after a blank line)

@@ -27,7 +27,7 @@ from rankbin import (
     simulate_null,
 )
 from rankbin.ranks import RankedPair, rank_pair
-from rankbin.stats import _BATCH_POINTS
+from rankbin.splitting import BLOCK
 
 
 def _pair(shape: str, n: int, seed: int) -> RankedPair:
@@ -118,7 +118,7 @@ def _per_bin_null(n, depths, kind, stop, z, n_sim, seed):
     # two batches, the second partly filled
     (1000, range(2, 11), "chi", 10.0, 5.0, 11, 1),
     # one replicate larger than a batch
-    (_BATCH_POINTS + 808, [2, 4], "random", 10.0, 5.0, 2, 1),
+    (BLOCK + 808, [2, 4], "random", 10.0, 5.0, 2, 1),
     # the smallest n, down to single points
     (2, [0, 1, 2], "mi", 0.0, 0.0, 7, 1),
     # batches spread over worker processes
@@ -167,7 +167,7 @@ def _scan_null(n, kind, stop, z, seed):
 @example(n=250, shapes=["normal", "tied", "constant", "normal", "normal"] * 2,
          kind="chi", z=5.0, min_expected=10.0, depth=6, data_seed=0, seed=0, workers=2)
 # rows beyond one batch: every batch holds a single tree
-@example(n=_BATCH_POINTS + 808, shapes=["normal", "tied", "constant"], kind="random",
+@example(n=BLOCK + 808, shapes=["normal", "tied", "constant"], kind="random",
          z=5.0, min_expected=10.0, depth=6, data_seed=1, seed=2, workers=1)
 def test_batched_scan_matches_per_pair_scan(
     n, shapes, kind, z, min_expected, depth, data_seed, seed, workers

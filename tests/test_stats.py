@@ -11,6 +11,7 @@ from rankbin import (
     mi_statistic,
     null_quantile_curve,
     pearson_residuals,
+    scan_pairs,
     simulate_null,
 )
 from rankbin.bins import Binning
@@ -94,6 +95,40 @@ def _table(n_bins, chi2s, depths=None):
         depths = np.full(n_bins.size, 2, dtype=np.int64)
     return NullTable(n=100, depths=np.asarray(depths, dtype=np.int64),
                      n_bins=n_bins, chi2s=np.asarray(chi2s, dtype=float))
+
+
+def test_pool_never_outnumbers_batches(monkeypatch):
+    built = []
+
+    class RecordingPool:
+        """Records the pool size asked for and maps in this process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            built.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("rankbin.stats.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("rankbin.stats._WORKER_JOB", {})
+    # 15 pairs of 120 rows fit in one batch, which runs without a pool
+    rng = np.random.default_rng(3)
+    table = {f"c{i}": rng.normal(size=120) for i in range(6)}
+    null = simulate_null(120, [6], "chi", StopConfig(max_depth=6), n_sim=20, seed=1)
+    scan_pairs(table, "chi", StopConfig(max_depth=6), 5.0, 0, null, workers=4)
+    assert built == []
+    # 6 replicates of 3,000 points make 3 batches of 2
+    kw = dict(depths=[4], kind="chi", stop=StopConfig(max_depth=4), n_sim=6, seed=3)
+    pooled = simulate_null(3000, **kw, workers=64)
+    assert built == [3]
+    assert pooled.to_csv_text() == simulate_null(3000, **kw).to_csv_text()
 
 
 def test_empirical_p_add_one_bound():
