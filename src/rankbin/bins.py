@@ -10,6 +10,7 @@ coordinates start at 1, so the root's lower bound 0 is never occupied.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,8 +58,8 @@ class StopConfig:
     def __post_init__(self):
         if self.max_depth < 0:
             raise ValueError("max_depth must be >= 0")
-        if self.min_expected < 0:
-            raise ValueError("min_expected must be >= 0")
+        if not 0 <= self.min_expected < math.inf:
+            raise ValueError("min_expected must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -104,8 +105,9 @@ def binning_to_json(binning: Binning) -> str:
     )
     parts = []
     for b in binning.bins:
-        ps = ",".join(str(int(v)) for v in b.points_s)
-        pt = ",".join(str(int(v)) for v in b.points_t)
+        # the repr of a list of ints, spaces removed: one C call per list
+        ps = str(b.points_s.tolist())[1:-1].replace(" ", "")
+        pt = str(b.points_t.tolist())[1:-1].replace(" ", "")
         parts.append(
             f'{{"ls":{b.lower_s},"us":{b.upper_s},'
             f'"lt":{b.lower_t},"ut":{b.upper_t},'

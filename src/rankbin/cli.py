@@ -34,6 +34,7 @@ from .plotting import render_binning
 from .ranks import rank_pair
 from .scan import (
     IngestionError,
+    _header,
     load_matrix,
     pair_binning,
     scan_pairs,
@@ -156,6 +157,10 @@ def _build_parser() -> _Parser:
 
 def _read_xy(path) -> tuple[np.ndarray, np.ndarray]:
     table = load_matrix(path)
+    # a dropped x or y column must not let the next columns stand in for it
+    for name in _header(path)[:2]:
+        if name not in table:
+            raise IngestionError(f"{path}: column {name!r} has missing values")
     if len(table) < 2:
         raise IngestionError(f"{path}: need two columns, found {len(table)}")
     cols = list(table.values())

@@ -48,6 +48,7 @@ therefore halved on a random margin.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -93,8 +94,8 @@ def check_growth_args(depths, kind: str, z: float, seed: int = 0) -> list[int]:
         raise ValueError("depth limits must be >= 0")
     if kind not in SCORE_KINDS:
         raise ValueError(f"unknown score kind {kind!r}")
-    if z < 0:
-        raise ValueError("z must be >= 0")
+    if not 0 <= z < math.inf:
+        raise ValueError("z must be finite and >= 0")
     if seed < 0:
         raise ValueError("seed must be >= 0")
     return depths

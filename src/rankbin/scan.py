@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import re
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
@@ -53,7 +54,56 @@ def load_matrix(path) -> dict[str, np.ndarray]:
     numeric and finite; an empty field marks a missing value, and any column
     holding one is dropped with a warning.  Malformed input raises
     IngestionError naming the offending row and column.
+
+    A plain file -- no ``"`` anywhere, a header row of unique names, at
+    least one data row, and every line a full row of finite cells -- is
+    parsed in one ``np.loadtxt`` call.  Every other file takes the per-cell
+    ``csv`` loop: quoted or multi-line fields, blank or ragged rows, empty,
+    text or non-finite cells, and spellings that ``float`` reads but
+    loadtxt does not (``1_0``, non-ASCII digits).  The loop alone words the
+    errors and the dropped-column warnings; both paths give identical
+    arrays for any file the fast one accepts.
     """
+    table = _read_plain(path)
+    return _read_cells(path) if table is None else table
+
+
+def _header(path) -> list[str]:
+    """The stripped names of the first CSV row, as ``load_matrix`` reads them."""
+    with open(path, newline="") as fh:
+        return [h.strip() for h in next(csv.reader(fh), [])]
+
+
+def _read_plain(path) -> dict[str, np.ndarray] | None:
+    """The fast path of ``load_matrix``; None declines the file."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        header = _header(path)
+    except (OSError, ValueError, csv.Error):
+        return None
+    # a file with no data line would make loadtxt warn that it holds no data
+    if (b'"' in raw or len(set(header)) != len(header)
+            or not re.search(rb"[\r\n][^\r\n]", raw)):
+        return None
+    # loadtxt skips blank lines where csv reads empty rows, so the shape must
+    # match the row count taken from the line terminators, which end a row
+    # as they do for csv: LF, CR, or CRLF counted once
+    rows = raw.count(b"\n") + (raw[-1:] not in (b"\n", b"\r")) - 1
+    if b"\r" in raw:
+        rows += raw.count(b"\r") - raw.count(b"\r\n")
+    del raw  # before loadtxt allocates: peak memory holds one copy of the file
+    try:
+        body = np.loadtxt(path, delimiter=",", skiprows=1, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if body.shape != (rows, len(header)) or not np.isfinite(body).all():
+        return None
+    return dict(zip(header, body.T.copy()))
+
+
+def _read_cells(path) -> dict[str, np.ndarray]:
+    """Per-cell ``csv`` reading of ``load_matrix``: any file, every error message."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)

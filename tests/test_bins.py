@@ -50,8 +50,9 @@ def test_should_stop_disjunction():
 def test_stop_config_validation():
     with pytest.raises(ValueError):
         StopConfig(max_depth=-1)
-    with pytest.raises(ValueError):
-        StopConfig(max_depth=3, min_expected=-0.5)
+    for bad in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            StopConfig(max_depth=3, min_expected=bad)
 
 
 @pytest.mark.parametrize("n,kind", [(60, "chi"), (120, "random"), (200, "mi")])

@@ -145,6 +145,24 @@ def test_data_errors_exit_2(tmp_path, capsys):
         assert cli_main(["bin", "--input", str(bad),
                          "--out", str(tmp_path / "o.json")]) == 2
         assert "row 3, column 'x': non-finite" in capsys.readouterr().err
+    # a non-finite stop threshold or split minimum
+    bad.write_text("x,y\n" + "".join(f"{i},{(7 * i) % 50}\n" for i in range(50)))
+    for flag in ("--min-exp", "--min-split"):
+        for value in ("nan", "inf"):
+            assert cli_main(["bin", "--input", str(bad), "--out", str(tmp_path / "o.json"),
+                             flag, value]) == 2
+            assert "must be finite" in capsys.readouterr().err
+    # an x or y column dropped for a missing value is refused, not replaced by
+    # the next column; a dropped third column is harmless
+    for text, dropped in (("x,y,z\n,1,2\n3,4,5\n", "'x'"), ("x,y,z\n1,,2\n3,4,5\n", "'y'")):
+        bad.write_text(text)
+        assert cli_main(["bin", "--input", str(bad),
+                         "--out", str(tmp_path / "o.json")]) == 2
+        assert f"column {dropped} has missing values" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+    bad.write_text("x,y,z\n1,2,\n3,4,5\n")
+    assert cli_main(["bin", "--input", str(bad), "--out", str(tmp_path / "o.json")]) == 0
+    capsys.readouterr()
     # scan with a null simulated under a different configuration
     matrix = tmp_path / "m.csv"
     rng = np.random.default_rng(1)

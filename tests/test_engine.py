@@ -99,8 +99,9 @@ def test_termination_with_size_stops_only():
 
 def test_invalid_arguments():
     pair = _pair(20)
-    with pytest.raises(ValueError):
-        bin_pair(pair, "chi", StopConfig(max_depth=3), z=-1.0)
+    for z in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            bin_pair(pair, "chi", StopConfig(max_depth=3), z=z)
     with pytest.raises(ValueError):
         bin_pair(pair, "chi", StopConfig(max_depth=3), seed=-4)
     with pytest.raises(ValueError):

@@ -5,14 +5,15 @@ split looks alike, and heavily tied raw data.  Each case checks that a
 single-depth run equals the same depth read off a depth sweep byte for
 byte, that both equal the per-limit replay oracle and the per-bin engine,
 and the partition invariants of acceptance criterion 7.  The batched null
-simulation is checked row for row against the per-bin engine, and the
-batched scan against one ``bin_pair`` per pair.
+simulation is checked row for row against the per-bin engine, the batched
+scan against one ``bin_pair`` per pair, and ``load_matrix`` against its
+per-cell ``csv`` loop.
 """
 
 import numpy as np
 import pytest
 from _oracles import check_partition, per_bin_partitions, per_pair_scan, replay_partitions
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rankbin import (
@@ -27,6 +28,7 @@ from rankbin import (
     simulate_null,
 )
 from rankbin.ranks import RankedPair, rank_pair
+from rankbin.scan import _read_cells, _read_plain, load_matrix
 from rankbin.splitting import BLOCK
 
 
@@ -180,3 +182,78 @@ def test_batched_scan_matches_per_pair_scan(
     assert records_to_csv(got) == records_to_csv(want)
     # the CSV rounds chi2 to 10 digits; the records hold it bit for bit
     assert got == want
+
+
+# spellings float() reads and loadtxt may not, or that neither reads, or that
+# read as non-finite
+_SPELLINGS = ["1_0", " 1e3 ", "+.5", "-0", "-1e-400", "infinity", "nan", "-inf",
+              "1e999", "\u0661\u0662", "\uff17", "\xa07", "\t2\t", "#",
+              '"1.5"', '"1\n2"', "", " ", "0x10", "1d3", "x"]
+
+
+@st.composite
+def _csv_text(draw):
+    """CSV text of repr floats, then up to three edits.
+
+    Returns the text and whether it is plain (unedited, with a data row),
+    which the fast path must accept.
+    """
+    ncol, nrow = draw(st.integers(1, 3)), draw(st.integers(0, 6))
+    lines = [[f"c{j}" for j in range(ncol)]]
+    lines += [[repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
+               for _ in range(ncol)] for _ in range(nrow)]
+    edits = draw(st.lists(st.tuples(
+        st.sampled_from(["cell"] * 3 + ["comment", "blank", "ragged", "comma", "quote",
+                                         "dupe"]),
+        st.integers(0, 99), st.integers(0, 99), st.sampled_from(_SPELLINGS)), max_size=3))
+    for what, i, j, spelling in edits:
+        line = lines[0 if what in ("quote", "dupe") else i % len(lines)]
+        if what == "blank":
+            lines.insert(1 + i % len(lines), [])
+        elif not line:
+            continue
+        elif what == "cell":
+            line[j % len(line)] = spelling
+        elif what == "comment":  # a loadtxt that strips "#" comments reads 2#x as 2
+            line[j % len(line)] += "#x"
+        elif what == "ragged":
+            del line[j % (len(line) + 1):]
+        elif what == "comma":
+            line.append("")
+        elif what == "quote":
+            line[j % len(line)] = f'"c\n{j}"' if i % 2 else f'"c{j}"'
+        else:
+            line[-1] = line[0]
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join(",".join(line) for line in lines) + draw(st.sampled_from([eol, ""]))
+    return text, not edits and nrow > 0
+
+
+def _outcome(read, path, caplog):
+    caplog.clear()
+    try:
+        table = read(path)
+    except Exception as exc:  # the loop's IngestionError, or what csv raises
+        got = (type(exc).__name__, str(exc))
+    else:
+        # int64 views compare bits: -0.0 differs from 0.0
+        got = [(name, col.dtype.str, col.shape, col.view(np.int64).tolist())
+               for name, col in table.items()]
+    return got, [r.getMessage() for r in caplog.records]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_csv_text())
+# a "#" comment, a blank line, a non-finite cell, CR line endings and -0.0
+@example(case=("x,y\n1,2#3\n", False))
+@example(case=("x,y\n1,2\n\n3,4\n", False))
+@example(case=("x,y\r\n1,2\r\n3,nan\r\n", False))
+@example(case=("x,y\r1,-0.0\r3,4", True))
+def test_load_matrix_matches_cell_loop(case, tmp_path, caplog):
+    text, plain = case
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode())
+    assert _outcome(load_matrix, path, caplog) == _outcome(_read_cells, path, caplog)
+    if plain:
+        assert _read_plain(path) is not None
