@@ -38,6 +38,26 @@ def test_load_matrix_drops_incomplete_with_warning(tmp_path, caplog):
     assert any("'c'" in rec.message for rec in caplog.records)
 
 
+@pytest.mark.parametrize("body, kept", [
+    ("1,,3\n4,5,6\n", ["a", "c"]),        # between commas
+    ("1,2,3\n4,5,\n", ["a", "b"]),        # at the end of the last row
+    (",2,3\n4,5,6\n", ["b", "c"]),        # at the start of the first row
+    ("1,2,3\r\n4,5,\r\n", ["a", "b"]),    # before CRLF
+    ("1,2,3\r,5,6\r", ["b", "c"]),        # after CR
+])
+def test_load_matrix_missing_cell_skips_loadtxt(tmp_path, monkeypatch, caplog, body, kept):
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+    path = tmp_path / "m.csv"
+    path.write_bytes(f"a,b,c\n{body}".encode())
+    with caplog.at_level("WARNING"):
+        assert list(load_matrix(path)) == kept
+    assert calls == [] and "dropping column" in caplog.text
+    load_matrix(_write(tmp_path, "a,b\n1,2\n", name="plain.csv"))
+    assert len(calls) == 1
+
+
 def test_load_matrix_duplicate_names(tmp_path):
     path = _write(tmp_path, "a,b,a\n1,2,3\n")
     with pytest.raises(IngestionError, match="duplicate"):
