@@ -55,11 +55,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _seed(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("seed must be >= 0")
-    return value
+def _at_least(low: int, what: str):
+    """An argparse type: an integer >= ``low``, else a usage error about ``what``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{what} must be >= {low}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+_seed = _at_least(0, "seed")
 
 
 def _depths(text: str) -> list[int]:
@@ -139,9 +146,10 @@ def _build_parser() -> _Parser:
     _add_config_flags(p_scan)
     p_scan.add_argument("--window", type=int, default=2,
                         help="n_bin window for empirical p-values")
-    p_scan.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p_scan.add_argument("--threads", type=_at_least(1, "threads"),
+                        default=os.cpu_count() or 1)
     p_scan.add_argument("--out", required=True, help="output CSV path")
-    p_scan.add_argument("--plot-top", type=int, default=0,
+    p_scan.add_argument("--plot-top", type=_at_least(0, "plot-top"), default=0,
                         help="render SVGs for the top K pairs")
     p_scan.add_argument("--plot-dir", help="directory for pair SVGs")
     p_scan.set_defaults(func=_cmd_scan)
@@ -222,7 +230,7 @@ def _cmd_scan(args) -> int:
     null = _load_null(args.null)
     records = scan_pairs(table, _SCORES[args.score], _stop(args), args.min_split,
                          args.seed, null, window=args.window,
-                         workers=max(1, args.threads))
+                         workers=args.threads)
     write_records_csv(records, args.out)
     print(f"scanned {len(records)} pairs -> {args.out}")
     if args.plot_top > 0:

@@ -28,8 +28,8 @@ from .scoring import candidate_scores, lower_expected
 
 # Points per chunk: every per-level pass runs over its arrays in chunks of
 # this many points (twice as many candidates over both margins), so the
-# temporaries, 64 KB of floats each, stay in cache.  ``stats.tree_statistics``
-# grows trees in batches of up to this many points for the same reason.
+# temporaries, 64 KB of floats each, stay in cache however many points a
+# batch of trees holds (``stats.BATCH``).
 BLOCK = 1 << 13
 
 

@@ -27,6 +27,12 @@ from .splitting import BLOCK
 
 logger = logging.getLogger(__name__)
 
+# Points per batch of trees in ``tree_statistics``.  Every level of a batch
+# pays a fixed numpy cost however few points it holds, so a batch spans
+# several of the ``BLOCK`` chunks the per-level passes run in; a larger one
+# costs peak memory, which grows with the batch, for little more speed.
+BATCH = 4 * BLOCK
+
 
 def chi2_statistic(binning: Binning) -> tuple[float, int]:
     """Chi-squared statistic over the final bins and the bin count."""
@@ -244,14 +250,16 @@ def tree_statistics(
 
     ``source(i)`` returns tree i's (pair of ``n`` >= 1 points, binning seed) and
     must pickle: a ``functools.partial`` of a module-level function.  Trees are
-    built and grown in batches of up to ``splitting.BLOCK`` points (one tree if
-    larger) under the deepest of the sorted, validated ``depths``.  Entry [i, k]
-    of both arrays belongs to tree i's partition under the k-th depth and equals
-    ``chi2_statistic`` of that ``bin_pair`` binning bit for bit.  Batches run
+    built and grown in batches of up to ``BATCH`` points (one tree if larger)
+    under the deepest of the sorted, validated ``depths``; with several
+    workers, a batch holds at most ``ceil(count / workers)`` trees, so each
+    worker gets one.  Entry [i, k] of both arrays belongs to tree i's
+    partition under the k-th depth and equals ``chi2_statistic`` of that
+    ``bin_pair`` binning bit for bit, whatever the batching.  Batches run
     serially, or over one process pool of at most one worker per batch.
     """
     job = (source, check_growth_args(depths, kind, z), kind, stop.min_expected, z)
-    per = max(1, BLOCK // n)
+    per = max(1, min(BATCH // n, -(-count // max(workers, 1))))
     batches = [range(a, min(a + per, count)) for a in range(0, count, per)]
     workers = min(workers, len(batches))
     if workers > 1:
@@ -289,7 +297,8 @@ def simulate_null(
     Replicate ``r`` derives all of its randomness from the seed material
     ``(seed, r)``, so the table is reproducible and independent of worker
     count; entries are ordered by replicate then depth.  Replicates are
-    grown in batches and read off by ``tree_statistics``.
+    grown in batches of up to ``BATCH`` points and read off by
+    ``tree_statistics``.
     """
     if n < 2:
         raise ValueError("n must be >= 2")

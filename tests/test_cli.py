@@ -124,7 +124,15 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert cli_main(["scan", "--input", str(matrix), "--null", str(null),
                      "--out", str(out), "--plot-top", "3"]) == 1
     assert "--plot-top requires --plot-dir" in capsys.readouterr().err
+    for flag, value, message in (("--plot-top", "-2", "plot-top must be >= 0"),
+                                 ("--threads", "-5", "threads must be >= 1"),
+                                 ("--threads", "0", "threads must be >= 1")):
+        assert cli_main(["scan", "--input", str(matrix), "--null", str(null),
+                         "--out", str(out), "--plot-dir", str(tmp_path / "p"),
+                         flag, value]) == 1
+        assert message in capsys.readouterr().err
     assert not out.exists()
+    assert not (tmp_path / "p").exists()
 
 
 def test_help_exits_0(capsys):
@@ -159,6 +167,14 @@ def test_data_errors_exit_2(tmp_path, capsys):
         assert cli_main(["bin", "--input", str(bad),
                          "--out", str(tmp_path / "o.json")]) == 2
         assert f"column {dropped} has missing values" in capsys.readouterr().err
+    # a cell beyond csv's field size limit, in a file the loadtxt path declines
+    # for its blank line, or in the header
+    for text, row in (("x,y\n" + "1" * 200_001 + ",2\n\n", 2),
+                      ("x" * 200_001 + ",y\n1,2\n", 1)):
+        bad.write_text(text)
+        assert cli_main(["bin", "--input", str(bad),
+                         "--out", str(tmp_path / "o.json")]) == 2
+        assert f"row {row}: field larger than field limit" in capsys.readouterr().err
     assert not (tmp_path / "o.json").exists()
     bad.write_text("x,y,z\n1,2,\n3,4,5\n")
     assert cli_main(["bin", "--input", str(bad), "--out", str(tmp_path / "o.json")]) == 0

@@ -29,7 +29,7 @@ from rankbin import (
 )
 from rankbin.ranks import RankedPair, rank_pair
 from rankbin.scan import _read_cells, _read_plain, load_matrix
-from rankbin.splitting import BLOCK
+from rankbin.stats import BATCH
 
 
 def _pair(shape: str, n: int, seed: int) -> RankedPair:
@@ -118,9 +118,9 @@ def _per_bin_null(n, depths, kind, stop, z, n_sim, seed):
 
 @pytest.mark.parametrize("n, depths, kind, min_expected, z, n_sim, workers", [
     # two batches, the second partly filled
-    (1000, range(2, 11), "chi", 10.0, 5.0, 11, 1),
+    (1000, range(2, 11), "chi", 10.0, 5.0, BATCH // 1000 + 3, 1),
     # one replicate larger than a batch
-    (BLOCK + 808, [2, 4], "random", 10.0, 5.0, 2, 1),
+    (BATCH + 808, [2, 4], "random", 10.0, 5.0, 2, 1),
     # the smallest n, down to single points
     (2, [0, 1, 2], "mi", 0.0, 0.0, 7, 1),
     # batches spread over worker processes
@@ -165,11 +165,11 @@ def _scan_null(n, kind, stop, z, seed):
     seed=st.integers(0, 2**32 - 1),
     workers=st.sampled_from([1, 2]),
 )
-# 45 pairs at 32 trees per batch: a full batch and a partial one
-@example(n=250, shapes=["normal", "tied", "constant", "normal", "normal"] * 2,
+# 45 pairs at 20 trees per batch: full batches and a partial one over 2 workers
+@example(n=BATCH // 20, shapes=["normal", "tied", "constant", "normal", "normal"] * 2,
          kind="chi", z=5.0, min_expected=10.0, depth=6, data_seed=0, seed=0, workers=2)
 # rows beyond one batch: every batch holds a single tree
-@example(n=BLOCK + 808, shapes=["normal", "tied", "constant"], kind="random",
+@example(n=BATCH + 808, shapes=["normal", "tied", "constant"], kind="random",
          z=5.0, min_expected=10.0, depth=6, data_seed=1, seed=2, workers=1)
 def test_batched_scan_matches_per_pair_scan(
     n, shapes, kind, z, min_expected, depth, data_seed, seed, workers

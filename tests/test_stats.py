@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from rankbin import (
 )
 from rankbin.bins import Binning
 from rankbin.ranks import RankedPair
+from rankbin.stats import BATCH, _null_tree, tree_statistics
 
 
 def _toy_binning(bins, n):
@@ -118,17 +121,36 @@ def test_pool_never_outnumbers_batches(monkeypatch):
 
     monkeypatch.setattr("rankbin.stats.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr("rankbin.stats._WORKER_JOB", {})
-    # 15 pairs of 120 rows fit in one batch, which runs without a pool
+    # one pair is one batch, which runs without a pool
     rng = np.random.default_rng(3)
-    table = {f"c{i}": rng.normal(size=120) for i in range(6)}
+    table = {f"c{i}": rng.normal(size=120) for i in range(2)}
     null = simulate_null(120, [6], "chi", StopConfig(max_depth=6), n_sim=20, seed=1)
     scan_pairs(table, "chi", StopConfig(max_depth=6), 5.0, 0, null, workers=4)
     assert built == []
-    # 6 replicates of 3,000 points make 3 batches of 2
-    kw = dict(depths=[4], kind="chi", stop=StopConfig(max_depth=4), n_sim=6, seed=3)
-    pooled = simulate_null(3000, **kw, workers=64)
-    assert built == [3]
-    assert pooled.to_csv_text() == simulate_null(3000, **kw).to_csv_text()
+    # 10 trees fit in a batch: 6 replicates over 4 workers make 3 batches of
+    # 2, and over 64 workers 6 of 1; trees of over half a batch go one per
+    # batch, so 3 of them over 2 workers make 3 batches
+    kw = dict(depths=[4], kind="chi", stop=StopConfig(max_depth=4), seed=3)
+    for n, n_sim, workers, pool in ((BATCH // 10, 6, 4, 3), (BATCH // 10, 6, 64, 6),
+                                    (BATCH // 2 + 1, 3, 2, 2)):
+        built.clear()
+        pooled = simulate_null(n, **kw, n_sim=n_sim, workers=workers)
+        assert built == [pool]
+        assert pooled.to_csv_text() == simulate_null(n, **kw, n_sim=n_sim).to_csv_text()
+
+
+@pytest.mark.parametrize("kind", ["chi", "mi", "random"])
+def test_tree_statistics_independent_of_batching(kind):
+    # 7 trees fit in a batch: 17 trees make 3 batches, the last partly filled
+    n, count, depths = BATCH // 7, 17, [0, 3, 5, 8]
+    stop = StopConfig(max_depth=8, min_expected=4.0)
+    source = partial(_null_tree, n, 4)
+    n_bins, chi2s = tree_statistics(source, count, n, depths, kind, stop, 2.0)
+    for i in range(count):
+        one_bins, one_chi2s = tree_statistics(lambda _, i=i: source(i), 1, n, depths,
+                                              kind, stop, 2.0)
+        assert n_bins[i].tolist() == one_bins[0].tolist()
+        assert chi2s[i].view(np.int64).tolist() == one_chi2s[0].view(np.int64).tolist()
 
 
 def test_empirical_p_add_one_bound():
