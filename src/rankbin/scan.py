@@ -179,43 +179,19 @@ def neg_log_returns(prices) -> np.ndarray:
     return -np.diff(np.log(p))
 
 
-def _tie_free_ranks(col) -> np.ndarray | None:
-    """``rank(col, rng)`` for any ``rng`` when ``col`` has no ties, else None.
+def _seeded_pair(cols, jobs, base_seed, i) -> tuple[RankedPair, int]:
+    """Rank column pair ``jobs[i]`` from its own substreams; return it and its binning seed.
 
-    Without ties the stable argsort of a shuffled copy undoes the shuffle:
-    ``shuffle[order]`` is ``argsort(col)``, so the draws change nothing.  A
-    column that ``rank`` would refuse is None too, so its error is raised
-    where ``rank`` raises it.  ``-0.0 == 0.0`` is a tie for argsort and here.
-    """
-    v = np.asarray(col, dtype=float)
-    if v.ndim != 1 or v.size == 0 or not np.isfinite(v).all():
-        return None
-    order = np.argsort(v, kind="stable")
-    ordered = v[order]
-    if (ordered[1:] == ordered[:-1]).any():
-        return None
-    out = np.empty(v.size, dtype=np.int64)
-    out[order] = np.arange(1, v.size + 1)
-    out.flags.writeable = False  # one array serves every pair holding the column
-    return out
-
-
-def _seeded_pair(cols, ranks, jobs, base_seed, i) -> tuple[RankedPair, int]:
-    """Column pair ``jobs[i]`` ranked from its own substreams, and its binning seed.
-
-    ``ranks`` maps a column index to its tie-free ranks; any other column is
-    ranked with the pair's stream for it.  Streams 0, 1 and 2 of the pair's
-    seed material ``(base_seed, ia, ib)`` are ``SeedSequence(...).spawn(3)``,
-    built directly so that a tie-free column costs no stream.
+    Streams 0, 1 and 2 are those of
+    ``SeedSequence(entropy=(base_seed, ia, ib)).spawn(3)``, built directly
+    from their spawn keys without the parent.
     """
     ia, ib = jobs[i]
-
-    def stream(k):
-        return np.random.SeedSequence((base_seed, ia, ib), spawn_key=(k,))
-
-    s, t = (ranks[j] if j in ranks else rank(cols[j], np.random.default_rng(stream(k)))
-            for k, j in enumerate((ia, ib)))
-    return RankedPair(s=s, t=t, n=s.size), int(stream(2).generate_state(1, np.uint64)[0])
+    ss_a, ss_b, ss_bin = (np.random.SeedSequence((base_seed, ia, ib), spawn_key=(k,))
+                          for k in range(3))
+    s = rank(cols[ia], np.random.default_rng(ss_a))
+    t = rank(cols[ib], np.random.default_rng(ss_b))
+    return RankedPair(s=s, t=t, n=s.size), int(ss_bin.generate_state(1, np.uint64)[0])
 
 
 def pair_binning(
@@ -229,7 +205,7 @@ def pair_binning(
 ) -> Binning:
     """Rebuild the exact binning the scan used for one named pair."""
     names = list(table)
-    pair, seed = _seeded_pair(list(table.values()), {},
+    pair, seed = _seeded_pair(list(table.values()),
                               [(names.index(name_a), names.index(name_b))], base_seed, 0)
     return bin_pair(pair, kind=kind, stop=stop, z=z, seed=seed)
 
@@ -246,11 +222,9 @@ def scan_pairs(
 ) -> list[ScanRecord]:
     """Score every unordered column pair and sort by descending chi2.
 
-    A column with a tie is ranked afresh for each pair, with that pair's
-    substream, so tie-breaking draws stay independent across the scan.  A
-    tie-free column is ranked once, because its ranks do not depend on the
-    tie-break.  Pairs are grown and read off in batches by
-    ``stats.tree_statistics``.  The matrix needs a row,
+    Columns are ranked afresh for each pair (with that pair's substream) so
+    tie-breaking draws stay independent across the scan; pairs are grown and
+    read off in batches by ``stats.tree_statistics``.  The matrix needs a row,
     and the null table must have been simulated for the same number of rows
     (when it records one) and under the same kind/stop/z configuration
     (``NullTable.check_config``); these, ``window`` >= 0, the kind and z are
@@ -267,9 +241,8 @@ def scan_pairs(
     if window < 0:
         raise ValueError("window must be >= 0")
     jobs = list(combinations(range(len(names)), 2))
-    ranks = {j: r for j, col in enumerate(cols) if (r := _tie_free_ranks(col)) is not None}
-    n_bins, chi2s = tree_statistics(partial(_seeded_pair, cols, ranks, jobs, base_seed),
-                                    len(jobs), n, [stop.max_depth], kind, stop, z, workers)
+    n_bins, chi2s = tree_statistics(partial(_seeded_pair, cols, jobs, base_seed), len(jobs),
+                                    n, [stop.max_depth], kind, stop, z, workers)
     n_bins, chi2s = n_bins[:, 0].tolist(), chi2s[:, 0].tolist()
     records = [
         ScanRecord(

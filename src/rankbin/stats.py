@@ -251,15 +251,17 @@ def tree_statistics(
     ``source(i)`` returns tree i's (pair of ``n`` >= 1 points, binning seed) and
     must pickle: a ``functools.partial`` of a module-level function.  Trees are
     built and grown in batches of up to ``BATCH`` points (one tree if larger)
-    under the deepest of the sorted, validated ``depths``; with several
+    under the deepest of the sorted, validated ``depths``.  With several
     workers, a batch holds at most ``ceil(count / workers)`` trees, so each
-    worker gets one.  Entry [i, k] of both arrays belongs to tree i's
-    partition under the k-th depth and equals ``chi2_statistic`` of that
-    ``bin_pair`` binning bit for bit, whatever the batching.  Batches run
-    serially, or over one process pool of at most one worker per batch.
+    worker gets one, but never fewer than fill ``splitting.BLOCK`` points:
+    a job that fits in one ``BLOCK`` runs serially, without a pool.  Entry
+    [i, k] of both arrays belongs to tree i's partition under the k-th depth
+    and equals ``chi2_statistic`` of that ``bin_pair`` binning bit for bit,
+    whatever the batching.  Batches run serially, or over one process pool
+    of at most one worker per batch.
     """
     job = (source, check_growth_args(depths, kind, z), kind, stop.min_expected, z)
-    per = max(1, min(BATCH // n, -(-count // max(workers, 1))))
+    per = max(1, min(BATCH // n, max(BLOCK // n, -(-count // max(workers, 1)))))
     batches = [range(a, min(a + per, count)) for a in range(0, count, per)]
     workers = min(workers, len(batches))
     if workers > 1:

@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
-from _oracles import per_pair_scan
 
-import rankbin.scan
 from rankbin import (
     IngestionError,
     NullTable,
@@ -226,34 +224,6 @@ def test_scan_deterministic_across_workers_and_batches():
     serial = records_to_csv(scan_pairs(table, **kw, workers=1))
     for workers in (2, 4):
         assert records_to_csv(scan_pairs(table, **kw, workers=workers)) == serial
-
-
-def test_scan_ranks_tie_free_columns_once(monkeypatch):
-    ranked, rank = [], rankbin.scan.rank
-
-    def counting_rank(values, rng):
-        ranked.append(values)
-        return rank(values, rng)
-
-    monkeypatch.setattr("rankbin.scan.rank", counting_rank)
-    rng = np.random.default_rng(12)
-    n = 150
-    table = {f"c{i}": rng.normal(size=n) for i in range(5)}
-    kw = dict(kind="chi", stop=StopConfig(max_depth=6), z=5.0, base_seed=31,
-              null=_null(n, seed=2))
-    assert scan_pairs(table, **kw) == per_pair_scan(table, **kw)
-    assert ranked == []
-    # c1 has a tie, and c3's only tie is -0.0 == 0.0: each is ranked once for
-    # each of its 4 pairs, with that pair's stream
-    table["c1"] = np.round(table["c1"])
-    table["c3"][:2] = [0.0, -0.0]
-    assert scan_pairs(table, **kw) == per_pair_scan(table, **kw)
-    assert sorted(id(v) for v in ranked) == sorted([id(table["c1"])] * 4
-                                                   + [id(table["c3"])] * 4)
-    # a column that rank refuses still raises rank's error
-    table["c4"][7] = np.nan
-    with pytest.raises(ValueError, match="cannot rank non-finite values"):
-        scan_pairs(table, **kw)
 
 
 def test_scan_checks_window_before_growing_trees(monkeypatch):

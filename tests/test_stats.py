@@ -101,10 +101,10 @@ def _table(n_bins, chi2s, depths=None):
 
 
 def test_pool_never_outnumbers_batches(monkeypatch):
-    built = []
+    built, batches = [], []
 
     class RecordingPool:
-        """Records the pool size asked for and maps in this process."""
+        """Records the pool size and the batch sizes, and maps in this process."""
 
         def __init__(self, max_workers, initializer, initargs):
             built.append(max_workers)
@@ -117,25 +117,32 @@ def test_pool_never_outnumbers_batches(monkeypatch):
             return False
 
         def map(self, fn, items):
+            items = list(items)
+            batches.append([len(b) for b in items])
             return map(fn, items)
 
     monkeypatch.setattr("rankbin.stats.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr("rankbin.stats._WORKER_JOB", {})
-    # one pair is one batch, which runs without a pool
+    # 15 pairs of 120 rows fit in one BLOCK, which runs as one batch without
+    # a pool however many workers there are
     rng = np.random.default_rng(3)
-    table = {f"c{i}": rng.normal(size=120) for i in range(2)}
+    table = {f"c{i}": rng.normal(size=120) for i in range(6)}
     null = simulate_null(120, [6], "chi", StopConfig(max_depth=6), n_sim=20, seed=1)
     scan_pairs(table, "chi", StopConfig(max_depth=6), 5.0, 0, null, workers=4)
     assert built == []
-    # 10 trees fit in a batch: 6 replicates over 4 workers make 3 batches of
-    # 2, and over 64 workers 6 of 1; trees of over half a batch go one per
-    # batch, so 3 of them over 2 workers make 3 batches
+    # 2 trees fill a BLOCK and 10 a BATCH: 6 replicates over 64 workers make
+    # 3 batches of 2, over 2 workers 2 batches of 3, and serially one batch;
+    # trees of over half a BATCH go one per batch, so 3 of them over 2
+    # workers make 3 batches
     kw = dict(depths=[4], kind="chi", stop=StopConfig(max_depth=4), seed=3)
-    for n, n_sim, workers, pool in ((BATCH // 10, 6, 4, 3), (BATCH // 10, 6, 64, 6),
-                                    (BATCH // 2 + 1, 3, 2, 2)):
+    for n, n_sim, workers, pool, sizes in ((3000, 6, 64, [3], [[2, 2, 2]]),
+                                           (3000, 6, 2, [2], [[3, 3]]),
+                                           (3000, 6, 1, [], []),
+                                           (BATCH // 2 + 1, 3, 2, [2], [[1, 1, 1]])):
         built.clear()
+        batches.clear()
         pooled = simulate_null(n, **kw, n_sim=n_sim, workers=workers)
-        assert built == [pool]
+        assert (built, batches) == (pool, sizes)
         assert pooled.to_csv_text() == simulate_null(n, **kw, n_sim=n_sim).to_csv_text()
 
 
