@@ -3,8 +3,10 @@
 Every digest was recorded from the code before the engine's scoring,
 growth and seeding paths were merged, and pins those outputs byte for
 byte: partition JSON under all three scores, a null-table CSV, and a scan's
-CSV together with the binning it rebuilds for one pair.  Rerun-equality
-tests cannot catch a change that moves every run the same way; these can.
+CSV together with the binning it rebuilds for one pair.  The points SVG
+was recorded from the code that formatted each point's coordinates one
+at a time, before they were computed as arrays.  Rerun-equality tests
+cannot catch a change that moves every run the same way; these can.
 
 A deliberate output change must re-record these values and say why.
 """
@@ -23,6 +25,7 @@ from rankbin import (
     simulate_null,
 )
 from rankbin.patterns import PatternSpec, generate
+from rankbin.plotting import render_binning
 from rankbin.ranks import RankedPair, rank_pair
 from rankbin.scan import pair_binning
 
@@ -45,6 +48,8 @@ GOLDEN = {
         "5a58deacad94b0d0334d3f731be5e2be9452d11812b2cfb27ecbb3680690083d",
     "pair_binning":
         "4753fa907bd7887287058889c25d6b66b4e0be8240a20a4c5d25be8979a5d28e",
+    "points_svg":
+        "6c8b6f1c0b27129f0a4a7cd9e97bfc225cbf2d628ec3399d315de3c2ac98fa74",
 }
 
 
@@ -101,6 +106,13 @@ def golden_outputs() -> dict[str, str]:
     out["pair_binning"] = binning_to_json(
         pair_binning(table, top.name_a, top.name_b, kind, stop, z, base_seed)
     )
+    # n = 755 makes the plot scale 500 / n inexact, so every coordinate
+    # exercises the float formatting
+    x, y = generate(PatternSpec(kind="circle", n=755, seed=9))
+    circle = rank_pair(x, y, np.random.default_rng(10))
+    out["points_svg"] = render_binning(
+        bin_pair(circle, "chi", StopConfig(max_depth=6), z=5.0, seed=12),
+        fill="residual", show_points=True)
     return out
 
 
