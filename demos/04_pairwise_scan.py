@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 import rankbin as rb
-from rankbin.scan import pair_binning
+from rankbin.scan import pair_binnings
 
 OUT = Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
@@ -49,10 +49,8 @@ panels = {
     "bottom": rb.bottom_k(records, 3),
 }
 chosen = [r for group in panels.values() for r in group]
-binnings = [
-    pair_binning(returns, r.name_a, r.name_b, "chi", stop, 5.0, 406)
-    for r in chosen
-]
+binnings = pair_binnings(returns, [(r.name_a, r.name_b) for r in chosen], "chi", stop,
+                         5.0, 406)
 rmax = max(float(np.max(np.abs(rb.pearson_residuals(b)))) for b in binnings)
 
 i = 0

@@ -36,7 +36,7 @@ from .scan import (
     IngestionError,
     _header,
     load_matrix,
-    pair_binning,
+    pair_binnings,
     scan_pairs,
     top_k,
     write_records_csv,
@@ -236,11 +236,9 @@ def _cmd_scan(args) -> int:
     if args.plot_top > 0:
         os.makedirs(args.plot_dir, exist_ok=True)
         chosen = top_k(records, min(args.plot_top, len(records)))
-        binnings = [
-            pair_binning(table, r.name_a, r.name_b, _SCORES[args.score],
-                         _stop(args), args.min_split, args.seed)
-            for r in chosen
-        ]
+        binnings = pair_binnings(table, [(r.name_a, r.name_b) for r in chosen],
+                                 _SCORES[args.score], _stop(args), args.min_split,
+                                 args.seed)
         # one shared hue range so the panels compare directly
         rmax = max(
             (float(np.max(np.abs(pearson_residuals(b)))) for b in binnings),

@@ -1,29 +1,30 @@
 """Level-synchronous growth of rank-space split trees, read off per depth limit.
 
 The trees are grown under the deepest requested limit, one level at a time.
-Each pass takes every node at one depth of every tree in the batch (one
-tree for ``bin_pair``, a batch of null replicates or scan pairs for
-``stats.tree_statistics``), freezes those meeting a stop criterion, and
-scores and splits all the others at once with ``splitting.best_splits``.
-A node that cannot be split is frozen too.
+Each pass takes every node at one depth of every tree in the batch (a
+batch of pairs to bin for ``bin_pairs_by_depth``, of null replicates or
+scan pairs for ``stats.tree_statistics``), freezes those meeting a stop
+criterion, and scores and splits all the others at once with
+``splitting.best_splits``.  A node that cannot be split is frozen too.
 
-The members of a level's nodes are kept in three orders, node after node:
-by s, by t and by original index.  The first two give every node's sorted
-candidate coordinates without a sort.  A split moves each member to its
-child by a stable partition, so all three stay in order from the root
-down; the s and t orders keep only the members of nodes still to be
-scored, the original order those of every node, for the read-off.  Every
-per-level pass runs over these arrays in chunks of ``splitting.BLOCK``
-entries, so its temporaries stay in cache.  Internally a level lists all
-lower children, then all upper children; each node carries its
-breadth-first rank, and ``grow_levels`` yields every level in
-breadth-first order.
+The members of the nodes still to be scored are kept in two orders, node
+after node: by s and by t, which give every node's sorted candidate
+coordinates without a sort.  A caller that reads the bins' points (``Bin``
+building) also gets every node's members in original index order.  A split
+marks each member of an order that goes to the upper child once; that mask
+moves the members by a stable partition, so every order stays sorted from
+the root down, and the s order's mask also counts each split node's
+children.  Every per-level pass runs over these arrays in chunks of
+``splitting.BLOCK`` entries, so its temporaries stay in cache.  Internally
+a level lists all lower children, then all upper children; each node
+carries its breadth-first rank, and ``grow_levels`` yields every level in
+breadth-first order, trees one after another.
 
 The partition for a limit ``d`` lists, in breadth-first order, every leaf
 above depth ``d`` and every node at depth ``d``.  Below ``d`` the stop
 criteria of limit ``d`` and of the deepest limit differ only in the depth
 test, so a node freezes under ``d`` exactly when it is a leaf of the grown
-tree.  ``bin_pair_by_depth`` builds ``Bin`` objects only for the nodes its
+tree.  ``bin_pairs_by_depth`` builds ``Bin`` objects only for the nodes its
 partitions return; ``stats.tree_statistics`` reads its statistics straight
 off each level's per-node counts and builds none.
 
@@ -59,6 +60,13 @@ from .scoring import lower_expected
 from .splitting import BLOCK, best_splits, chunk_nodes
 
 
+# Points per batch of trees grown together.  Every level of a batch pays a
+# fixed numpy cost however few points it holds, so a batch spans several of
+# the ``BLOCK`` chunks the per-level passes run in; a larger one costs peak
+# memory, which grows with the batch, for little more speed.
+BATCH = 4 * BLOCK
+
+
 def _bin_rng(seed: int, node_id: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, node_id)))
 
@@ -68,7 +76,8 @@ class Level(NamedTuple):
 
     Per-node arrays are indexed alike; trees follow one another.  Node j's
     members, in original index order, are the ``observed[j]`` entries of
-    ``points_s``/``points_t`` from ``start[j]`` on.
+    ``points_s``/``points_t`` from ``start[j]`` on; all three are None when
+    the growth carries no points.
     """
 
     depth: int
@@ -101,44 +110,53 @@ def check_growth_args(depths, kind: str, z: float, seed: int = 0) -> list[int]:
     return depths
 
 
-def _partition(a, b, seg, on_t, cut, keep=None):
+def _goes_up(a, b, seg, on_t, cut):
+    """Which entries of one point order go to their node's upper child.
+
+    ``a`` and ``b`` hold the s and t coordinates of the order, node after
+    node; ``seg`` gives each entry's node.  A member of node j goes up when
+    its t (if ``on_t[j]``) or s coordinate exceeds ``cut[j]``.
+    """
+    up = np.empty(a.size, dtype=bool)
+    for c0 in range(0, a.size, BLOCK):
+        c = slice(c0, c0 + BLOCK)
+        j = chunk_nodes(seg[c])
+        up[c] = np.where(on_t[j], b[c], a[c]) > cut[j]
+    return up
+
+
+def _partition(a, b, up, seg, keep=None):
     """Move each node's members to its two children, keeping their order.
 
-    ``a`` and ``b`` hold the s and t coordinates of one point order, node
-    after node; ``seg`` gives each entry's node.  A member of node j goes to
-    the upper child when its t (if ``on_t[j]``) or s coordinate exceeds
-    ``cut[j]``, else to the lower one.  With ``keep`` = (lower, upper) flags
-    per node, the members of a child whose flag is off are dropped.
-    Returns both coordinate arrays, holding every kept lower child's
-    members node by node and then every kept upper child's, and which
-    entries went up (with one False entry appended).
+    ``up`` marks the entries going up (``_goes_up``).  With ``keep`` =
+    (lower, upper) flags per node, the members of a child whose flag is off
+    are dropped.  Returns both coordinate arrays, holding every kept lower
+    child's members node by node and then every kept upper child's.
     """
-    up = np.empty(a.size + 1, dtype=bool)
-    up[-1] = False
     parts: list[list[np.ndarray]] = [[], [], [], []]
     for c0 in range(0, a.size, BLOCK):
         c = slice(c0, c0 + BLOCK)
-        a_c, b_c, j = a[c], b[c], chunk_nodes(seg[c])
-        go = up[c0:c0 + a_c.size] = np.where(on_t[j], b_c, a_c) > cut[j]
+        a_c, b_c, go = a[c], b[c], up[c]
         for side, moved in enumerate((~go, go)):
             if keep is not None:
-                moved &= keep[side][j]
+                moved = moved & keep[side][chunk_nodes(seg[c])]
             idx = np.flatnonzero(moved)
             parts[side].append(a_c[idx])
             parts[side + 2].append(b_c[idx])
-    return (np.concatenate(parts[0] + parts[1]), np.concatenate(parts[2] + parts[3]),
-            up)
+    return np.concatenate(parts[0] + parts[1]), np.concatenate(parts[2] + parts[3])
 
 
 def grow_levels(
     pairs: list[RankedPair], seeds: list[int], kind: str, max_depth: int,
-    min_expected: float, z: float,
+    min_expected: float, z: float, points: bool = False,
 ) -> Iterator[Level]:
     """Grow one split tree per pair, all at once; yield each depth's nodes.
 
     Tree r splits from the substreams of ``seeds[r]``.  A node is a leaf when
     it is at ``max_depth``, expects at most ``min_expected`` points, is
-    empty, or has no admissible split.
+    empty, or has no admissible split.  Only with ``points`` are the members
+    carried in original order, giving each ``Level`` its ``start``,
+    ``points_s`` and ``points_t`` (None otherwise).
     """
     def stopped(e, cnt, depth):
         return (e <= min_expected) | (cnt == 0) | (depth >= max_depth)
@@ -149,12 +167,13 @@ def grow_levels(
     lo_s, hi_s, lo_t, hi_t = np.zeros_like(cnt), cnt, np.zeros_like(cnt), cnt
     e = cnt.astype(float)
     root = bfs = np.arange(cnt.size)
-    ids = np.ones(cnt.size, dtype=object)
+    # node ids reach 2**(max_depth + 1) - 1; deeper trees need Python ints
+    ids = np.ones(cnt.size, dtype=np.int64 if max_depth < 62 else object)
     depth = 0
     stop = stopped(e, cnt, depth)
-    # Members in original order, and by s and by t: each tree's ranks are a
-    # permutation, so rank r of a tree starting at slot f goes to f + r - 1.
-    # 32-bit coordinates halve what every pass moves
+    # Members by s and by t, and in original order if asked: each tree's
+    # ranks are a permutation, so rank r of a tree starting at slot f goes
+    # to f + r - 1.  32-bit coordinates halve what every pass moves
     coord = np.int32 if cnt.sum() < 2**31 else np.int64
     i_s = np.concatenate([p.s for p in pairs]).astype(coord)
     i_t = np.concatenate([p.t for p in pairs]).astype(coord)
@@ -162,6 +181,8 @@ def grow_levels(
     s_s, s_t, t_s, t_t = np.empty((4, i_s.size), dtype=coord)
     s_s[slot + i_s - 1], s_t[slot + i_s - 1] = i_s, i_t
     t_s[slot + i_t - 1], t_t[slot + i_t - 1] = i_s, i_t
+    if not points:
+        i_s = i_t = None
     if stop.any():
         # the s and t orders hold only the members of bins still to be scored
         live = np.repeat(~stop, cnt)
@@ -169,50 +190,53 @@ def grow_levels(
 
     while True:
         act = np.flatnonzero(~stop)
-        split = act[:0]
+        ok = np.zeros(act.size, dtype=bool)
         if act.size:
             ok, on_t, cut = best_splits(
                 lo_s[act], hi_s[act], lo_t[act], hi_t[act], e[act], cnt[act],
                 s_s, t_t, kind, z,
                 lambda j: _bin_rng(seeds[root[act[j]]], ids[act[j]]))
-            split, on_t, cut = act[ok], on_t[ok], cut[ok]
+            on_t, cut = on_t[ok], cut[ok]
+        split = act[ok]
         leaf = np.ones(cnt.size, dtype=bool)
         leaf[split] = False
         order = np.empty_like(bfs)
         order[bfs] = np.arange(bfs.size)
-        start = np.cumsum(cnt) - cnt
+        start = (np.cumsum(cnt) - cnt)[order] if points else None
         yield Level(depth, lo_s[order], hi_s[order], lo_t[order], hi_t[order],
-                    e[order], cnt[order], leaf[order], root[order], start[order],
-                    i_s, i_t)
+                    e[order], cnt[order], leaf[order], root[order], start, i_s, i_t)
         if not split.size:
             return
 
-        # Move every member of a split node to its child.
+        # Move every member of a split node to its child.  The s order holds
+        # every split node's members, so its up-mask also counts the children.
         k = split.size
         node_t = np.zeros(cnt.size, dtype=bool)
         node_t[split] = on_t
         node_cut = np.zeros(cnt.size, dtype=coord)
         node_cut[split] = cut
-        # leaves drop out; a leaf with members is rare before the last level
-        keep = (~leaf, ~leaf) if (cnt[leaf] > 0).any() else None
-        i_s, i_t, up = _partition(i_s, i_t, np.repeat(np.arange(cnt.size), cnt),
-                                  node_t, node_cut, keep)
-        n_up = np.add.reduceat(up, start, dtype=np.intp)[split]
+        if points:
+            # leaves drop out; a leaf with members is rare before the last level
+            node = np.repeat(np.arange(cnt.size), cnt)
+            i_s, i_t = _partition(i_s, i_t, _goes_up(i_s, i_t, node, node_t, node_cut),
+                                  node, (~leaf, ~leaf) if (cnt[leaf] > 0).any() else None)
+        seg = np.repeat(np.arange(act.size), cnt[act])
+        plan = (seg, node_t[act], node_cut[act])
+        up_s = _goes_up(s_s, s_t, *plan)
+        n_up = np.add.reduceat(up_s, np.cumsum(cnt[act]) - cnt[act], dtype=np.intp)[ok]
         kid_cnt = np.concatenate((cnt[split] - n_up, n_up))
         e_lo = lower_expected(cut, np.where(on_t, lo_t[split], lo_s[split]),
                               np.where(on_t, hi_t[split], hi_s[split]), e[split])
         kid_e = np.concatenate((e_lo, e[split] - e_lo))
         kid_stop = stopped(kid_e, kid_cnt, depth + 1)
         if not kid_stop.all():
-            keep_lo = np.zeros(cnt.size, dtype=bool)
-            keep_up = np.zeros(cnt.size, dtype=bool)
-            keep_lo[split] = ~kid_stop[:k]
-            keep_up[split] = ~kid_stop[k:]
-            keep = (keep_lo[act], keep_up[act])
-            plan = (np.repeat(np.arange(act.size), cnt[act]), node_t[act],
-                    node_cut[act], None if keep[0].all() and keep[1].all() else keep)
-            s_s, s_t = _partition(s_s, s_t, *plan)[:2]
-            t_s, t_t = _partition(t_s, t_t, *plan)[:2]
+            keep_lo = np.zeros(act.size, dtype=bool)
+            keep_up = np.zeros(act.size, dtype=bool)
+            keep_lo[ok] = ~kid_stop[:k]
+            keep_up[ok] = ~kid_stop[k:]
+            keep = None if keep_lo.all() and keep_up.all() else (keep_lo, keep_up)
+            s_s, s_t = _partition(s_s, s_t, up_s, seg, keep)
+            t_s, t_t = _partition(t_s, t_t, _goes_up(t_s, t_t, *plan), seg, keep)
 
         # The children: every lower child, then every upper child, each in
         # the order of their parents.
@@ -271,35 +295,73 @@ def bin_pair_by_depth(
     each limit's partition is read off the tree level by level.  Each bin
     lists its members in their original order.
     """
-    depths = check_growth_args(depths, kind, z, seed)
+    return bin_pairs_by_depth([pair], [seed], kind, depths, stop, z)[0]
+
+
+def bin_pairs_by_depth(
+    pairs: list[RankedPair],
+    seeds: list[int],
+    kind: str,
+    depths: list[int],
+    stop: StopConfig,
+    z: float = 5.0,
+) -> list[dict[int, Binning]]:
+    """``bin_pair_by_depth`` of each pair with its seed, grown in batches.
+
+    A batch holds up to ``BATCH`` points (one pair if larger); its trees
+    grow together and each level's bins go to their trees by ``root``.
+    Every result equals that pair's own ``bin_pair_by_depth``.
+    """
+    depths = check_growth_args(depths, kind, z, min(seeds, default=0))
+    out: list[dict[int, Binning]] = []
+    first = 0
+    while first < len(pairs):
+        end, size = first + 1, pairs[first].n
+        while end < len(pairs) and size + pairs[end].n <= BATCH:
+            size += pairs[end].n
+            end += 1
+        out += _bin_batch(pairs[first:end], seeds[first:end], kind, depths, stop, z)
+        first = end
+    return out
+
+
+def _bin_batch(pairs, seeds, kind, depths, stop, z) -> list[dict[int, Binning]]:
+    """``bin_pairs_by_depth`` of one batch, grown as one."""
     wanted = set(depths)
-    parts: dict[int, list[Bin]] = {}
-    leaves: list[Bin] = []
-    for lv in grow_levels([pair], [seed], kind, depths[-1], stop.min_expected, z):
-        keep = lv.leaf | (lv.depth in wanted)
-        if not keep.any():
+    parts: list[dict[int, list[Bin]]] = [{} for _ in pairs]
+    leaves: list[list[Bin]] = [[] for _ in pairs]
+    levels = grow_levels(pairs, seeds, kind, depths[-1], stop.min_expected, z, points=True)
+    for lv in levels:
+        keep = np.flatnonzero(lv.leaf | (lv.depth in wanted))
+        if not keep.size:
             continue
         points_s = lv.points_s.astype(np.int64)
         points_t = lv.points_t.astype(np.int64)
-        rows = zip(lv.lower_s.tolist(), lv.upper_s.tolist(), lv.lower_t.tolist(),
-                   lv.upper_t.tolist(), lv.expected.tolist(), lv.start.tolist(),
-                   (lv.start + lv.observed).tolist())
-        bins = [
-            Bin(ls, us, lt, ut, points_s[a:b], points_t[a:b], e, lv.depth)
-            if k else None
-            for k, (ls, us, lt, ut, e, a, b) in zip(keep.tolist(), rows)
-        ]
-        if lv.depth in wanted:
-            parts[lv.depth] = leaves + bins
-        leaves += [b for b, leaf in zip(bins, lv.leaf.tolist()) if leaf]
-    return {
-        d: Binning(
-            bins=parts[d] if d in parts else list(leaves),
-            score_kind=kind,
-            stop=StopConfig(d, stop.min_expected),
-            min_split_expected=z,
-            seed=seed,
-            n=pair.n,
-        )
-        for d in depths
-    }
+        start = lv.start[keep]
+        rows = zip(lv.lower_s[keep].tolist(), lv.upper_s[keep].tolist(),
+                   lv.lower_t[keep].tolist(), lv.upper_t[keep].tolist(),
+                   lv.expected[keep].tolist(), start.tolist(),
+                   (start + lv.observed[keep]).tolist())
+        bins = [Bin(ls, us, lt, ut, points_s[a:b], points_t[a:b], e, lv.depth)
+                for ls, us, lt, ut, e, a, b in rows]
+        leaf = lv.leaf[keep].tolist()
+        # trees follow one another, so tree r's bins are one run of ``keep``
+        bounds = np.searchsorted(lv.root[keep], np.arange(len(pairs) + 1)).tolist()
+        for r, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            if lv.depth in wanted:
+                parts[r][lv.depth] = leaves[r] + bins[a:b]
+            leaves[r] += [x for x, is_leaf in zip(bins[a:b], leaf[a:b]) if is_leaf]
+    return [
+        {
+            d: Binning(
+                bins=part[d] if d in part else list(tree_leaves),
+                score_kind=kind,
+                stop=StopConfig(d, stop.min_expected),
+                min_split_expected=z,
+                seed=seed,
+                n=pair.n,
+            )
+            for d in depths
+        }
+        for pair, seed, part, tree_leaves in zip(pairs, seeds, parts, leaves)
+    ]

@@ -14,6 +14,8 @@ volatile content, so renders of equal binnings are byte-identical.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .bins import Binning
 from .stats import pearson_residuals
 
@@ -90,12 +92,11 @@ def render_binning(
             f'width="{_num(x1 - x0)}" height="{_num(y1 - y0)}" '
             f'fill="{color}" stroke="#333333" stroke-width="0.5"/>'
         )
-    if show_points:
-        for b in binning.bins:
-            for ps, pt in zip(b.points_s, b.points_t):
-                out.append(
-                    f'<circle cx="{_num(sx(float(ps)))}" '
-                    f'cy="{_num(sy(float(pt)))}" r="1.5" fill="#000000"/>'
-                )
+    if show_points and binning.bins:
+        # int64 ranks times a float: the same float64 values as sx and sy
+        xs = np.concatenate([b.points_s for b in binning.bins]) * scale
+        ys = (n - np.concatenate([b.points_t for b in binning.bins])) * scale
+        out += [f'<circle cx="{_num(x)}" cy="{_num(y)}" r="1.5" fill="#000000"/>'
+                for x, y in zip(xs.tolist(), ys.tolist())]
     out.append("</svg>")
     return "\n".join(out) + "\n"

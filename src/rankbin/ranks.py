@@ -40,6 +40,19 @@ class RankedPair:
             raise ValueError("t is not a permutation of 1..n")
 
 
+def _trusted_pair(s: np.ndarray, t: np.ndarray, n: int) -> RankedPair:
+    """A ``RankedPair`` of int64 permutations of 1..n, built without the check.
+
+    Only for rank vectors that are permutations by construction, such as
+    ``rank``'s output; everything else goes through ``RankedPair``.
+    """
+    pair = object.__new__(RankedPair)
+    object.__setattr__(pair, "s", s)
+    object.__setattr__(pair, "t", t)
+    object.__setattr__(pair, "n", n)
+    return pair
+
+
 def rank(values, rng: np.random.Generator) -> np.ndarray:
     """Rank a sample onto 1..n, breaking ties uniformly at random.
 

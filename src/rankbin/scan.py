@@ -9,7 +9,9 @@ and residualizing a volatility model on returns) happens upstream.
 Each pair derives its own random substream from the scan seed and the two
 column indices, so results do not depend on worker count or scheduling.
 Pairs are grown and read off by the runner that grows null replicates,
-``stats.tree_statistics``; ``pair_binning`` rebuilds one pair's binning.
+``stats.tree_statistics``, their p-values placed in one pass by
+``stats.empirical_ps``; ``pair_binnings`` rebuilds chosen pairs' binnings
+in batches.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from .bins import Binning, StopConfig
-from .engine import bin_pair
-from .ranks import RankedPair, rank
-from .stats import NullTable, empirical_p, tree_statistics
+from .engine import bin_pairs_by_depth
+from .ranks import RankedPair, _trusted_pair, rank
+from .stats import NullTable, empirical_ps, tree_statistics
 
 logger = logging.getLogger(__name__)
 
@@ -191,7 +193,28 @@ def _seeded_pair(cols, jobs, base_seed, i) -> tuple[RankedPair, int]:
                           for k in range(3))
     s = rank(cols[ia], np.random.default_rng(ss_a))
     t = rank(cols[ib], np.random.default_rng(ss_b))
-    return RankedPair(s=s, t=t, n=s.size), int(ss_bin.generate_state(1, np.uint64)[0])
+    return _trusted_pair(s, t, s.size), int(ss_bin.generate_state(1, np.uint64)[0])
+
+
+def pair_binnings(
+    table: dict[str, np.ndarray],
+    named_pairs: list[tuple[str, str]],
+    kind: str,
+    stop: StopConfig,
+    z: float,
+    base_seed: int,
+) -> list[Binning]:
+    """Rebuild the exact binnings the scan used for the named pairs.
+
+    The pairs grow in batches (``engine.bin_pairs_by_depth``), not one by one.
+    """
+    names, cols = list(table), list(table.values())
+    jobs = [(names.index(a), names.index(b)) for a, b in named_pairs]
+    grown = [_seeded_pair(cols, jobs, base_seed, i) for i in range(len(jobs))]
+    d = stop.max_depth
+    binnings = bin_pairs_by_depth([p for p, _ in grown], [s for _, s in grown], kind, [d],
+                                  stop, z)
+    return [b[d] for b in binnings]
 
 
 def pair_binning(
@@ -204,10 +227,7 @@ def pair_binning(
     base_seed: int,
 ) -> Binning:
     """Rebuild the exact binning the scan used for one named pair."""
-    names = list(table)
-    pair, seed = _seeded_pair(list(table.values()),
-                              [(names.index(name_a), names.index(name_b))], base_seed, 0)
-    return bin_pair(pair, kind=kind, stop=stop, z=z, seed=seed)
+    return pair_binnings(table, [(name_a, name_b)], kind, stop, z, base_seed)[0]
 
 
 def scan_pairs(
@@ -243,16 +263,11 @@ def scan_pairs(
     jobs = list(combinations(range(len(names)), 2))
     n_bins, chi2s = tree_statistics(partial(_seeded_pair, cols, jobs, base_seed), len(jobs),
                                     n, [stop.max_depth], kind, stop, z, workers)
-    n_bins, chi2s = n_bins[:, 0].tolist(), chi2s[:, 0].tolist()
+    p_emp = empirical_ps(null, n_bins[:, 0], chi2s[:, 0], window).tolist()
     records = [
-        ScanRecord(
-            name_a=names[ia],
-            name_b=names[ib],
-            n_bin=n_bin,
-            chi2=chi2,
-            p_emp=empirical_p(null, (n_bin, chi2), window=window),
-        )
-        for (ia, ib), n_bin, chi2 in zip(jobs, n_bins, chi2s)
+        ScanRecord(name_a=names[ia], name_b=names[ib], n_bin=n_bin, chi2=chi2, p_emp=p)
+        for (ia, ib), n_bin, chi2, p in zip(jobs, n_bins[:, 0].tolist(),
+                                            chi2s[:, 0].tolist(), p_emp)
     ]
     records.sort(key=lambda r: -r.chi2)
     return records

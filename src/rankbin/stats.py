@@ -21,17 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from .bins import Binning, StopConfig
-from .engine import check_growth_args, grow_levels
-from .ranks import RankedPair
+from .engine import BATCH, check_growth_args, grow_levels
+from .ranks import RankedPair, _trusted_pair
 from .splitting import BLOCK
 
 logger = logging.getLogger(__name__)
-
-# Points per batch of trees in ``tree_statistics``.  Every level of a batch
-# pays a fixed numpy cost however few points it holds, so a batch spans
-# several of the ``BLOCK`` chunks the per-level passes run in; a larger one
-# costs peak memory, which grows with the batch, for little more speed.
-BATCH = 4 * BLOCK
 
 
 def chi2_statistic(binning: Binning) -> tuple[float, int]:
@@ -279,7 +273,7 @@ def _null_tree(n: int, seed: int, rep: int) -> tuple[RankedPair, int]:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, rep)))
     s = rng.permutation(n) + 1
     t = rng.permutation(n) + 1
-    return RankedPair(s=s, t=t, n=n), int(rng.integers(0, 2**63))
+    return _trusted_pair(s, t, n), int(rng.integers(0, 2**63))
 
 
 def simulate_null(
@@ -326,19 +320,45 @@ def simulate_null(
     )
 
 
-def _widened_window(gap: np.ndarray, window: int, min_count: int) -> np.ndarray:
-    """Mask of entries with ``gap <= w``, widening ``w`` from ``window``.
+def _widened(gap_sorted: np.ndarray, window: int, min_count: int) -> int:
+    """Half-width of a reference set, from its entries' sorted bin-count gaps.
 
-    ``w`` grows one step at a time until the mask holds ``min_count``
-    entries or ``w`` reaches the largest gap.
+    ``window`` if the entries within it number ``min_count``, else the
+    smallest wider one whose entries do, or the largest gap.
     """
-    w = window
-    sel = gap <= w
-    max_gap = int(gap.max())
-    while w < max_gap and int(sel.sum()) < min_count:
-        w += 1
-        sel = gap <= w
-    return sel
+    k = min(min_count, gap_sorted.size) - 1
+    return window if gap_sorted[k] <= window else int(gap_sorted[k])
+
+
+def empirical_ps(null: NullTable, n_bins, chi2s, window: int = 2) -> np.ndarray:
+    """``empirical_p`` of every observed (``n_bins[i]``, ``chi2s[i]``) pair.
+
+    Each distinct observed bin count builds its reference set once, sorts
+    its chi2 values and places all of its observations by binary search.
+    """
+    if null.size == 0:
+        raise ValueError("empty null table")
+    if window < 0:
+        raise ValueError("window must be >= 0")
+    n_bins = np.asarray(n_bins, dtype=np.int64)
+    chi2s = np.asarray(chi2s, dtype=float)
+    bad = np.flatnonzero((n_bins < 1) | ~np.isfinite(chi2s))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"observed n_bin={int(n_bins[i])}, chi2={float(chi2s[i])}: "
+                         "need n_bin >= 1 and a finite chi2")
+    out = np.empty(chi2s.size)
+    levels, inverse = np.unique(n_bins, return_inverse=True)
+    for i, nb in enumerate(levels.tolist()):
+        gap = np.abs(null.n_bins - nb)
+        gap_sorted = np.sort(gap)
+        # a window that holds nothing widens until it holds 100 entries
+        w = window if gap_sorted[0] <= window else _widened(gap_sorted, window, 100)
+        ref = np.sort(null.chi2s[gap <= w])
+        at = inverse == i
+        n_ge = ref.size - np.searchsorted(ref, chi2s[at], side="left")
+        out[at] = (1 + n_ge) / (1 + ref.size)
+    return out
 
 
 def empirical_p(
@@ -352,21 +372,7 @@ def empirical_p(
     Raises ``ValueError`` for an empty table, a window below 0, or an
     observed pair with ``n_bin`` < 1 or a non-finite chi2.
     """
-    if null.size == 0:
-        raise ValueError("empty null table")
-    obs_nb, obs_chi2 = int(observed[0]), float(observed[1])
-    if window < 0:
-        raise ValueError("window must be >= 0")
-    if obs_nb < 1 or not np.isfinite(obs_chi2):
-        raise ValueError(f"observed n_bin={obs_nb}, chi2={obs_chi2}: "
-                         "need n_bin >= 1 and a finite chi2")
-    gap = np.abs(null.n_bins - obs_nb)
-    in_win = gap <= window
-    if not in_win.any():
-        in_win = _widened_window(gap, window, 100)
-    n_ref = int(in_win.sum())
-    n_ge = int(np.count_nonzero(null.chi2s[in_win] >= obs_chi2))
-    return (1 + n_ge) / (1 + n_ref)
+    return float(empirical_ps(null, [int(observed[0])], [float(observed[1])], window)[0])
 
 
 def null_quantile_curve(
@@ -390,7 +396,8 @@ def null_quantile_curve(
     levels = np.unique(null.n_bins)
     raw = []
     for nb in levels:
-        sel = _widened_window(np.abs(null.n_bins - nb), window, min_count)
+        gap = np.abs(null.n_bins - nb)
+        sel = gap <= _widened(np.sort(gap), window, min_count)
         raw.append(float(np.quantile(null.chi2s[sel], q)))
     monotone = np.sort(np.asarray(raw))
     return {int(nb): float(v) for nb, v in zip(levels, monotone)}

@@ -5,7 +5,8 @@ direct two-child evaluation, the per-bin engine) so that library results
 are checked against a second, structurally different implementation.  Two
 thin wrappers put the library's batched scorer and splitter in the shape of
 one margin and one bin, and ``check_partition`` checks the invariants every
-partition must meet.  ``per_pair_scan`` is the scan one pair at a time.
+partition must meet.  ``per_pair_scan`` is the scan one pair at a time,
+placing each p-value with ``per_record_p``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from rankbin.ranks import RankedPair, rank
 from rankbin.scan import ScanRecord
 from rankbin.scoring import candidate_scores
 from rankbin.splitting import best_splits
-from rankbin.stats import chi2_statistic, empirical_p
+from rankbin.stats import chi2_statistic
 
 
 def margin_scores(w, e, z, kind, rng=None):
@@ -363,6 +364,44 @@ def per_bin_partitions(pair, kind, depths, stop, z, seed):
     }
 
 
+def _widened_window(gap, window, min_count):
+    """Mask of entries with ``gap <= w``, widening ``w`` from ``window``.
+
+    ``w`` grows one step at a time until the mask holds ``min_count``
+    entries or ``w`` reaches the largest gap.
+    """
+    w = window
+    sel = gap <= w
+    max_gap = int(gap.max())
+    while w < max_gap and int(sel.sum()) < min_count:
+        w += 1
+        sel = gap <= w
+    return sel
+
+
+def per_record_p(null, observed, window=2):
+    """``stats.empirical_p`` one record at a time, by masks over the table.
+
+    A window that captures nothing widens one step at a time until it
+    holds 100 entries or spans the table.
+    """
+    if null.size == 0:
+        raise ValueError("empty null table")
+    obs_nb, obs_chi2 = int(observed[0]), float(observed[1])
+    if window < 0:
+        raise ValueError("window must be >= 0")
+    if obs_nb < 1 or not np.isfinite(obs_chi2):
+        raise ValueError(f"observed n_bin={obs_nb}, chi2={obs_chi2}: "
+                         "need n_bin >= 1 and a finite chi2")
+    gap = np.abs(null.n_bins - obs_nb)
+    in_win = gap <= window
+    if not in_win.any():
+        in_win = _widened_window(gap, window, 100)
+    n_ref = int(in_win.sum())
+    n_ge = int(np.count_nonzero(null.chi2s[in_win] >= obs_chi2))
+    return (1 + n_ge) / (1 + n_ref)
+
+
 def per_pair_scan(table, kind, stop, z, base_seed, null, window=2):
     """``scan_pairs`` one pair at a time: one ``bin_pair`` and one
     ``chi2_statistic`` per pair.
@@ -382,6 +421,6 @@ def per_pair_scan(table, kind, stop, z, base_seed, null, window=2):
                                seed=int(ss_bin.generate_state(1, np.uint64)[0]))
             chi2, n_bin = chi2_statistic(binning)
             records.append(ScanRecord(names[a], names[b], n_bin, chi2,
-                                      empirical_p(null, (n_bin, chi2), window=window)))
+                                      per_record_p(null, (n_bin, chi2), window=window)))
     records.sort(key=lambda r: -r.chi2)
     return records

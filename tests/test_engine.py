@@ -113,3 +113,16 @@ def test_invalid_arguments():
         bin_pair_by_depth(pair, "chi", [0], StopConfig(max_depth=3), seed=-4)
     with pytest.raises(ValueError, match="unknown score kind"):
         bin_pair_by_depth(pair, "chebyshev", [0], StopConfig(max_depth=3))
+
+
+@pytest.mark.parametrize("kind", ["chi", "random"])
+def test_object_node_ids_match_int64_ids(kind):
+    # max_depth 64 keeps node ids as Python ints, 61 as int64; this diagonal
+    # tree stops well before either limit, at depth 19 or more (ids past 2**19)
+    perm = np.random.default_rng(13).permutation(300) + 1
+    pair = RankedPair(s=perm, t=perm, n=300)
+    deep, shallow = (bin_pair(pair, kind, StopConfig(max_depth=d, min_expected=0.0),
+                              z=0.0, seed=9) for d in (64, 61))
+    assert max(b.depth for b in deep.bins) > 12
+    assert binning_to_json(deep) == binning_to_json(shallow).replace(
+        '"max_depth":61', '"max_depth":64')

@@ -4,10 +4,11 @@ Tiny n, z = 0, ``min_expected`` = 0, a diagonal (t = s) pair whose every
 split looks alike, and heavily tied raw data.  Each case checks that a
 single-depth run equals the same depth read off a depth sweep byte for
 byte, that both equal the per-limit replay oracle and the per-bin engine,
-and the partition invariants of acceptance criterion 7.  The batched null
-simulation is checked row for row against the per-bin engine, the batched
-scan against one ``bin_pair`` per pair, and ``load_matrix`` against its
-per-cell ``csv`` loop.
+and the partition invariants of acceptance criterion 7.  Statistics-only
+growth is checked level by level against growth that carries the points,
+the batched null simulation row for row against the per-bin engine, the
+batched scan against one ``bin_pair`` per pair, and ``load_matrix``
+against its per-cell ``csv`` loop.
 """
 
 import numpy as np
@@ -28,6 +29,7 @@ from rankbin import (
     simulate_null,
 )
 from rankbin.ranks import RankedPair, rank_pair
+from rankbin.engine import grow_levels
 from rankbin.scan import _read_cells, _read_plain, load_matrix
 from rankbin.stats import BATCH
 
@@ -150,6 +152,35 @@ def _scan_null(n, kind, stop, z, seed):
                      n_bins=rng.integers(1, 40, 200), chi2s=rng.uniform(0, 60, 200),
                      config={"kind": kind, "z": z, "min_expected": stop.min_expected,
                              "stop_empty": True, "depths": [stop.max_depth]})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    trees=st.lists(st.tuples(st.integers(1, 60),
+                             st.sampled_from(["random", "diagonal", "tied"]),
+                             st.integers(0, 2**32 - 1)), min_size=1, max_size=4),
+    kind=st.sampled_from(["chi", "mi", "random"]),
+    z=st.sampled_from([0.0, 2.0, 5.0]),
+    min_expected=st.sampled_from([0.0, 10.0]),
+    depth=st.integers(0, 8),
+)
+@example(trees=[(27, "diagonal", 0)], kind="chi", z=0.0, min_expected=0.0, depth=8)
+def test_statistics_only_growth_matches_points_growth(trees, kind, z, min_expected, depth):
+    # the statistics-only path counts children from the s order; the points
+    # path also carries the original order, which held the counts before
+    pairs = [_pair(shape, n, seed) for n, shape, seed in trees]
+    seeds = [seed for _, _, seed in trees]
+    args = (pairs, seeds, kind, depth, min_expected, z)
+    with_points = list(grow_levels(*args, points=True))
+    bare = list(grow_levels(*args))
+    assert len(bare) == len(with_points)
+    for a, b in zip(bare, with_points):
+        assert a.start is a.points_s is a.points_t is None
+        for field in ("depth", "lower_s", "upper_s", "lower_t", "upper_t", "expected",
+                      "observed", "leaf", "root"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+        assert a.expected.tobytes() == b.expected.tobytes()
+        assert b.points_s.size == b.points_t.size == b.observed.sum()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

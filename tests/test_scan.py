@@ -14,7 +14,9 @@ from rankbin import (
     simulate_null,
     top_k,
 )
-from rankbin.scan import ScanRecord
+from rankbin import binning_to_json
+from rankbin.ranks import RankedPair
+from rankbin.scan import ScanRecord, pair_binning, pair_binnings
 from rankbin.stats import BATCH
 
 
@@ -239,3 +241,37 @@ def test_scan_checks_window_before_growing_trees(monkeypatch):
         scan_pairs(table, "chi", StopConfig(max_depth=6), 5.0, 0, null, window=-1)
     with pytest.raises(AssertionError, match="grown"):
         scan_pairs(table, "chi", StopConfig(max_depth=6), 5.0, 0, null, window=0)
+
+
+def test_internally_built_pairs_skip_the_permutation_check(monkeypatch):
+    calls = []
+    check = RankedPair.__post_init__
+    monkeypatch.setattr(RankedPair, "__post_init__",
+                        lambda self: calls.append(1) or check(self))
+    rng = np.random.default_rng(12)
+    table = {f"c{i}": rng.normal(size=80) for i in range(4)}
+    null = _null(80, depth=4)  # simulate_null
+    scan_pairs(table, "chi", StopConfig(max_depth=4), 5.0, 3, null)
+    assert calls == []
+    RankedPair(s=np.arange(1, 4), t=np.arange(1, 4), n=3)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("kind", ["chi", "random"])
+def test_batched_rebuild_matches_one_pair_at_a_time(kind):
+    # 55 pairs of 755 rows hold more points than one BATCH, so "all pairs"
+    # grows in two batches; pairs share columns whatever K is
+    rng = np.random.default_rng(31)
+    n = 755
+    table = {f"c{i}": rng.normal(size=n) for i in range(11)}
+    table["c1"] = table["c0"] + 0.3 * rng.normal(size=n)
+    table["c5"] = np.round(table["c5"], 1)  # ties: ranks use the tie-break draws
+    stop, z, seed = StopConfig(max_depth=6), 5.0, 41
+    names = list(table)
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    assert len(pairs) * n > BATCH
+    one = [binning_to_json(pair_binning(table, a, b, kind, stop, z, seed)) for a, b in pairs]
+    for k in (0, 1, 7, len(pairs)):
+        chosen = pairs[len(pairs) - k:][::-1]  # any order, not the scan's
+        got = pair_binnings(table, chosen, kind, stop, z, seed)
+        assert [binning_to_json(b) for b in got] == [one[pairs.index(p)] for p in chosen]

@@ -2,6 +2,9 @@ from functools import partial
 
 import numpy as np
 import pytest
+from _oracles import _widened_window, per_record_p
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rankbin import (
     Bin,
@@ -18,7 +21,7 @@ from rankbin import (
 )
 from rankbin.bins import Binning
 from rankbin.ranks import RankedPair
-from rankbin.stats import BATCH, _null_tree, tree_statistics
+from rankbin.stats import BATCH, _null_tree, empirical_ps, tree_statistics
 
 
 def _toy_binning(bins, n):
@@ -192,6 +195,47 @@ def test_empirical_p_empty_table_rejected():
     table = _table([], [])
     with pytest.raises(ValueError):
         empirical_p(table, (10, 1.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    entries=st.lists(st.tuples(st.integers(1, 40), st.sampled_from([0.0, 1.5, 3.0, 7.25])
+                               | st.floats(0, 60)), min_size=1, max_size=300),
+    observed=st.lists(st.tuples(st.integers(1, 80), st.sampled_from([0.0, 1.5, 7.25])
+                                | st.floats(0, 80)), min_size=1, max_size=30),
+    window=st.sampled_from([0, 2, 10**9]) | st.integers(0, 50),
+)
+# n_bin 70 lies outside the table, 10 and 28 between its entries: each
+# window holds nothing and widens, the last two to their 100th nearest entry
+@example(entries=[(5, 1.0)] * 60 + [(20, 2.0)] * 120 + [(30, 3.0)],
+         observed=[(70, 2.0), (10, 0.5), (28, 2.0)], window=0)
+@example(entries=[(5, 1.0), (20, 2.0)], observed=[(70, 2.0), (10, 2.0)], window=2)
+def test_vectorised_p_values_match_per_record_oracle(entries, observed, window):
+    table = _table([nb for nb, _ in entries], [c for _, c in entries])
+    n_bins = [nb for nb, _ in observed]
+    chi2s = [c for _, c in observed]
+    got = empirical_ps(table, n_bins, chi2s, window)
+    want = np.array([per_record_p(table, o, window) for o in observed])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert [empirical_p(table, o, window) for o in observed] == want.tolist()
+    if table.size >= 10:
+        # the quantile curve widens through the same helper
+        want_curve = {}
+        for nb in np.unique(table.n_bins).tolist():
+            sel = _widened_window(np.abs(table.n_bins - nb), window, 10)
+            want_curve[nb] = float(np.quantile(table.chi2s[sel], 0.9))
+        want_curve = dict(zip(want_curve, sorted(want_curve.values())))
+        assert null_quantile_curve(table, 0.9, window, min_count=10) == want_curve
+
+
+def test_vectorised_p_values_refuse_like_empirical_p():
+    table = _table([3, 4], [1.0, 2.0])
+    for n_bins, chi2s, window in (([3, 0], [1.0, 1.0], 2), ([3, 3], [1.0, np.nan], 2),
+                                  ([3], [np.inf], 2), ([3], [1.0], -1)):
+        with pytest.raises(ValueError):
+            empirical_ps(table, n_bins, chi2s, window)
+    with pytest.raises(ValueError, match="empty"):
+        empirical_ps(_table([], []), [3], [1.0])
 
 
 def test_quantile_curve_ordering_in_q():
