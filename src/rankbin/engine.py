@@ -1,11 +1,16 @@
 """Level-synchronous growth of rank-space split trees, read off per depth limit.
 
-The trees are grown under the deepest requested limit, one level at a time.
-Each pass takes every node at one depth of every tree in the batch (a
-batch of pairs to bin for ``bin_pairs_by_depth``, of null replicates or
-scan pairs for ``stats.tree_statistics``), freezes those meeting a stop
-criterion, and scores and splits all the others at once with
-``splitting.best_splits``.  A node that cannot be split is frozen too.
+Every tree grows through one runner, ``grow_trees``: null replicates and
+scan pairs (``stats.tree_statistics``) as well as binnings
+(``tree_binnings``, behind ``bin_pair``, ``bin_pair_by_depth`` and
+``scan.pair_binnings``).  It validates the growth arguments, builds the
+trees from a source in batches of up to ``BATCH`` points, runs the batches
+serially or over one process pool, and hands each batch's levels to a
+reader.  The trees of a batch are grown under the deepest requested limit,
+one level at a time.  Each pass takes every node at one depth of every tree
+in the batch, freezes those meeting a stop criterion, and scores and splits
+all the others at once with ``splitting.best_splits``.  A node that cannot
+be split is frozen too.
 
 The members of the nodes still to be scored are kept in two orders, node
 after node: by s and by t, which give every node's sorted candidate
@@ -24,9 +29,12 @@ The partition for a limit ``d`` lists, in breadth-first order, every leaf
 above depth ``d`` and every node at depth ``d``.  Below ``d`` the stop
 criteria of limit ``d`` and of the deepest limit differ only in the depth
 test, so a node freezes under ``d`` exactly when it is a leaf of the grown
-tree.  ``bin_pairs_by_depth`` builds ``Bin`` objects only for the nodes its
-partitions return; ``stats.tree_statistics`` reads its statistics straight
-off each level's per-node counts and builds none.
+tree.  One routine, ``read_off``, applies this rule for both readers, which
+supply only how to read a level's selected nodes and what to make of a
+partition: the statistics reader (``stats``) sums each tree's ``(n_bin,
+chi2)`` straight off the per-node counts and builds no ``Bin``; the ``Bin``
+reader (``_read_bins``) builds a ``Bin`` only for the nodes a partition
+lists.
 
 Randomness is splittable: every bin in the binary split tree owns a
 substream derived from the run seed and the bin's tree position (root id 1,
@@ -50,6 +58,8 @@ therefore halved on a random margin.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -94,7 +104,7 @@ class Level(NamedTuple):
     points_t: np.ndarray
 
 
-def check_growth_args(depths, kind: str, z: float, seed: int = 0) -> list[int]:
+def check_growth_args(depths, kind: str, z: float) -> list[int]:
     """Validate growth arguments; return the sorted distinct depth limits."""
     depths = sorted(set(int(d) for d in depths))
     if not depths:
@@ -105,8 +115,6 @@ def check_growth_args(depths, kind: str, z: float, seed: int = 0) -> list[int]:
         raise ValueError(f"unknown score kind {kind!r}")
     if not 0 <= z < math.inf:
         raise ValueError("z must be finite and >= 0")
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
     return depths
 
 
@@ -259,6 +267,116 @@ def grow_levels(
         depth += 1
 
 
+def read_off(levels, depths: list[int], take):
+    """Read every tree's partition under each of ``depths`` off its levels.
+
+    Partition d of a tree lists its leaves above depth d, then its nodes at
+    depth d, each in breadth-first order; a limit deeper than the tree gives
+    its leaves.  ``take(lv, keep)`` reads the nodes ``keep`` of level ``lv``,
+    those some partition lists, once.  Returns what ``take`` returned for
+    each level, the tree of every taken node, and per limit the positions
+    among the taken nodes of its partitions' nodes, tree after tree.
+    """
+    taken, nodes = [], []
+    for lv in levels:
+        keep = np.flatnonzero(lv.leaf | (lv.depth in depths))
+        if keep.size:
+            taken.append(take(lv, keep))
+            nodes.append((np.full(keep.size, lv.depth), lv.leaf[keep], lv.root[keep]))
+    depth, leaf, root = map(np.concatenate, zip(*nodes))
+    by_tree = np.argsort(root, kind="stable")
+    depth, leaf = depth[by_tree], leaf[by_tree]
+    return taken, root, [by_tree[(depth == d) | leaf & (depth < d)] for d in depths]
+
+
+# The job a worker process's pool initializer installed, so the tree source
+# reaches each process once rather than with every batch.
+_WORKER_JOB: dict = {}
+
+
+def _install_job(job) -> None:
+    _WORKER_JOB["job"] = job
+
+
+def _grow_batch(trees: range, job=None):
+    """Build trees ``trees`` of ``job`` (by default the installed one), grow
+    them as one batch and hand its levels to the job's reader."""
+    source, depths, kind, min_expected, z, read, points = job or _WORKER_JOB["job"]
+    pairs, seeds = map(list, zip(*map(source, trees)))
+    if min(seeds) < 0:
+        raise ValueError("seed must be >= 0")
+    levels = grow_levels(pairs, seeds, kind, depths[-1], min_expected, z, points)
+    return read(levels, pairs, seeds, depths)
+
+
+def grow_trees(
+    source, count: int, n: int, depths, kind: str, min_expected: float, z: float,
+    read, workers: int = 1, points: bool = False,
+) -> list:
+    """The one runner: grow ``count`` trees in batches and read each batch.
+
+    ``source(i)`` returns tree i's (pair of ``n`` points, binning seed >= 0).
+    Trees are built and grown in batches of up to ``BATCH`` points (one tree
+    if larger) under the deepest of the sorted, validated ``depths``, with
+    members in original order only if ``points``.  With several workers, a
+    batch holds at most ``ceil(count / workers)`` trees, so each worker gets
+    one, but never fewer than fill one ``BLOCK``: a job that fits in one
+    ``BLOCK`` runs serially, without a pool.  Batches run serially, or over
+    one process pool of at most one worker per batch, which needs ``source``
+    and ``read`` to pickle.  Returns ``read(levels, pairs, seeds, depths)``
+    of every batch, in order.
+    """
+    job = (source, check_growth_args(depths, kind, z), kind, min_expected, z, read, points)
+    n = max(n, 1)
+    per = max(1, min(BATCH // n, max(BLOCK // n, -(-count // max(workers, 1)))))
+    batches = [range(a, min(a + per, count)) for a in range(0, count, per)]
+    workers = min(workers, len(batches))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_install_job,
+                                 initargs=(job,)) as pool:
+            return list(pool.map(_grow_batch, batches))
+    return [_grow_batch(b, job) for b in batches]
+
+
+def _read_bins(kind, stop, z, levels, pairs, seeds, depths) -> list[dict[int, Binning]]:
+    """The ``Bin`` reader: each tree's ``Binning`` under every limit.
+
+    A taken node's ``Bin`` is built once, whichever partitions list it, and
+    holds its members in their original order.
+    """
+    def take(lv, keep):
+        points_s = lv.points_s.astype(np.int64)
+        points_t = lv.points_t.astype(np.int64)
+        start = lv.start[keep]
+        rows = zip(lv.lower_s[keep].tolist(), lv.upper_s[keep].tolist(),
+                   lv.lower_t[keep].tolist(), lv.upper_t[keep].tolist(),
+                   lv.expected[keep].tolist(), start.tolist(),
+                   (start + lv.observed[keep]).tolist())
+        return [Bin(ls, us, lt, ut, points_s[a:b], points_t[a:b], e, lv.depth)
+                for ls, us, lt, ut, e, a, b in rows]
+
+    taken, root, parts = read_off(levels, depths, take)
+    bins = [b for level in taken for b in level]
+    out: list[dict[int, Binning]] = [{} for _ in pairs]
+    for d, part in zip(depths, parts):
+        bounds = np.searchsorted(root[part], np.arange(len(pairs) + 1)).tolist()
+        for r, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            out[r][d] = Binning(bins=[bins[i] for i in part[a:b].tolist()], score_kind=kind,
+                                stop=StopConfig(d, stop.min_expected),
+                                min_split_expected=z, seed=seeds[r], n=pairs[r].n)
+    return out
+
+
+def tree_binnings(
+    source, count: int, n: int, depths, kind: str, stop: StopConfig, z: float,
+) -> list[dict[int, Binning]]:
+    """Entry i maps each of ``depths`` to tree i's ``Binning`` under it: the
+    ``Bin`` call of ``grow_trees``, run serially."""
+    batches = grow_trees(source, count, n, depths, kind, stop.min_expected, z,
+                         partial(_read_bins, kind, stop, z), points=True)
+    return [binnings for batch in batches for binnings in batch]
+
+
 def bin_pair(
     pair: RankedPair,
     kind: str = "chi",
@@ -295,73 +413,4 @@ def bin_pair_by_depth(
     each limit's partition is read off the tree level by level.  Each bin
     lists its members in their original order.
     """
-    return bin_pairs_by_depth([pair], [seed], kind, depths, stop, z)[0]
-
-
-def bin_pairs_by_depth(
-    pairs: list[RankedPair],
-    seeds: list[int],
-    kind: str,
-    depths: list[int],
-    stop: StopConfig,
-    z: float = 5.0,
-) -> list[dict[int, Binning]]:
-    """``bin_pair_by_depth`` of each pair with its seed, grown in batches.
-
-    A batch holds up to ``BATCH`` points (one pair if larger); its trees
-    grow together and each level's bins go to their trees by ``root``.
-    Every result equals that pair's own ``bin_pair_by_depth``.
-    """
-    depths = check_growth_args(depths, kind, z, min(seeds, default=0))
-    out: list[dict[int, Binning]] = []
-    first = 0
-    while first < len(pairs):
-        end, size = first + 1, pairs[first].n
-        while end < len(pairs) and size + pairs[end].n <= BATCH:
-            size += pairs[end].n
-            end += 1
-        out += _bin_batch(pairs[first:end], seeds[first:end], kind, depths, stop, z)
-        first = end
-    return out
-
-
-def _bin_batch(pairs, seeds, kind, depths, stop, z) -> list[dict[int, Binning]]:
-    """``bin_pairs_by_depth`` of one batch, grown as one."""
-    wanted = set(depths)
-    parts: list[dict[int, list[Bin]]] = [{} for _ in pairs]
-    leaves: list[list[Bin]] = [[] for _ in pairs]
-    levels = grow_levels(pairs, seeds, kind, depths[-1], stop.min_expected, z, points=True)
-    for lv in levels:
-        keep = np.flatnonzero(lv.leaf | (lv.depth in wanted))
-        if not keep.size:
-            continue
-        points_s = lv.points_s.astype(np.int64)
-        points_t = lv.points_t.astype(np.int64)
-        start = lv.start[keep]
-        rows = zip(lv.lower_s[keep].tolist(), lv.upper_s[keep].tolist(),
-                   lv.lower_t[keep].tolist(), lv.upper_t[keep].tolist(),
-                   lv.expected[keep].tolist(), start.tolist(),
-                   (start + lv.observed[keep]).tolist())
-        bins = [Bin(ls, us, lt, ut, points_s[a:b], points_t[a:b], e, lv.depth)
-                for ls, us, lt, ut, e, a, b in rows]
-        leaf = lv.leaf[keep].tolist()
-        # trees follow one another, so tree r's bins are one run of ``keep``
-        bounds = np.searchsorted(lv.root[keep], np.arange(len(pairs) + 1)).tolist()
-        for r, (a, b) in enumerate(zip(bounds, bounds[1:])):
-            if lv.depth in wanted:
-                parts[r][lv.depth] = leaves[r] + bins[a:b]
-            leaves[r] += [x for x, is_leaf in zip(bins[a:b], leaf[a:b]) if is_leaf]
-    return [
-        {
-            d: Binning(
-                bins=part[d] if d in part else list(tree_leaves),
-                score_kind=kind,
-                stop=StopConfig(d, stop.min_expected),
-                min_split_expected=z,
-                seed=seed,
-                n=pair.n,
-            )
-            for d in depths
-        }
-        for pair, seed, part, tree_leaves in zip(pairs, seeds, parts, leaves)
-    ]
+    return tree_binnings(lambda _: (pair, seed), 1, pair.n, depths, kind, stop, z)[0]

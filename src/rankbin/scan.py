@@ -8,10 +8,10 @@ and residualizing a volatility model on returns) happens upstream.
 
 Each pair derives its own random substream from the scan seed and the two
 column indices, so results do not depend on worker count or scheduling.
-Pairs are grown and read off by the runner that grows null replicates,
-``stats.tree_statistics``, their p-values placed in one pass by
+Pairs are grown and read off as null replicates are, by
+``stats.tree_statistics``, and their p-values placed in one pass by
 ``stats.empirical_ps``; ``pair_binnings`` rebuilds chosen pairs' binnings
-in batches.
+from the same tree source, through the same runner (``engine.grow_trees``).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .bins import Binning, StopConfig
-from .engine import bin_pairs_by_depth
+from .engine import tree_binnings
 from .ranks import RankedPair, _trusted_pair, rank
 from .stats import NullTable, empirical_ps, tree_statistics
 
@@ -206,28 +206,16 @@ def pair_binnings(
 ) -> list[Binning]:
     """Rebuild the exact binnings the scan used for the named pairs.
 
-    The pairs grow in batches (``engine.bin_pairs_by_depth``), not one by one.
+    The pairs come from the scan's own tree source and grow in batches
+    (``engine.tree_binnings``), not one by one.
     """
     names, cols = list(table), list(table.values())
     jobs = [(names.index(a), names.index(b)) for a, b in named_pairs]
-    grown = [_seeded_pair(cols, jobs, base_seed, i) for i in range(len(jobs))]
+    n = cols[0].size if cols else 0
     d = stop.max_depth
-    binnings = bin_pairs_by_depth([p for p, _ in grown], [s for _, s in grown], kind, [d],
-                                  stop, z)
+    binnings = tree_binnings(partial(_seeded_pair, cols, jobs, base_seed), len(jobs), n,
+                             [d], kind, stop, z)
     return [b[d] for b in binnings]
-
-
-def pair_binning(
-    table: dict[str, np.ndarray],
-    name_a: str,
-    name_b: str,
-    kind: str,
-    stop: StopConfig,
-    z: float,
-    base_seed: int,
-) -> Binning:
-    """Rebuild the exact binning the scan used for one named pair."""
-    return pair_binnings(table, [(name_a, name_b)], kind, stop, z, base_seed)[0]
 
 
 def scan_pairs(

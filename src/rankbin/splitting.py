@@ -29,7 +29,7 @@ from .scoring import candidate_scores, lower_expected
 # Points per chunk: every per-level pass runs over its arrays in chunks of
 # this many points (twice as many candidates over both margins), so the
 # temporaries, 64 KB of floats each, stay in cache however many points a
-# batch of trees holds (``stats.BATCH``).
+# batch of trees holds.
 BLOCK = 1 << 13
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -21,9 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .bins import Binning, StopConfig
-from .engine import BATCH, check_growth_args, grow_levels
+from .engine import grow_trees, read_off
 from .ranks import RankedPair, _trusted_pair
-from .splitting import BLOCK
 
 logger = logging.getLogger(__name__)
 
@@ -186,54 +184,28 @@ class NullTable:
             raise ValueError(f"{path}: {exc}") from None
 
 
-def _running_sums(total: np.ndarray, terms: np.ndarray, root: np.ndarray) -> np.ndarray:
-    """``total[r]`` plus tree r's ``terms``, added one at a time in order.
+def _read_statistics(levels, pairs, seeds, depths) -> tuple[np.ndarray, np.ndarray]:
+    """The statistics reader: each tree's (n_bin, chi2) under every limit.
 
-    The sum runs left to right like ``chi2_statistic``'s loop (``np.sum``
-    adds pairwise), so each tree's statistic matches its binning's bit for bit.
+    A partition's statistic is summed from its nodes' counts, without a
+    ``Bin``, left to right like ``chi2_statistic``'s loop (``np.sum`` adds
+    pairwise), so it matches its binning's bit for bit.
     """
-    counts = np.bincount(root, minlength=total.size)
-    grid = np.zeros((total.size, counts.max(initial=0) + 1))
-    grid[:, 0] = total
-    first = np.cumsum(counts) - counts
-    grid[root, np.arange(root.size) - first[root] + 1] = terms
-    return np.cumsum(grid, axis=1)[:, -1]
+    def take(lv, keep):
+        dev = lv.observed[keep] - lv.expected[keep]
+        return dev * dev / lv.expected[keep]
 
-
-# The job a worker process's pool initializer installed, so the tree source
-# reaches each process once rather than with every batch.
-_WORKER_JOB: dict = {}
-
-
-def _install_job(job) -> None:
-    _WORKER_JOB["job"] = job
-
-
-def _batch_statistics(trees: range, job=None) -> tuple[np.ndarray, np.ndarray]:
-    """Grow trees ``trees`` of ``job`` (by default the installed one) as one batch.
-
-    Partition d of a tree is its leaves above depth d, then its nodes at
-    depth d, each in breadth-first order; its statistic is summed from the
-    per-node counts, without building a ``Bin``.
-    """
-    source, depths, kind, min_expected, z = job or _WORKER_JOB["job"]
-    pairs, seeds = map(list, zip(*map(source, trees)))
-    leaf_chi2 = np.zeros(len(pairs))
-    leaf_bins = np.zeros(len(pairs), dtype=np.int64)
-    by_depth = {}
-    for lv in grow_levels(pairs, seeds, kind, depths[-1], min_expected, z):
-        dev = lv.observed - lv.expected
-        terms = dev * dev / lv.expected
-        if lv.depth in depths:
-            by_depth[lv.depth] = (
-                leaf_bins + np.bincount(lv.root, minlength=len(pairs)),
-                _running_sums(leaf_chi2, terms, lv.root),
-            )
-        leaf_chi2 = _running_sums(leaf_chi2, terms[lv.leaf], lv.root[lv.leaf])
-        leaf_bins = leaf_bins + np.bincount(lv.root[lv.leaf], minlength=len(pairs))
-    cols = [by_depth.get(d, (leaf_bins, leaf_chi2)) for d in depths]
-    return (np.column_stack([n_bin for n_bin, _ in cols]),
-            np.column_stack([chi2 for _, chi2 in cols]))
+    taken, root, parts = read_off(levels, depths, take)
+    terms, count = np.concatenate(taken), len(pairs)
+    # row k * count + r holds tree r's terms under the k-th limit, left-aligned
+    # and zero-padded, and is summed along
+    part = np.concatenate(parts)
+    row = np.repeat(np.arange(len(depths)) * count, [p.size for p in parts]) + root[part]
+    n_bins = np.bincount(row, minlength=len(depths) * count)
+    grid = np.zeros((n_bins.size, n_bins.max()))
+    grid[row, np.arange(row.size) - (np.cumsum(n_bins) - n_bins)[row]] = terms[part]
+    chi2s = np.cumsum(grid, axis=1)[:, -1]
+    return n_bins.reshape(-1, count).T, chi2s.reshape(-1, count).T
 
 
 def tree_statistics(
@@ -242,28 +214,16 @@ def tree_statistics(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bin count and chi2 statistic of each of ``count`` trees under each depth limit.
 
-    ``source(i)`` returns tree i's (pair of ``n`` >= 1 points, binning seed) and
-    must pickle: a ``functools.partial`` of a module-level function.  Trees are
-    built and grown in batches of up to ``BATCH`` points (one tree if larger)
-    under the deepest of the sorted, validated ``depths``.  With several
-    workers, a batch holds at most ``ceil(count / workers)`` trees, so each
-    worker gets one, but never fewer than fill ``splitting.BLOCK`` points:
-    a job that fits in one ``BLOCK`` runs serially, without a pool.  Entry
-    [i, k] of both arrays belongs to tree i's partition under the k-th depth
-    and equals ``chi2_statistic`` of that ``bin_pair`` binning bit for bit,
-    whatever the batching.  Batches run serially, or over one process pool
-    of at most one worker per batch.
+    ``source(i)`` returns tree i's (pair of ``n`` >= 1 points, binning seed).
+    The trees grow through ``engine.grow_trees``, which sets the batches and
+    the workers; ``source`` must pickle (a ``functools.partial`` of a
+    module-level function) only when ``workers`` > 1.  Entry [i, k] of both
+    arrays belongs to tree i's partition under the k-th of the sorted
+    distinct ``depths`` and equals ``chi2_statistic`` of that ``bin_pair``
+    binning bit for bit, whatever the batching.
     """
-    job = (source, check_growth_args(depths, kind, z), kind, stop.min_expected, z)
-    per = max(1, min(BATCH // n, max(BLOCK // n, -(-count // max(workers, 1)))))
-    batches = [range(a, min(a + per, count)) for a in range(0, count, per)]
-    workers = min(workers, len(batches))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_install_job,
-                                 initargs=(job,)) as pool:
-            results = list(pool.map(_batch_statistics, batches))
-    else:
-        results = [_batch_statistics(b, job) for b in batches]
+    results = grow_trees(source, count, n, depths, kind, stop.min_expected, z,
+                         _read_statistics, workers)
     return (np.concatenate([n_bins for n_bins, _ in results]),
             np.concatenate([chi2s for _, chi2s in results]))
 
@@ -293,14 +253,13 @@ def simulate_null(
     Replicate ``r`` derives all of its randomness from the seed material
     ``(seed, r)``, so the table is reproducible and independent of worker
     count; entries are ordered by replicate then depth.  Replicates are
-    grown in batches of up to ``BATCH`` points and read off by
-    ``tree_statistics``.
+    grown and read off by ``tree_statistics``.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     if n_sim < 1:
         raise ValueError("n_sim must be >= 1")
-    depths = check_growth_args(depths, kind, z)
+    depths = sorted(set(int(d) for d in depths))  # validated by the runner
     n_bins, chi2s = tree_statistics(partial(_null_tree, n, seed), n_sim, n, depths,
                                     kind, stop, z, workers)
     config = {
@@ -340,7 +299,10 @@ def empirical_ps(null: NullTable, n_bins, chi2s, window: int = 2) -> np.ndarray:
         raise ValueError("empty null table")
     if window < 0:
         raise ValueError("window must be >= 0")
-    n_bins = np.asarray(n_bins, dtype=np.int64)
+    try:
+        n_bins = np.asarray(n_bins, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("observed n_bin lies outside int64") from None
     chi2s = np.asarray(chi2s, dtype=float)
     bad = np.flatnonzero((n_bins < 1) | ~np.isfinite(chi2s))
     if bad.size:
@@ -370,7 +332,7 @@ def empirical_p(
     form the reference set.  If the window captures nothing it widens
     symmetrically until it holds at least 100 entries or spans the table.
     Raises ``ValueError`` for an empty table, a window below 0, or an
-    observed pair with ``n_bin`` < 1 or a non-finite chi2.
+    observed pair with ``n_bin`` < 1 or outside int64, or a non-finite chi2.
     """
     return float(empirical_ps(null, [int(observed[0])], [float(observed[1])], window)[0])
 

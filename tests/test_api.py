@@ -1,6 +1,9 @@
-"""The package's export list matches what it actually exposes."""
+"""The package's export list matches what it actually exposes, and only the
+engine names the batching policy."""
 
+import re
 import types
+from pathlib import Path
 
 import rankbin
 
@@ -22,3 +25,16 @@ def test_all_has_no_duplicates():
 
 def test_all_equals_public_namespace():
     assert set(rankbin.__all__) == _public_names()
+
+
+def test_only_engine_knows_the_batching_policy():
+    # one runner owns the batch size, the chunk size and the process pool;
+    # splitting defines BLOCK, which the engine's per-level passes share
+    owners = {"engine": {"BATCH", "BLOCK", "ProcessPoolExecutor"}, "splitting": {"BLOCK"}}
+    strays = {}
+    for path in Path(rankbin.__file__).parent.glob("*.py"):
+        names = set(re.findall(r"\b(BATCH|BLOCK|ProcessPoolExecutor)\b", path.read_text()))
+        names -= owners.get(path.stem, set())
+        if names:
+            strays[path.stem] = sorted(names)
+    assert strays == {}

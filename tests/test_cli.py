@@ -268,7 +268,8 @@ def test_data_errors_exit_2(tmp_path, capsys):
     good.write_text("depth,n_bin,chi2\n6,3,1\n6,3,5\n")
     for extra in (["--nbin", "3", "--chi2", "nan"], ["--nbin", "3", "--chi2", "inf"],
                   ["--nbin", "3", "--chi2", "1", "--window", "-5"],
-                  ["--nbin", "-7", "--chi2", "1"], ["--nbin", "0", "--chi2", "1"]):
+                  ["--nbin", "-7", "--chi2", "1"], ["--nbin", "0", "--chi2", "1"],
+                  ["--nbin", "100000000000000000000000", "--chi2", "1"]):
         assert cli_main(["pvalue", "--null", str(good)] + extra) == 2
         assert capsys.readouterr().err.startswith("rankbin: data error:")
     assert cli_main(["nullsim", "--n", "1", "--sims", "5",

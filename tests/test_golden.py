@@ -27,7 +27,7 @@ from rankbin import (
 from rankbin.patterns import PatternSpec, generate
 from rankbin.plotting import render_binning
 from rankbin.ranks import RankedPair, rank_pair
-from rankbin.scan import pair_binning
+from rankbin.scan import pair_binnings
 
 GOLDEN = {
     "wave_chi":
@@ -104,7 +104,7 @@ def golden_outputs() -> dict[str, str]:
     out["scan_csv"] = records_to_csv(records)
     top = records[0]
     out["pair_binning"] = binning_to_json(
-        pair_binning(table, top.name_a, top.name_b, kind, stop, z, base_seed)
+        pair_binnings(table, [(top.name_a, top.name_b)], kind, stop, z, base_seed)[0]
     )
     # n = 755 makes the plot scale 500 / n inexact, so every coordinate
     # exercises the float formatting

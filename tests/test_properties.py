@@ -6,7 +6,8 @@ single-depth run equals the same depth read off a depth sweep byte for
 byte, that both equal the per-limit replay oracle and the per-bin engine,
 and the partition invariants of acceptance criterion 7.  Statistics-only
 growth is checked level by level against growth that carries the points,
-the batched null simulation row for row against the per-bin engine, the
+the statistics reader against the ``Bin`` reader on the same trees, the
+batched null simulation row for row against the per-bin engine, the
 batched scan against one ``bin_pair`` per pair, and ``load_matrix``
 against its per-cell ``csv`` loop.
 """
@@ -29,9 +30,9 @@ from rankbin import (
     simulate_null,
 )
 from rankbin.ranks import RankedPair, rank_pair
-from rankbin.engine import grow_levels
+from rankbin.engine import BATCH, _read_bins, grow_levels
 from rankbin.scan import _read_cells, _read_plain, load_matrix
-from rankbin.stats import BATCH
+from rankbin.stats import _read_statistics
 
 
 def _pair(shape: str, n: int, seed: int) -> RankedPair:
@@ -181,6 +182,38 @@ def test_statistics_only_growth_matches_points_growth(trees, kind, z, min_expect
             assert np.array_equal(getattr(a, field), getattr(b, field)), field
         assert a.expected.tobytes() == b.expected.tobytes()
         assert b.points_s.size == b.points_t.size == b.observed.sum()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    trees=st.lists(st.tuples(st.integers(1, 300),
+                             st.sampled_from(["random", "diagonal", "tied"]),
+                             st.integers(0, 2**32 - 1)), min_size=1, max_size=4),
+    kind=st.sampled_from(["chi", "mi", "random"]),
+    z=st.sampled_from([0.0, 5.0]),
+    min_expected=st.sampled_from([0.0, 10.0]),
+    depths=st.sets(st.integers(0, 8), max_size=4),
+)
+def test_both_readers_read_off_the_same_partitions(trees, kind, z, min_expected, depths):
+    # 61, the deepest limit with int64 node ids, lies deeper than any of these
+    # trees grows, and a small tree stops above the shallower limits
+    depths = sorted(depths | {61})
+    pairs = [_pair(shape, n, seed) for n, shape, seed in trees]
+    seeds = [seed for _, _, seed in trees]
+    args = (pairs, seeds, kind, depths[-1], min_expected, z)
+    stop = StopConfig(max_depth=depths[-1], min_expected=min_expected)
+    binnings = _read_bins(kind, stop, z, grow_levels(*args, points=True), pairs, seeds,
+                          depths)
+    n_bins, chi2s = _read_statistics(grow_levels(*args), pairs, seeds, depths)
+    assert len(binnings) == len(pairs)
+    assert n_bins.shape == chi2s.shape == (len(pairs), len(depths))
+    for r, by_depth in enumerate(binnings):
+        assert list(by_depth) == depths
+        assert max(b.depth for b in by_depth[61].bins) < 61
+        for k, d in enumerate(depths):
+            chi2, n_bin = chi2_statistic(by_depth[d])
+            assert n_bin == n_bins[r, k]
+            assert np.float64(chi2).view(np.int64) == chi2s[r, k].view(np.int64)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -5,6 +5,7 @@ from rankbin import (
     IngestionError,
     NullTable,
     StopConfig,
+    bin_pair,
     bottom_k,
     load_matrix,
     middle_k,
@@ -14,10 +15,10 @@ from rankbin import (
     simulate_null,
     top_k,
 )
-from rankbin import binning_to_json
+from rankbin import binning_to_json, engine
 from rankbin.ranks import RankedPair
-from rankbin.scan import ScanRecord, pair_binning, pair_binnings
-from rankbin.stats import BATCH
+from rankbin.engine import BATCH
+from rankbin.scan import ScanRecord, pair_binnings
 
 
 def _write(tmp_path, text, name="m.csv"):
@@ -257,6 +258,27 @@ def test_internally_built_pairs_skip_the_permutation_check(monkeypatch):
     assert calls == [1]
 
 
+def test_growth_arguments_checked_once_per_entry_point(monkeypatch):
+    calls = []
+    check = engine.check_growth_args
+    monkeypatch.setattr(engine, "check_growth_args",
+                        lambda *args: calls.append(1) or check(*args))
+    rng = np.random.default_rng(13)
+    table = {f"c{i}": rng.normal(size=60) for i in range(3)}
+    stop = StopConfig(max_depth=4)
+    pair = RankedPair(s=np.arange(1, 61), t=rng.permutation(60) + 1, n=60)
+    null = simulate_null(60, [2, 4], "chi", stop, n_sim=5)
+    for call in (lambda: bin_pair(pair, "chi", stop),
+                 lambda: engine.bin_pair_by_depth(pair, "chi", [2, 4], stop),
+                 lambda: simulate_null(60, [2, 4], "chi", stop, n_sim=5),
+                 lambda: scan_pairs(table, "chi", stop, 5.0, 0, null),
+                 lambda: pair_binnings(table, [("c0", "c1"), ("c1", "c2")], "chi", stop,
+                                       5.0, 0)):
+        calls.clear()
+        call()
+        assert calls == [1]
+
+
 @pytest.mark.parametrize("kind", ["chi", "random"])
 def test_batched_rebuild_matches_one_pair_at_a_time(kind):
     # 55 pairs of 755 rows hold more points than one BATCH, so "all pairs"
@@ -270,7 +292,7 @@ def test_batched_rebuild_matches_one_pair_at_a_time(kind):
     names = list(table)
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
     assert len(pairs) * n > BATCH
-    one = [binning_to_json(pair_binning(table, a, b, kind, stop, z, seed)) for a, b in pairs]
+    one = [binning_to_json(pair_binnings(table, [p], kind, stop, z, seed)[0]) for p in pairs]
     for k in (0, 1, 7, len(pairs)):
         chosen = pairs[len(pairs) - k:][::-1]  # any order, not the scan's
         got = pair_binnings(table, chosen, kind, stop, z, seed)

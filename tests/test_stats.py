@@ -21,7 +21,8 @@ from rankbin import (
 )
 from rankbin.bins import Binning
 from rankbin.ranks import RankedPair
-from rankbin.stats import BATCH, _null_tree, empirical_ps, tree_statistics
+from rankbin.engine import BATCH
+from rankbin.stats import _null_tree, empirical_ps, tree_statistics
 
 
 def _toy_binning(bins, n):
@@ -124,8 +125,8 @@ def test_pool_never_outnumbers_batches(monkeypatch):
             batches.append([len(b) for b in items])
             return map(fn, items)
 
-    monkeypatch.setattr("rankbin.stats.ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr("rankbin.stats._WORKER_JOB", {})
+    monkeypatch.setattr("rankbin.engine.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("rankbin.engine._WORKER_JOB", {})
     # 15 pairs of 120 rows fit in one BLOCK, which runs as one batch without
     # a pool however many workers there are
     rng = np.random.default_rng(3)
@@ -231,7 +232,8 @@ def test_vectorised_p_values_match_per_record_oracle(entries, observed, window):
 def test_vectorised_p_values_refuse_like_empirical_p():
     table = _table([3, 4], [1.0, 2.0])
     for n_bins, chi2s, window in (([3, 0], [1.0, 1.0], 2), ([3, 3], [1.0, np.nan], 2),
-                                  ([3], [np.inf], 2), ([3], [1.0], -1)):
+                                  ([3], [np.inf], 2), ([3], [1.0], -1),
+                                  ([3, 10**23], [1.0, 1.0], 2)):
         with pytest.raises(ValueError):
             empirical_ps(table, n_bins, chi2s, window)
     with pytest.raises(ValueError, match="empty"):
