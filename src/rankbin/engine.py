@@ -20,10 +20,14 @@ marks each member of an order that goes to the upper child once; that mask
 moves the members by a stable partition, so every order stays sorted from
 the root down, and the s order's mask also counts each split node's
 children.  Every per-level pass runs over these arrays in chunks of
-``splitting.BLOCK`` entries, so its temporaries stay in cache.  Internally
-a level lists all lower children, then all upper children; each node
-carries its breadth-first rank, and ``grow_levels`` yields every level in
-breadth-first order, trees one after another.
+``splitting.BLOCK`` entries, so its temporaries stay in cache.
+
+A node's heap id (root 1; a split of node k creates lower child 2k and
+upper child 2k + 1) is the one statement of its tree position.  It fixes
+both the node's random substream (below) and its place in a partition,
+since within a tree ascending id is breadth-first order.  ``grow_levels``
+yields each level in growth order (every lower child, then every upper
+child) with the ids, and only ``read_off`` orders nodes: by tree, then id.
 
 The partition for a limit ``d`` lists, in breadth-first order, every leaf
 above depth ``d`` and every node at depth ``d``.  Below ``d`` the stop
@@ -37,8 +41,7 @@ reader (``_read_bins``) builds a ``Bin`` only for the nodes a partition
 lists.
 
 Randomness is splittable: every bin in the binary split tree owns a
-substream derived from the run seed and the bin's tree position (root id 1,
-a split of node k creating lower child 2k and upper child 2k+1), namely
+substream derived from the run seed and the bin's node id, namely
 ``default_rng(SeedSequence(entropy=(seed, node_id)))`` from numpy (PCG64).
 A bin's draws are therefore independent of what happened elsewhere in the
 tree, and the partition grown to one depth limit agrees exactly with a
@@ -82,12 +85,13 @@ def _bin_rng(seed: int, node_id: int) -> np.random.Generator:
 
 
 class Level(NamedTuple):
-    """Every node at one depth of the grown trees, in breadth-first order.
+    """Every node at one depth of the grown trees, in growth order.
 
-    Per-node arrays are indexed alike; trees follow one another.  Node j's
-    members, in original index order, are the ``observed[j]`` entries of
-    ``points_s``/``points_t`` from ``start[j]`` on; all three are None when
-    the growth carries no points.
+    Per-node arrays are indexed alike.  ``root`` is each node's tree and
+    ``node_id`` its heap id, which fix its substream and its place in every
+    partition.  The members of the nodes, in original index order, are
+    ``points_s``/``points_t``, node after node, ``observed[j]`` of them for
+    node j; both are None when the growth carries no points.
     """
 
     depth: int
@@ -99,7 +103,7 @@ class Level(NamedTuple):
     observed: np.ndarray
     leaf: np.ndarray
     root: np.ndarray
-    start: np.ndarray
+    node_id: np.ndarray
     points_s: np.ndarray
     points_t: np.ndarray
 
@@ -163,18 +167,16 @@ def grow_levels(
     Tree r splits from the substreams of ``seeds[r]``.  A node is a leaf when
     it is at ``max_depth``, expects at most ``min_expected`` points, is
     empty, or has no admissible split.  Only with ``points`` are the members
-    carried in original order, giving each ``Level`` its ``start``,
-    ``points_s`` and ``points_t`` (None otherwise).
+    carried in original order, giving each ``Level`` its ``points_s`` and
+    ``points_t`` (None otherwise).
     """
     def stopped(e, cnt, depth):
         return (e <= min_expected) | (cnt == 0) | (depth >= max_depth)
 
-    # Node arrays are in working order: a level lists every lower child,
-    # then every upper child.  ``bfs`` is each node's breadth-first rank.
     cnt = np.array([p.n for p in pairs], dtype=np.int64)
     lo_s, hi_s, lo_t, hi_t = np.zeros_like(cnt), cnt, np.zeros_like(cnt), cnt
     e = cnt.astype(float)
-    root = bfs = np.arange(cnt.size)
+    root = np.arange(cnt.size)
     # node ids reach 2**(max_depth + 1) - 1; deeper trees need Python ints
     ids = np.ones(cnt.size, dtype=np.int64 if max_depth < 62 else object)
     depth = 0
@@ -208,11 +210,7 @@ def grow_levels(
         split = act[ok]
         leaf = np.ones(cnt.size, dtype=bool)
         leaf[split] = False
-        order = np.empty_like(bfs)
-        order[bfs] = np.arange(bfs.size)
-        start = (np.cumsum(cnt) - cnt)[order] if points else None
-        yield Level(depth, lo_s[order], hi_s[order], lo_t[order], hi_t[order],
-                    e[order], cnt[order], leaf[order], root[order], start, i_s, i_t)
+        yield Level(depth, lo_s, hi_s, lo_t, hi_t, e, cnt, leaf, root, ids, i_s, i_t)
         if not split.size:
             return
 
@@ -255,12 +253,6 @@ def grow_levels(
             np.concatenate((lo_t[split], np.where(on_t, cut, lo_t[split]))),
             np.concatenate((np.where(on_t, cut, hi_t[split]), hi_t[split])),
         )
-        # a split node ranked r-th among the level's split nodes, breadth
-        # first, has its children at ranks 2r and 2r + 1
-        ranked = np.zeros(cnt.size, dtype=bool)
-        ranked[bfs[split]] = True
-        rank = (np.cumsum(ranked) - ranked)[bfs[split]]
-        bfs = np.concatenate((2 * rank, 2 * rank + 1))
         ids = np.concatenate((2 * ids[split], 2 * ids[split] + 1))
         root = np.tile(root[split], 2)
         e, cnt, stop = kid_e, kid_cnt, kid_stop
@@ -270,10 +262,10 @@ def grow_levels(
 def read_off(levels, depths: list[int], take):
     """Read every tree's partition under each of ``depths`` off its levels.
 
-    Partition d of a tree lists its leaves above depth d, then its nodes at
-    depth d, each in breadth-first order; a limit deeper than the tree gives
-    its leaves.  ``take(lv, keep)`` reads the nodes ``keep`` of level ``lv``,
-    those some partition lists, once.  Returns what ``take`` returned for
+    Partition d of a tree lists its leaves above depth d and its nodes at
+    depth d by ascending node id, which is breadth-first order; a limit
+    deeper than the tree gives its leaves.  ``take(lv, keep)`` reads the
+    nodes ``keep`` of level ``lv``, those some partition lists, once.  Returns what ``take`` returned for
     each level, the tree of every taken node, and per limit the positions
     among the taken nodes of its partitions' nodes, tree after tree.
     """
@@ -282,11 +274,12 @@ def read_off(levels, depths: list[int], take):
         keep = np.flatnonzero(lv.leaf | (lv.depth in depths))
         if keep.size:
             taken.append(take(lv, keep))
-            nodes.append((np.full(keep.size, lv.depth), lv.leaf[keep], lv.root[keep]))
-    depth, leaf, root = map(np.concatenate, zip(*nodes))
-    by_tree = np.argsort(root, kind="stable")
-    depth, leaf = depth[by_tree], leaf[by_tree]
-    return taken, root, [by_tree[(depth == d) | leaf & (depth < d)] for d in depths]
+            nodes.append((np.full(keep.size, lv.depth), lv.leaf[keep], lv.root[keep],
+                          lv.node_id[keep]))
+    depth, leaf, root, node_id = map(np.concatenate, zip(*nodes))
+    order = np.lexsort((node_id, root))
+    depth, leaf = depth[order], leaf[order]
+    return taken, root, [order[(depth == d) | leaf & (depth < d)] for d in depths]
 
 
 # The job a worker process's pool initializer installed, so the tree source
@@ -347,7 +340,7 @@ def _read_bins(kind, stop, z, levels, pairs, seeds, depths) -> list[dict[int, Bi
     def take(lv, keep):
         points_s = lv.points_s.astype(np.int64)
         points_t = lv.points_t.astype(np.int64)
-        start = lv.start[keep]
+        start = (np.cumsum(lv.observed) - lv.observed)[keep]
         rows = zip(lv.lower_s[keep].tolist(), lv.upper_s[keep].tolist(),
                    lv.lower_t[keep].tolist(), lv.upper_t[keep].tolist(),
                    lv.expected[keep].tolist(), start.tolist(),
@@ -371,7 +364,8 @@ def tree_binnings(
     source, count: int, n: int, depths, kind: str, stop: StopConfig, z: float,
 ) -> list[dict[int, Binning]]:
     """Entry i maps each of ``depths`` to tree i's ``Binning`` under it: the
-    ``Bin`` call of ``grow_trees``, run serially."""
+    ``Bin`` call of ``grow_trees``, run serially.  ``depths`` replace
+    ``stop.max_depth``: only ``stop.min_expected`` is read."""
     batches = grow_trees(source, count, n, depths, kind, stop.min_expected, z,
                          partial(_read_bins, kind, stop, z), points=True)
     return [binnings for batch in batches for binnings in batch]
@@ -411,6 +405,7 @@ def bin_pair_by_depth(
     identical for every limit because bin substreams depend only on tree
     position), but the splits are computed once at the deepest limit and
     each limit's partition is read off the tree level by level.  Each bin
-    lists its members in their original order.
+    lists its members in their original order.  ``depths`` replace
+    ``stop.max_depth``: only ``stop.min_expected`` is read.
     """
     return tree_binnings(lambda _: (pair, seed), 1, pair.n, depths, kind, stop, z)[0]

@@ -181,6 +181,17 @@ def neg_log_returns(prices) -> np.ndarray:
     return -np.diff(np.log(p))
 
 
+def _columns(table: dict[str, np.ndarray]) -> tuple[list[str], list[np.ndarray], int]:
+    """The table's names, columns and row count; columns of unequal length are refused."""
+    names, cols = list(table), list(table.values())
+    n = cols[0].size if cols else 0
+    for name, col in zip(names, cols):
+        if col.size != n:
+            raise ValueError(f"column {name!r} has {col.size} rows, not the {n} of "
+                             f"column {names[0]!r}")
+    return names, cols, n
+
+
 def _seeded_pair(cols, jobs, base_seed, i) -> tuple[RankedPair, int]:
     """Rank column pair ``jobs[i]`` from its own substreams; return it and its binning seed.
 
@@ -209,9 +220,8 @@ def pair_binnings(
     The pairs come from the scan's own tree source and grow in batches
     (``engine.tree_binnings``), not one by one.
     """
-    names, cols = list(table), list(table.values())
+    names, cols, n = _columns(table)
     jobs = [(names.index(a), names.index(b)) for a, b in named_pairs]
-    n = cols[0].size if cols else 0
     d = stop.max_depth
     binnings = tree_binnings(partial(_seeded_pair, cols, jobs, base_seed), len(jobs), n,
                              [d], kind, stop, z)
@@ -232,17 +242,15 @@ def scan_pairs(
 
     Columns are ranked afresh for each pair (with that pair's substream) so
     tie-breaking draws stay independent across the scan; pairs are grown and
-    read off in batches by ``stats.tree_statistics``.  The matrix needs a row,
-    and the null table must have been simulated for the same number of rows
-    (when it records one) and under the same kind/stop/z configuration
-    (``NullTable.check_config``); these, ``window`` >= 0, the kind and z are
-    checked before any tree is grown.
+    read off in batches by ``stats.tree_statistics``.  The matrix needs
+    columns of equal length and a row, and the null table must have been
+    simulated for the same number of rows (when it records one) and under
+    the same kind/stop/z configuration (``NullTable.check_config``); these,
+    ``window`` >= 0, the kind and z are checked before any tree is grown.
     """
-    names = list(table)
+    names, cols, n = _columns(table)
     if len(names) < 2:
         raise ValueError("need at least 2 columns to scan")
-    cols = list(table.values())
-    n = cols[0].size
     if n < 1:
         raise ValueError("need at least 1 row to scan")
     null.check_config(n, kind, stop, z)

@@ -61,9 +61,10 @@ def pearson_residuals(binning: Binning) -> np.ndarray:
 class NullTable:
     """Simulated (depth limit, n_bin, chi2) triples for one configuration.
 
-    ``config`` records how the simulations were produced (score kind, stop
-    settings, split floor z); tables loaded from bare CSV carry None and
-    cannot be checked for configuration mismatches.
+    ``n`` is the row count simulated for, 0 when unknown (tables loaded from
+    bare CSV).  ``config`` records how the simulations were produced (score
+    kind, stop settings, split floor z); tables loaded from bare CSV carry
+    None and cannot be checked for configuration mismatches.
     """
 
     n: int
@@ -73,6 +74,8 @@ class NullTable:
     config: dict | None = None
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError("n must be >= 0 (0 when unknown)")
         if not (self.depths.size == self.n_bins.size == self.chi2s.size):
             raise ValueError("entry columns must have equal length")
         if self.depths.size and (self.depths.min() < 0 or self.n_bins.min() < 1
@@ -164,10 +167,12 @@ class NullTable:
         doc = json.loads(Path(path).read_text())
         bad = ValueError(f"{path}: expected an object with 'n' and N x 3 'entries'")
         try:
-            n = int(doc["n"])
+            n = doc["n"]
             entries = np.asarray(doc["entries"], dtype=float)
         except (KeyError, TypeError, ValueError):
             raise bad from None
+        if type(n) is not int:  # a fraction, a string or a boolean
+            raise ValueError(f"{path}: 'n' must be an integer, not {n!r}")
         if entries.size == 0:
             entries = entries.reshape(0, 3)
         if entries.ndim != 2 or entries.shape[1] != 3:
@@ -220,7 +225,8 @@ def tree_statistics(
     module-level function) only when ``workers`` > 1.  Entry [i, k] of both
     arrays belongs to tree i's partition under the k-th of the sorted
     distinct ``depths`` and equals ``chi2_statistic`` of that ``bin_pair``
-    binning bit for bit, whatever the batching.
+    binning bit for bit, whatever the batching.  ``depths`` replace
+    ``stop.max_depth``: only ``stop.min_expected`` is read.
     """
     results = grow_trees(source, count, n, depths, kind, stop.min_expected, z,
                          _read_statistics, workers)
@@ -253,7 +259,8 @@ def simulate_null(
     Replicate ``r`` derives all of its randomness from the seed material
     ``(seed, r)``, so the table is reproducible and independent of worker
     count; entries are ordered by replicate then depth.  Replicates are
-    grown and read off by ``tree_statistics``.
+    grown and read off by ``tree_statistics``.  ``depths`` replace
+    ``stop.max_depth``: only ``stop.min_expected`` is read.
     """
     if n < 2:
         raise ValueError("n must be >= 2")

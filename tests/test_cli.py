@@ -237,9 +237,14 @@ def test_data_errors_exit_2(tmp_path, capsys):
     non_numeric.write_text("depth,n_bin,chi2\n1,2,3\n1,2,x\n")
     out_of_range = tmp_path / "out_of_range.csv"
     out_of_range.write_text("depth,n_bin,chi2\n\n1,0,3\n")
+    # and JSON tables whose n is negative, a fraction or a string
+    bad_n = {"negative_n.json": "-5", "frac_n.json": "200.7", "string_n.json": '"200"'}
+    for name, n in bad_n.items():
+        (tmp_path / name).write_text(f'{{"n": {n}, "entries": [[6, 3, 5], [6, 3, 7]]}}')
     for path, where in ((short_row, "short.csv: line 2"), (no_entries, "no_entries.json"),
                         (non_numeric, "non_numeric.csv: line 3"),
-                        (out_of_range, "out_of_range.csv: line 3")):
+                        (out_of_range, "out_of_range.csv: line 3"),
+                        *((tmp_path / name, name) for name in bad_n)):
         assert cli_main(["pvalue", "--null", str(path), "--nbin", "3",
                          "--chi2", "1"]) == 2
         err = capsys.readouterr().err

@@ -126,3 +126,11 @@ def test_object_node_ids_match_int64_ids(kind):
     assert max(b.depth for b in deep.bins) > 12
     assert binning_to_json(deep) == binning_to_json(shallow).replace(
         '"max_depth":61', '"max_depth":64')
+    # several partitions read off one tree, ordered by object and by int64 ids
+    stop = StopConfig(max_depth=64, min_expected=0.0)
+    deep = bin_pair_by_depth(pair, kind, [3, 8, 15, 64], stop, z=0.0, seed=9)
+    shallow = bin_pair_by_depth(pair, kind, [3, 8, 15, 61], stop, z=0.0, seed=9)
+    for d in (3, 8, 15):
+        assert binning_to_json(deep[d]) == binning_to_json(shallow[d])
+    assert binning_to_json(deep[64]) == binning_to_json(shallow[61]).replace(
+        '"max_depth":61', '"max_depth":64')

@@ -176,12 +176,15 @@ def test_statistics_only_growth_matches_points_growth(trees, kind, z, min_expect
     bare = list(grow_levels(*args))
     assert len(bare) == len(with_points)
     for a, b in zip(bare, with_points):
-        assert a.start is a.points_s is a.points_t is None
+        assert a.points_s is a.points_t is None
         for field in ("depth", "lower_s", "upper_s", "lower_t", "upper_t", "expected",
-                      "observed", "leaf", "root"):
+                      "observed", "leaf", "root", "node_id"):
             assert np.array_equal(getattr(a, field), getattr(b, field)), field
         assert a.expected.tobytes() == b.expected.tobytes()
         assert b.points_s.size == b.points_t.size == b.observed.sum()
+        # a node id states the node's depth, and names one node of its tree
+        assert all(int(i).bit_length() - 1 == a.depth for i in a.node_id)
+        assert len(set(zip(a.root.tolist(), a.node_id.tolist()))) == a.root.size
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -240,6 +240,11 @@ def test_scan_checks_window_before_growing_trees(monkeypatch):
     monkeypatch.setattr("rankbin.scan.tree_statistics", grown)
     with pytest.raises(ValueError, match="window"):
         scan_pairs(table, "chi", StopConfig(max_depth=6), 5.0, 0, null, window=-1)
+    ragged = {**table, "c": rng.normal(size=99), "d": rng.normal(size=98)}
+    with pytest.raises(ValueError, match="column 'c' has 99 rows"):
+        scan_pairs(ragged, "chi", StopConfig(max_depth=6), 5.0, 0, null)
+    with pytest.raises(ValueError, match="column 'c' has 99 rows"):
+        pair_binnings(ragged, [("a", "c")], "chi", StopConfig(max_depth=6), 5.0, 0)
     with pytest.raises(AssertionError, match="grown"):
         scan_pairs(table, "chi", StopConfig(max_depth=6), 5.0, 0, null, window=0)
 
