@@ -52,10 +52,14 @@ that draws from it: every scored bin under random scoring, and under chi
 or mi only a degenerate bin whose two margins tie.  In a batch, tree r
 draws from the substreams of its own seed.
 
-The first split of the root is always the fully degenerate tie case: the
-ranks fill 1..n with no gaps, so each candidate's observed prefix count
-matches its expectation exactly and every score is zero.  The root is
-therefore halved on a random margin.
+Under chi and mi a root is full on both margins (``splitting``): its ranks
+fill 1..n with no gaps, so every eligible candidate scores exactly zero.
+With two or more eligible candidates per margin (n > 2 * ceil(z) for z >= 1)
+both margins are flat and tie, so the root is halved on a random margin,
+a coin from its substream.  With exactly one (n = 10 at z = 5) it is cut
+there, on s, and draws nothing.  With none it draws the coin and is
+halved, or frozen if neither halving respects the floor.  Under random
+scoring a root scores its candidates with draws like any other bin.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ import numpy as np
 from .bins import SCORE_KINDS, Bin, Binning, StopConfig
 from .ranks import RankedPair
 from .scoring import lower_expected
-from .splitting import BLOCK, best_splits, chunk_nodes
+from .splitting import BLOCK, best_splits, chunks
 
 
 # Points per batch of trees grown together.  Every level of a batch pays a
@@ -122,22 +126,20 @@ def check_growth_args(depths, kind: str, z: float) -> list[int]:
     return depths
 
 
-def _goes_up(a, b, seg, on_t, cut):
+def _goes_up(a, b, parts, on_t, cut):
     """Which entries of one point order go to their node's upper child.
 
     ``a`` and ``b`` hold the s and t coordinates of the order, node after
-    node; ``seg`` gives each entry's node.  A member of node j goes up when
+    node, in ``splitting.chunks`` ``parts``.  A member of node j goes up when
     its t (if ``on_t[j]``) or s coordinate exceeds ``cut[j]``.
     """
     up = np.empty(a.size, dtype=bool)
-    for c0 in range(0, a.size, BLOCK):
-        c = slice(c0, c0 + BLOCK)
-        j = chunk_nodes(seg[c])
-        up[c] = np.where(on_t[j], b[c], a[c]) > cut[j]
+    for c, spread in parts:
+        up[c] = np.where(spread(on_t), b[c], a[c]) > spread(cut)
     return up
 
 
-def _partition(a, b, up, seg, keep=None):
+def _partition(a, b, up, parts, keep=None):
     """Move each node's members to its two children, keeping their order.
 
     ``up`` marks the entries going up (``_goes_up``).  With ``keep`` =
@@ -145,17 +147,16 @@ def _partition(a, b, up, seg, keep=None):
     are dropped.  Returns both coordinate arrays, holding every kept lower
     child's members node by node and then every kept upper child's.
     """
-    parts: list[list[np.ndarray]] = [[], [], [], []]
-    for c0 in range(0, a.size, BLOCK):
-        c = slice(c0, c0 + BLOCK)
+    out: list[list[np.ndarray]] = [[], [], [], []]
+    for c, spread in parts:
         a_c, b_c, go = a[c], b[c], up[c]
         for side, moved in enumerate((~go, go)):
             if keep is not None:
-                moved = moved & keep[side][chunk_nodes(seg[c])]
+                moved = moved & spread(keep[side])
             idx = np.flatnonzero(moved)
-            parts[side].append(a_c[idx])
-            parts[side + 2].append(b_c[idx])
-    return np.concatenate(parts[0] + parts[1]), np.concatenate(parts[2] + parts[3])
+            out[side].append(a_c[idx])
+            out[side + 2].append(b_c[idx])
+    return np.concatenate(out[0] + out[1]), np.concatenate(out[2] + out[3])
 
 
 def grow_levels(
@@ -223,11 +224,11 @@ def grow_levels(
         node_cut[split] = cut
         if points:
             # leaves drop out; a leaf with members is rare before the last level
-            node = np.repeat(np.arange(cnt.size), cnt)
-            i_s, i_t = _partition(i_s, i_t, _goes_up(i_s, i_t, node, node_t, node_cut),
-                                  node, (~leaf, ~leaf) if (cnt[leaf] > 0).any() else None)
-        seg = np.repeat(np.arange(act.size), cnt[act])
-        plan = (seg, node_t[act], node_cut[act])
+            parts = chunks(cnt)
+            i_s, i_t = _partition(i_s, i_t, _goes_up(i_s, i_t, parts, node_t, node_cut),
+                                  parts, (~leaf, ~leaf) if (cnt[leaf] > 0).any() else None)
+        parts = chunks(cnt[act])
+        plan = (parts, node_t[act], node_cut[act])
         up_s = _goes_up(s_s, s_t, *plan)
         n_up = np.add.reduceat(up_s, np.cumsum(cnt[act]) - cnt[act], dtype=np.intp)[ok]
         kid_cnt = np.concatenate((cnt[split] - n_up, n_up))
@@ -241,8 +242,8 @@ def grow_levels(
             keep_lo[ok] = ~kid_stop[:k]
             keep_up[ok] = ~kid_stop[k:]
             keep = None if keep_lo.all() and keep_up.all() else (keep_lo, keep_up)
-            s_s, s_t = _partition(s_s, s_t, up_s, seg, keep)
-            t_s, t_t = _partition(t_s, t_t, _goes_up(t_s, t_t, *plan), seg, keep)
+            s_s, s_t = _partition(s_s, s_t, up_s, parts, keep)
+            t_s, t_t = _partition(t_s, t_t, _goes_up(t_s, t_t, *plan), parts, keep)
 
         # The children: every lower child, then every upper child, each in
         # the order of their parents.
@@ -257,6 +258,19 @@ def grow_levels(
         root = np.tile(root[split], 2)
         e, cnt, stop = kid_e, kid_cnt, kid_stop
         depth += 1
+
+
+def _tree_order(root, node_id, deepest: int) -> np.ndarray:
+    """Positions of nodes sorted by tree, then heap id.
+
+    One argsort of the key ``root << (deepest + 1) | node_id``, unique since
+    every id of a tree grown to depth ``deepest`` is below ``2**(deepest +
+    1)``: in int64 while every key fits, else in Python ints, which also hold
+    the object ids of trees grown to ``max_depth`` >= 62.
+    """
+    fits = (int(root.max()) + 1) << (deepest + 1) <= 2**63
+    dtype = np.int64 if fits else object
+    return np.argsort((root.astype(dtype) << (deepest + 1)) | node_id.astype(dtype))
 
 
 def read_off(levels, depths: list[int], take):
@@ -277,7 +291,7 @@ def read_off(levels, depths: list[int], take):
             nodes.append((np.full(keep.size, lv.depth), lv.leaf[keep], lv.root[keep],
                           lv.node_id[keep]))
     depth, leaf, root, node_id = map(np.concatenate, zip(*nodes))
-    order = np.lexsort((node_id, root))
+    order = _tree_order(root, node_id, int(depth.max()))
     depth, leaf = depth[order], leaf[order]
     return taken, root, [order[(depth == d) | leaf & (depth < d)] for d in depths]
 

@@ -10,7 +10,8 @@ at both ends of a margin's candidates) are gated unconditionally.
 
 ``candidate_scores`` is the one scorer.  It works elementwise, so
 ``splitting.best_splits`` calls it on the candidates of every bin of a
-level at once.
+level at once, writing the scores straight into its per-level buffer,
+except on the full margins whose scores it knows to be zero.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def lower_expected(coord, lower, upper, e):
     return (coord - lower) * (e / (upper - lower))
 
 
-def candidate_scores(coord, olo, o, lower, dens, e, z: float, kind: str, draws=None):
+def candidate_scores(coord, olo, o, lower, dens, e, z: float, kind: str, draws=None, out=None):
     """Scores and size-gate indicator of candidate cuts, elementwise.
 
     A cut at ``coord`` on a margin with lower bound ``lower``, ``dens`` =
@@ -38,7 +39,8 @@ def candidate_scores(coord, olo, o, lower, dens, e, z: float, kind: str, draws=N
     slower, and gives the same values).  Kind
     "random" scores each cut with its entry of ``draws``.  Arguments
     broadcast: one margin's candidates score against scalars, and a whole
-    level's against per-candidate arrays.  The score of a gated cut is
+    level's against per-candidate arrays.  With ``out``, the scores are
+    written there and it is returned.  The score of a gated cut is
     meaningless, and a cut on the upper bound is not gated here (there
     e - e_lo can round to 2e-16 instead of 0): callers test the last
     candidate of each margin by coordinate.  Mutual-information terms
@@ -52,22 +54,27 @@ def candidate_scores(coord, olo, o, lower, dens, e, z: float, kind: str, draws=N
     # With z > 0 the floor keeps both children wider than zero; with z == 0
     # the positivity tests exclude zero-width children, so no kept score
     # divides by zero.
-    ok = (e_lo >= z) & (e_hi >= z) if z > 0 else (e_lo > 0) & (e_hi > 0)
+    low = np.minimum(e_lo, e_hi)
+    ok = low >= z if z > 0 else low > 0
     if kind == "random":
-        return draws, ok
+        if out is None:
+            return draws, ok
+        np.copyto(out, draws)
+        return out, ok
     if kind not in ("chi", "mi"):
         raise ValueError(f"unknown score kind {kind!r}")
-    ohi = o - olo
     with np.errstate(divide="ignore", invalid="ignore"):
         if kind == "chi":
             # (olo - e_lo)**2 / e_lo + (ohi - e_hi)**2 / e_hi, in place
-            lo = olo - e_lo
+            lo = np.subtract(olo, e_lo, out=out)
             lo *= lo
             lo /= e_lo
-            hi = ohi - e_hi
+            hi = o - olo
+            hi -= e_hi
             hi *= hi
             hi /= e_hi
             lo += hi
             return lo, ok
-        return (np.where(olo > 0, (olo / o) * np.log(olo / e_lo), 0.0)
-                + np.where(ohi > 0, (ohi / o) * np.log(ohi / e_hi), 0.0)), ok
+        ohi = o - olo
+        return np.add(np.where(olo > 0, (olo / o) * np.log(olo / e_lo), 0.0),
+                      np.where(ohi > 0, (ohi / o) * np.log(ohi / e_hi), 0.0), out=out), ok

@@ -16,6 +16,14 @@ would undercut the size floor z (possible on an odd side when expected
 barely exceeds 2z, since the ceiling makes the halves unequal) falls back
 to the other margin, and if both margins would undercut it the bin is
 reported unsplittable so the caller can freeze it.
+
+Under chi and mi, only what is not known in advance is scored.  A margin of
+a bin is full when the bin holds one member per rank of it and expects
+exactly its width: a root on both margins, and a root's child on the
+margin its root was cut on, since the child spans the whole other margin.
+Every eligible candidate of a full margin scores exactly zero, so its
+summary comes in closed form (``_full_summary``), and only the members of
+the other margins are scored.
 """
 
 from __future__ import annotations
@@ -33,31 +41,49 @@ from .scoring import candidate_scores, lower_expected
 BLOCK = 1 << 13
 
 
-def chunk_nodes(seg: np.ndarray):
-    """A chunk's node index per entry, or the one node all its entries share."""
-    return seg[0] if seg[0] == seg[-1] else seg
+def chunks(cnt: np.ndarray) -> list:
+    """The ``BLOCK`` chunks of entries held node after node, ``cnt[j]`` for node j.
+
+    Gives each chunk's slice of entries and a function spreading per-node
+    values over it: every node the chunk overlaps repeats its value once per
+    entry it has in the chunk, and a chunk within one node takes that node's
+    value as a scalar.
+    """
+    end = np.cumsum(cnt)
+    size = int(cnt.sum())
+    starts = np.arange(0, size, BLOCK)
+    stops = np.minimum(starts + BLOCK, size)
+    # the nodes holding each chunk's first and last entries
+    j0s = np.searchsorted(end, starts, side="right").tolist()
+    j1s = (np.searchsorted(end, stops - 1, side="right") + 1).tolist()
+    out = []
+    for c0, c1, j0, j1 in zip(starts.tolist(), stops.tolist(), j0s, j1s):
+        if j1 - j0 == 1:
+            out.append((slice(c0, c1), lambda x, j=j0: x[j]))
+        else:
+            reps = np.minimum(end[j0:j1], c1) - np.maximum(end[j0:j1] - cnt[j0:j1], c0)
+            out.append((slice(c0, c1), lambda x, j=slice(j0, j1), r=reps: np.repeat(x[j], r)))
+    return out
 
 
-def _summary(masked, p_masked, pseudo, coords, cnt, seg):
+def _summary(masked, p_masked, pseudo, coords, cnt, parts):
     """One margin of every bin: (flat, best score, best candidate, its cut).
 
     Bin j's candidates on the margin are its pseudo-point (candidate 0,
     score ``p_masked[j]``) and its sorted members ``coords`` (candidates
     1..cnt[j], the next scores of ``masked``, bin after bin), a gated
-    candidate scoring -inf; ``seg`` gives each member's bin.  Flat means
-    the margin offers no informative choice: either nothing is eligible
-    (score 0, candidate -1) or at least two eligible candidates all carry
-    one identical score.  A margin with a single eligible candidate is not
-    flat -- that candidate is simply its best.  The best is the first, that
-    is lowest, eligible candidate with the largest score.
+    candidate scoring -inf; ``parts`` are the members' ``chunks``.  Flat
+    means the margin offers no informative choice: either nothing is
+    eligible (score 0, candidate -1) or at least two eligible candidates all
+    carry one identical score.  A margin with a single eligible candidate is
+    not flat -- that candidate is simply its best.  The best is the first,
+    that is lowest, eligible candidate with the largest score.
     """
     first = np.cumsum(cnt) - cnt
     best = np.maximum(p_masked, np.maximum.reduceat(masked, first))
     # Members scoring the best, with a sentinel so every margin finds one.
-    hits = np.concatenate([
-        np.flatnonzero(masked[c0:c0 + BLOCK] == best[chunk_nodes(seg[c0:c0 + BLOCK])]) + c0
-        for c0 in range(0, masked.size, BLOCK)
-    ] + [[masked.size]])
+    hits = np.concatenate([np.flatnonzero(masked[c] == spread(best)) + c.start
+                           for c, spread in parts] + [[masked.size]])
     at = np.searchsorted(hits, first)
     p_best = p_masked == best
     n_best = np.searchsorted(hits, first + cnt) - at + p_best
@@ -70,6 +96,65 @@ def _summary(masked, p_masked, pseudo, coords, cnt, seg):
     member = np.minimum(hits[at], masked.size - 1)
     idx = np.where(some, np.where(p_best, 0, member - first + 1), -1)
     return flat, np.where(some, best, 0.0), idx, np.where(p_best, pseudo, coords[member])
+
+
+def _scored(margins, cnt, e, kind, z):
+    """The ``_summary`` of each of ``margins`` of every bin, by scoring every
+    candidate.
+
+    Bin j has ``cnt[j]`` >= 1 members and expects ``e[j]``; each margin is
+    (sorted member coordinates bin after bin, lower bounds, upper bounds,
+    (pseudo-point draws, member draws) or (None, None)).  The margins share
+    each member's prefix count and its bin's totals.
+    """
+    first = np.cumsum(cnt) - cnt
+    parts = chunks(cnt)
+    # float copies of the per-bin tables the scorer reads per candidate
+    first_f, cnt_f = first.astype(float), cnt.astype(float)
+    tabs = [(coords, lower.astype(float), upper, e / (upper - lower), draws)
+            for coords, lower, upper, draws in margins]
+    masked = [np.empty(cnt.sum()) for _ in tabs]
+    # Candidate 0 of a margin is its pseudo-point, one below every member;
+    # candidate i >= 1 is its i-th member, with i members at or below it.
+    for c, spread in parts:
+        olo = np.arange(c.start + 1.0, c.stop + 1.0)
+        olo -= spread(first_f)
+        o, e_c = spread(cnt_f), spread(e)
+        for m, (coords, lower, _, dens, (_, m_draws)) in zip(masked, tabs):
+            _, ok = candidate_scores(coords[c].astype(float), olo, o, spread(lower),
+                                     spread(dens), e_c, z, kind,
+                                     None if m_draws is None else m_draws[c], out=m[c])
+            np.copyto(m[c], -np.inf, where=~ok)
+    last = first + cnt - 1
+    summaries = []
+    for m, (coords, lower, upper, dens, (p_draws, _)) in zip(masked, tabs):
+        pseudo = coords[first] - 1
+        scores, ok = candidate_scores(pseudo.astype(float), 0.0, cnt_f, lower, dens, e, z,
+                                      kind, p_draws)
+        # only a margin's last member can sit on its upper bound
+        m[last[coords[last] >= upper]] = -np.inf
+        summaries.append(_summary(m, np.where(ok, scores, -np.inf), pseudo, coords, cnt, parts))
+    return summaries
+
+
+def _full_summary(lower, upper, z):
+    """The ``_summary`` of full margins, in closed form.
+
+    A full margin holds one member per rank, ``lower + i`` for i = 1..w with
+    w = ``upper - lower``, and expects exactly w, so its density is exactly
+    1: member i expects i below and w - i above, holds i below, and scores
+    +0.0 under chi and mi.  Its pseudo-point expects 0 below and member w
+    sits on the upper bound, so both are gated, and the floor passes the
+    members i in [max(1, ceil z), min(w - 1, w - ceil z)].  All in floats,
+    which are exact here and hold any finite z.
+    """
+    w = (upper - lower).astype(float)
+    cz = np.ceil(z)
+    low = max(1.0, cz)
+    m = np.minimum(w - 1.0, w - cz) - low + 1.0
+    idx = np.where(m > 0, low, -1.0).astype(np.intp)
+    # with nothing eligible the cut is the pseudo-point's, as ``_summary`` gives it
+    return m != 1, np.zeros(w.size), idx, lower + np.maximum(idx, 0)
 
 
 def _halving(lower, upper, e, z):
@@ -106,41 +191,36 @@ def best_splits(
         return made[j]
 
     k = cnt.size
-    first = np.cumsum(cnt) - cnt
-    seg = np.repeat(np.arange(k), cnt)
-    # float copies of the per-bin tables the scorer reads per candidate
-    first_f, cnt_f = first.astype(float), cnt.astype(float)
-    margins = ((ss, lo_s.astype(float), hi_s, e / (hi_s - lo_s)),
-               (tt, lo_t.astype(float), hi_t, e / (hi_t - lo_t)))
+    margins = ((ss, lo_s, hi_s), (tt, lo_t, hi_t))
     draws = [(None, None)] * 2
+    # Full margins (``_full_summary``); none under random scoring, whose
+    # scores are draws.
+    full = [np.zeros(k, dtype=bool)] * 2
     if kind == "random":
         # s-margin draws, then t-margin draws, from each bin's own stream;
         # a margin's first draw scores its pseudo-point
         d = [(rng(j).random(m + 1), rng(j).random(m + 1)) for j, m in enumerate(cnt.tolist())]
         draws = [(np.array([x[h][0] for x in d]), np.concatenate([x[h][1:] for x in d]))
                  for h in (0, 1)]
-    # Candidate 0 of a margin is its pseudo-point, one below every member;
-    # candidate i >= 1 is its i-th member, with i members at or below it.
-    masked = [np.empty(ss.size), np.empty(ss.size)]
-    for c0 in range(0, ss.size, BLOCK):
-        j = chunk_nodes(seg[c0:c0 + BLOCK])
-        c = slice(c0, c0 + BLOCK)
-        olo = np.arange(c0 + 1.0, c0 + 1 + min(BLOCK, ss.size - c0)) - first_f[j]
-        o, e_c = cnt_f[j], e[j]
-        for m, (coords, lower, _, dens), (_, m_draws) in zip(masked, margins, draws):
-            scores, ok = candidate_scores(coords[c].astype(float), olo, o, lower[j], dens[j],
-                                          e_c, z, kind,
-                                          None if m_draws is None else m_draws[c])
-            m[c] = np.where(ok, scores, -np.inf)
-    last = first + cnt - 1
-    summaries = []
-    for m, (coords, lower, upper, dens), (p_draws, _) in zip(masked, margins, draws):
-        pseudo = coords[first] - 1
-        scores, ok = candidate_scores(pseudo.astype(float), 0.0, cnt_f, lower, dens, e, z,
-                                      kind, p_draws)
-        # only a margin's last member can sit on its upper bound
-        m[last] = np.where(coords[last] < upper, m[last], -np.inf)
-        summaries.append(_summary(m, np.where(ok, scores, -np.inf), pseudo, coords, cnt, seg))
+    else:
+        full = [(cnt == hi - lo) & (e == hi - lo) for _, lo, hi in margins]
+    summaries = [None, None]
+    # Margins with the same bins to score are scored in one pass.
+    for hs in [(0, 1)] if np.array_equal(*full) else [(0,), (1,)]:
+        todo = ~full[hs[0]]
+        if todo.all():
+            for h, got in zip(hs, _scored([(*margins[h], draws[h]) for h in hs], cnt, e, kind, z)):
+                summaries[h] = got
+            continue
+        for h in hs:
+            summaries[h] = _full_summary(*margins[h][1:], z)
+        if todo.any():
+            on = np.repeat(todo, cnt)
+            scored = _scored([(margins[h][0][on], margins[h][1][todo], margins[h][2][todo],
+                               draws[h]) for h in hs], cnt[todo], e[todo], kind, z)
+            for h, got in zip(hs, scored):
+                for a, b in zip(summaries[h], got):
+                    a[todo] = b
     (s_flat, s_best, s_idx, s_cut), (t_flat, t_best, t_idx, t_cut) = summaries
 
     # Ties across margins go to s; a margin without eligible candidates

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from _oracles import check_partition
@@ -10,6 +12,8 @@ from rankbin import (
     chi2_statistic,
     simulate_null,
 )
+from rankbin import engine
+from rankbin.engine import _bin_rng, _tree_order
 from rankbin.ranks import RankedPair
 
 
@@ -134,3 +138,55 @@ def test_object_node_ids_match_int64_ids(kind):
         assert binning_to_json(deep[d]) == binning_to_json(shallow[d])
     assert binning_to_json(deep[64]) == binning_to_json(shallow[61]).replace(
         '"max_depth":61', '"max_depth":64')
+
+
+@pytest.mark.parametrize("n, kind", [(10, "chi"), (11, "chi"), (11, "random")])
+def test_root_split_follows_the_full_margin_rule(monkeypatch, n, kind):
+    # Under chi a root is full on both margins and every eligible candidate
+    # scores 0.  At z = 5, n = 10 has one eligible candidate per margin, 5:
+    # the root is cut there on s and draws nothing.  n = 11 has two, 5 and
+    # 6: both margins are flat and tie, so the root draws a coin from its
+    # substream (node id 1) and is halved at 6 on the margin it picks.
+    # Under random scoring the root draws its scores from that substream.
+    calls = []
+
+    def counted(seed, node_id):
+        calls.append(node_id)
+        return _bin_rng(seed, node_id)
+
+    monkeypatch.setattr(engine, "_bin_rng", counted)
+    for seed in range(4):
+        calls.clear()
+        bins = bin_pair(_pair(n, seed), kind, StopConfig(max_depth=1, min_expected=0.0),
+                        z=5.0, seed=seed).bins
+        assert len(bins) == 2
+        if kind == "random":
+            assert calls == [1]
+            continue
+        if n == 10:
+            assert calls == []
+            on_t, cut = False, 5
+        else:
+            assert calls == [1]
+            on_t, cut = _bin_rng(seed, 1).random() >= 0.5, 6
+        lo = bins[0]
+        assert (lo.upper_t if on_t else lo.upper_s) == cut
+        assert (lo.upper_s if on_t else lo.upper_t) == n
+
+
+def test_tree_order_matches_lexsort():
+    # ids of a tree grown to depth d lie in [2**k, 2**(k + 1)) at depth k <= d;
+    # roots up to 2**55 at d = 10 overflow int64 keys, as do object ids at d = 70
+    rnd = random.Random(4)
+    for n_roots, deepest, ids_kind in ((1000, 10, np.int64), (2**55, 10, np.int64),
+                                       (50, 70, object)):
+        pairs = set()
+        while len(pairs) < 400:
+            k = rnd.randint(0, deepest)
+            pairs.add((rnd.randrange(n_roots), (1 << k) | rnd.getrandbits(k)))
+        pairs = list(pairs)
+        rnd.shuffle(pairs)
+        root = np.array([r for r, _ in pairs], dtype=np.int64)
+        node_id = np.array([i for _, i in pairs], dtype=ids_kind)
+        assert np.array_equal(_tree_order(root, node_id, deepest),
+                              np.lexsort((node_id, root)))

@@ -83,7 +83,7 @@ def test_single_depth_matches_sweep_and_partitions(
     n=st.integers(1, 300),
     shape=st.sampled_from(["random", "diagonal", "tied"]),
     kind=st.sampled_from(["chi", "mi", "random"]),
-    z=st.sampled_from([0.0, 2.0, 5.0]),
+    z=st.sampled_from([0.0, 0.5, 2.0, 2.5, 5.0, 1e300]),
     min_expected=st.sampled_from([0.0, 10.0]),
     data_seed=st.integers(0, 2**32 - 1),
     seed=st.integers(0, 2**32 - 1),

@@ -4,6 +4,7 @@ from _oracles import one_bin_split, per_bin_split_at
 
 from rankbin import Bin, StopConfig, bin_pair_by_depth
 from rankbin.ranks import RankedPair
+from rankbin.splitting import _full_summary, _scored
 
 
 def mk_bin(ls, us, lt, ut, pts_s, pts_t, expected, depth=0):
@@ -220,3 +221,20 @@ def test_degenerate_halving_prefers_margin_that_respects_floor():
         assert one_bin_split(b, "chi", 5.0, np.random.default_rng(seed)) == (True, True, 483)
         lo, hi = per_bin_split_at(b, "t", 483)
         assert min(lo.expected, hi.expected) >= 5.0
+
+
+@pytest.mark.parametrize("kind", ["chi", "mi"])
+def test_full_margin_closed_form_matches_scoring(kind):
+    # A full margin holds one member per rank and expects its width.  Its
+    # summary in closed form equals, bit for bit, the summary the general
+    # path gives by scoring every candidate of the same bins.
+    lower = np.array([0, 7, 1000])
+    for n in range(1, 61):
+        coords = np.concatenate([np.arange(lo + 1, lo + n + 1) for lo in lower]).astype(np.int32)
+        cnt, e = np.full(lower.size, n), np.full(lower.size, float(n))
+        for z in (0.0, 0.5, 2.5, 5.0, float(n), 1e300):
+            want = _scored([(coords, lower, lower + n, (None, None))], cnt, e, kind, z)[0]
+            got = _full_summary(lower, lower + n, z)
+            assert np.array_equal(got[0], want[0]), (n, z)
+            assert got[1].tobytes() == want[1].tobytes(), (n, z)
+            assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3]), (n, z)
