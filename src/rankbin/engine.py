@@ -20,7 +20,9 @@ marks each member of an order that goes to the upper child once; that mask
 moves the members by a stable partition, so every order stays sorted from
 the root down, and the s order's mask also counts each split node's
 children.  Every per-level pass runs over these arrays in chunks of
-``splitting.BLOCK`` entries, so its temporaries stay in cache.
+``splitting.BLOCK`` entries, planned once per level, and writes its
+temporaries to one scratch ``splitting.Workspace`` per batch, so they stay
+in cache and are never allocated afresh.
 
 A node's heap id (root 1; a split of node k creates lower child 2k and
 upper child 2k + 1) is the one statement of its tree position.  It fixes
@@ -74,7 +76,7 @@ import numpy as np
 from .bins import SCORE_KINDS, Bin, Binning, StopConfig
 from .ranks import RankedPair
 from .scoring import lower_expected
-from .splitting import BLOCK, best_splits, chunks
+from .splitting import BLOCK, Workspace, best_splits, chunks
 
 
 # Points per batch of trees grown together.  Every level of a batch pays a
@@ -126,16 +128,20 @@ def check_growth_args(depths, kind: str, z: float) -> list[int]:
     return depths
 
 
-def _goes_up(a, b, parts, on_t, cut):
+def _goes_up(a, b, parts, on_t, cut, ws):
     """Which entries of one point order go to their node's upper child.
 
     ``a`` and ``b`` hold the s and t coordinates of the order, node after
     node, in ``splitting.chunks`` ``parts``.  A member of node j goes up when
-    its t (if ``on_t[j]``) or s coordinate exceeds ``cut[j]``.
+    its t (if ``on_t[j]``) or s coordinate exceeds ``cut[j]``.  The t test
+    goes to the ``Workspace`` ``ws``.
     """
     up = np.empty(a.size, dtype=bool)
     for c, spread in parts:
-        up[c] = np.where(spread(on_t), b[c], a[c]) > spread(cut)
+        cut_c = spread(cut)
+        np.greater(a[c], cut_c, out=up[c])
+        np.copyto(up[c], np.greater(b[c], cut_c, out=ws.hit[:c.stop - c.start]),
+                  where=spread(on_t))
     return up
 
 
@@ -153,7 +159,7 @@ def _partition(a, b, up, parts, keep=None):
         for side, moved in enumerate((~go, go)):
             if keep is not None:
                 moved = moved & spread(keep[side])
-            idx = np.flatnonzero(moved)
+            idx = moved.nonzero()[0]
             out[side].append(a_c[idx])
             out[side + 2].append(b_c[idx])
     return np.concatenate(out[0] + out[1]), np.concatenate(out[2] + out[3])
@@ -186,6 +192,7 @@ def grow_levels(
     # ranks are a permutation, so rank r of a tree starting at slot f goes
     # to f + r - 1.  32-bit coordinates halve what every pass moves
     coord = np.int32 if cnt.sum() < 2**31 else np.int64
+    ws = Workspace()
     i_s = np.concatenate([p.s for p in pairs]).astype(coord)
     i_t = np.concatenate([p.t for p in pairs]).astype(coord)
     slot = np.repeat(np.cumsum(cnt) - cnt, cnt)
@@ -202,11 +209,13 @@ def grow_levels(
     while True:
         act = np.flatnonzero(~stop)
         ok = np.zeros(act.size, dtype=bool)
+        # the chunks of the s and t orders, shared by this level's passes
+        parts = chunks(cnt[act])
         if act.size:
             ok, on_t, cut = best_splits(
                 lo_s[act], hi_s[act], lo_t[act], hi_t[act], e[act], cnt[act],
                 s_s, t_t, kind, z,
-                lambda j: _bin_rng(seeds[root[act[j]]], ids[act[j]]))
+                lambda j: _bin_rng(seeds[root[act[j]]], ids[act[j]]), parts, ws)
             on_t, cut = on_t[ok], cut[ok]
         split = act[ok]
         leaf = np.ones(cnt.size, dtype=bool)
@@ -224,11 +233,10 @@ def grow_levels(
         node_cut[split] = cut
         if points:
             # leaves drop out; a leaf with members is rare before the last level
-            parts = chunks(cnt)
-            i_s, i_t = _partition(i_s, i_t, _goes_up(i_s, i_t, parts, node_t, node_cut),
-                                  parts, (~leaf, ~leaf) if (cnt[leaf] > 0).any() else None)
-        parts = chunks(cnt[act])
-        plan = (parts, node_t[act], node_cut[act])
+            every = chunks(cnt)
+            i_s, i_t = _partition(i_s, i_t, _goes_up(i_s, i_t, every, node_t, node_cut, ws),
+                                  every, (~leaf, ~leaf) if (cnt[leaf] > 0).any() else None)
+        plan = (parts, node_t[act], node_cut[act], ws)
         up_s = _goes_up(s_s, s_t, *plan)
         n_up = np.add.reduceat(up_s, np.cumsum(cnt[act]) - cnt[act], dtype=np.intp)[ok]
         kid_cnt = np.concatenate((cnt[split] - n_up, n_up))
@@ -279,9 +287,11 @@ def read_off(levels, depths: list[int], take):
     Partition d of a tree lists its leaves above depth d and its nodes at
     depth d by ascending node id, which is breadth-first order; a limit
     deeper than the tree gives its leaves.  ``take(lv, keep)`` reads the
-    nodes ``keep`` of level ``lv``, those some partition lists, once.  Returns what ``take`` returned for
-    each level, the tree of every taken node, and per limit the positions
-    among the taken nodes of its partitions' nodes, tree after tree.
+    nodes ``keep`` of level ``lv``, those some partition lists, once.
+    Returns what ``take`` returned for each level, the tree of every taken
+    node, the positions among the taken nodes of every partition's nodes,
+    limit after limit and tree after tree, and where each limit's start:
+    the k-th limit's are ``listed[start[k]:start[k + 1]]``.
     """
     taken, nodes = [], []
     for lv in levels:
@@ -291,9 +301,20 @@ def read_off(levels, depths: list[int], take):
             nodes.append((np.full(keep.size, lv.depth), lv.leaf[keep], lv.root[keep],
                           lv.node_id[keep]))
     depth, leaf, root, node_id = map(np.concatenate, zip(*nodes))
-    order = _tree_order(root, node_id, int(depth.max()))
+    deepest = int(depth.max())
+    order = _tree_order(root, node_id, deepest)
     depth, leaf = depth[order], leaf[order]
-    return taken, root, [order[(depth == d) | leaf & (depth < d)] for d in depths]
+    # A node is first listed by the shallowest limit at or below its depth;
+    # a leaf also by every deeper limit, any other node by that one alone.
+    first = np.searchsorted(depths, np.arange(deepest + 1))[depth]
+    reps = np.where(leaf, len(depths) - first, 1)
+    limit = np.arange(reps.sum()) - (np.cumsum(reps) - reps - first).repeat(reps)
+    # a stable sort by limit keeps tree order within each; the narrowest
+    # type sorts fastest (by radix, up to 16 bits)
+    by_limit = np.argsort(limit.astype(np.min_scalar_type(len(depths))), kind="stable")
+    start = np.zeros(len(depths) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(limit, minlength=len(depths)), out=start[1:])
+    return taken, root, order.repeat(reps)[by_limit], start
 
 
 # The job a worker process's pool initializer installed, so the tree source
@@ -362,10 +383,10 @@ def _read_bins(kind, stop, z, levels, pairs, seeds, depths) -> list[dict[int, Bi
         return [Bin(ls, us, lt, ut, points_s[a:b], points_t[a:b], e, lv.depth)
                 for ls, us, lt, ut, e, a, b in rows]
 
-    taken, root, parts = read_off(levels, depths, take)
+    taken, root, listed, start = read_off(levels, depths, take)
     bins = [b for level in taken for b in level]
     out: list[dict[int, Binning]] = [{} for _ in pairs]
-    for d, part in zip(depths, parts):
+    for d, part in zip(depths, np.split(listed, start[1:-1])):
         bounds = np.searchsorted(root[part], np.arange(len(pairs) + 1)).tolist()
         for r, (a, b) in enumerate(zip(bounds, bounds[1:])):
             out[r][d] = Binning(bins=[bins[i] for i in part[a:b].tolist()], score_kind=kind,

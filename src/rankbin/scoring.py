@@ -10,8 +10,9 @@ at both ends of a margin's candidates) are gated unconditionally.
 
 ``candidate_scores`` is the one scorer.  It works elementwise, so
 ``splitting.best_splits`` calls it on the candidates of every bin of a
-level at once, writing the scores straight into its per-level buffer,
-except on the full margins whose scores it knows to be zero.
+level at once, writing the scores straight into its per-level buffer and
+its temporaries into the batch's scratch workspace, except on the full
+margins whose scores it knows to be zero.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ def lower_expected(coord, lower, upper, e):
     return (coord - lower) * (e / (upper - lower))
 
 
-def candidate_scores(coord, olo, o, lower, dens, e, z: float, kind: str, draws=None, out=None):
+def candidate_scores(coord, olo, o, lower, dens, e, z: float, kind: str, draws=None, out=None,
+                     work=None):
     """Scores and size-gate indicator of candidate cuts, elementwise.
 
     A cut at ``coord`` on a margin with lower bound ``lower``, ``dens`` =
@@ -40,41 +42,59 @@ def candidate_scores(coord, olo, o, lower, dens, e, z: float, kind: str, draws=N
     "random" scores each cut with its entry of ``draws``.  Arguments
     broadcast: one margin's candidates score against scalars, and a whole
     level's against per-candidate arrays.  With ``out``, the scores are
-    written there and it is returned.  The score of a gated cut is
-    meaningless, and a cut on the upper bound is not gated here (there
-    e - e_lo can round to 2e-16 instead of 0): callers test the last
-    candidate of each margin by coordinate.  Mutual-information terms
-    follow 0*log(0/x) = 0, and their sums may be negative: a bin holding
-    fewer points than it expects has log-ratios below zero on both sides.
+    written there and it is returned.  With ``work``, three float and two
+    boolean arrays shaped like the candidates, the temporaries are written
+    there and the gate is its first boolean array; without it they are
+    allocated.  The score of a gated cut is meaningless, and a cut on the
+    upper bound is not gated here (there e - e_lo can round to 2e-16
+    instead of 0): callers test the last candidate of each margin by
+    coordinate.  Mutual-information terms follow 0*log(0/x) = 0, and their
+    sums may be negative: a bin holding fewer points than it expects has
+    log-ratios below zero on both sides.  Gated cuts can divide by zero,
+    so a caller that minds the warnings enters ``np.errstate(divide=
+    "ignore", invalid="ignore")``, once for a whole pass.
     """
+    if kind not in ("chi", "mi", "random"):
+        raise ValueError(f"unknown score kind {kind!r}")
+    if work is None:
+        shape = np.broadcast(coord, olo, o, lower, dens, e).shape
+        work = [np.empty(shape) for _ in range(3)] + [np.empty(shape, dtype=bool)
+                                                     for _ in range(2)]
+    e_lo, e_hi, tmp, ok, off = work
     # lower_expected, with e / (upper - lower) evaluated once per margin
-    e_lo = coord - lower
+    np.subtract(coord, lower, out=e_lo)
     e_lo *= dens
-    e_hi = e - e_lo
+    np.subtract(e, e_lo, out=e_hi)
     # With z > 0 the floor keeps both children wider than zero; with z == 0
     # the positivity tests exclude zero-width children, so no kept score
     # divides by zero.
-    low = np.minimum(e_lo, e_hi)
-    ok = low >= z if z > 0 else low > 0
+    low = np.minimum(e_lo, e_hi, out=tmp)
+    if z > 0:
+        np.greater_equal(low, z, out=ok)
+    else:
+        np.greater(low, 0, out=ok)
     if kind == "random":
         if out is None:
             return draws, ok
         np.copyto(out, draws)
         return out, ok
-    if kind not in ("chi", "mi"):
-        raise ValueError(f"unknown score kind {kind!r}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if kind == "chi":
-            # (olo - e_lo)**2 / e_lo + (ohi - e_hi)**2 / e_hi, in place
-            lo = np.subtract(olo, e_lo, out=out)
-            lo *= lo
-            lo /= e_lo
-            hi = o - olo
-            hi -= e_hi
-            hi *= hi
-            hi /= e_hi
-            lo += hi
-            return lo, ok
-        ohi = o - olo
-        return np.add(np.where(olo > 0, (olo / o) * np.log(olo / e_lo), 0.0),
-                      np.where(ohi > 0, (ohi / o) * np.log(ohi / e_hi), 0.0), out=out), ok
+    if out is None:
+        out = np.empty(ok.shape)
+    ohi = np.subtract(o, olo, out=tmp)
+    if kind == "chi":
+        # (olo - e_lo)**2 / e_lo + (ohi - e_hi)**2 / e_hi
+        lo = np.subtract(olo, e_lo, out=out)
+        lo *= lo
+        lo /= e_lo
+        ohi -= e_hi
+        ohi *= ohi
+        ohi /= e_hi
+        lo += ohi
+        return lo, ok
+    # (olo / o) * log(olo / e_lo), 0 where olo is 0, and the same above
+    for n_side, e_side in ((olo, e_lo), (ohi, e_hi)):
+        term = np.divide(n_side, e_side, out=e_side)
+        np.log(term, out=term)
+        term *= np.divide(n_side, o, out=out)
+        np.copyto(term, 0.0, where=np.less_equal(n_side, 0, out=off))
+    return np.add(e_lo, e_hi, out=out), ok

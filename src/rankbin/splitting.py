@@ -24,6 +24,9 @@ margin its root was cut on, since the child spans the whole other margin.
 Every eligible candidate of a full margin scores exactly zero, so its
 summary comes in closed form (``_full_summary``), and only the members of
 the other margins are scored.
+
+The members are scored in ``BLOCK`` chunks (``chunks``), whose temporaries
+go to a ``Workspace``: the caller's, one per batch of trees.
 """
 
 from __future__ import annotations
@@ -39,6 +42,33 @@ from .scoring import candidate_scores, lower_expected
 # temporaries, 64 KB of floats each, stay in cache however many points a
 # batch of trees holds.
 BLOCK = 1 << 13
+
+
+class Workspace:
+    """Scratch arrays of ``BLOCK`` entries for the per-chunk passes of a batch.
+
+    Each pass writes its temporaries here instead of allocating them chunk
+    after chunk: freed, they would go back to the system and fault in again
+    on the next chunk.  ``engine.grow_levels`` makes one per call, so no two
+    threads share one.
+    """
+
+    def __init__(self):
+        self.ramp = np.arange(1.0, BLOCK + 1.0)
+        self.coord, self.olo, self.o, self.e = (np.empty(BLOCK) for _ in range(4))
+        self.hit = np.empty(BLOCK, dtype=bool)
+        self._work = ([np.empty(BLOCK) for _ in range(3)]
+                      + [np.empty(BLOCK, dtype=bool) for _ in range(2)])
+
+    def score(self, out, coord, olo, o, lower, dens, e, z, kind, draws):
+        """``candidate_scores`` of ``out.size`` <= ``BLOCK`` candidates into
+        ``out``, a gated one scoring -inf; ``coord`` is copied to floats."""
+        n = out.size
+        work = [a[:n] for a in self._work]
+        f = self.coord[:n]
+        f[...] = coord
+        candidate_scores(f, olo, o, lower, dens, e, z, kind, draws, out, work)
+        np.copyto(out, -np.inf, where=np.logical_not(work[3], out=work[4]))
 
 
 def chunks(cnt: np.ndarray) -> list:
@@ -62,11 +92,11 @@ def chunks(cnt: np.ndarray) -> list:
             out.append((slice(c0, c1), lambda x, j=j0: x[j]))
         else:
             reps = np.minimum(end[j0:j1], c1) - np.maximum(end[j0:j1] - cnt[j0:j1], c0)
-            out.append((slice(c0, c1), lambda x, j=slice(j0, j1), r=reps: np.repeat(x[j], r)))
+            out.append((slice(c0, c1), lambda x, j=slice(j0, j1), r=reps: x[j].repeat(r)))
     return out
 
 
-def _summary(masked, p_masked, pseudo, coords, cnt, parts):
+def _summary(masked, p_masked, pseudo, coords, cnt, parts, ws):
     """One margin of every bin: (flat, best score, best candidate, its cut).
 
     Bin j's candidates on the margin are its pseudo-point (candidate 0,
@@ -82,8 +112,12 @@ def _summary(masked, p_masked, pseudo, coords, cnt, parts):
     first = np.cumsum(cnt) - cnt
     best = np.maximum(p_masked, np.maximum.reduceat(masked, first))
     # Members scoring the best, with a sentinel so every margin finds one.
-    hits = np.concatenate([np.flatnonzero(masked[c] == spread(best)) + c.start
-                           for c, spread in parts] + [[masked.size]])
+    hits = []
+    for c, spread in parts:
+        at = np.equal(masked[c], spread(best), out=ws.hit[:c.stop - c.start]).nonzero()[0]
+        at += c.start
+        hits.append(at)
+    hits = np.concatenate(hits + [[masked.size]])
     at = np.searchsorted(hits, first)
     p_best = p_masked == best
     n_best = np.searchsorted(hits, first + cnt) - at + p_best
@@ -98,42 +132,50 @@ def _summary(masked, p_masked, pseudo, coords, cnt, parts):
     return flat, np.where(some, best, 0.0), idx, np.where(p_best, pseudo, coords[member])
 
 
-def _scored(margins, cnt, e, kind, z):
+def _scored(margins, cnt, e, kind, z, parts, ws):
     """The ``_summary`` of each of ``margins`` of every bin, by scoring every
     candidate.
 
     Bin j has ``cnt[j]`` >= 1 members and expects ``e[j]``; each margin is
     (sorted member coordinates bin after bin, lower bounds, upper bounds,
-    (pseudo-point draws, member draws) or (None, None)).  The margins share
-    each member's prefix count and its bin's totals.
+    (pseudo-point draws, member draws) or (None, None)).  ``parts`` are the
+    members' ``chunks``, and the temporaries go to the ``Workspace`` ``ws``.
+    The margins share each member's prefix count and its bin's totals.
     """
+    k = cnt.size
     first = np.cumsum(cnt) - cnt
-    parts = chunks(cnt)
     # float copies of the per-bin tables the scorer reads per candidate
     first_f, cnt_f = first.astype(float), cnt.astype(float)
     tabs = [(coords, lower.astype(float), upper, e / (upper - lower), draws)
             for coords, lower, upper, draws in margins]
     masked = [np.empty(cnt.sum()) for _ in tabs]
-    # Candidate 0 of a margin is its pseudo-point, one below every member;
-    # candidate i >= 1 is its i-th member, with i members at or below it.
-    for c, spread in parts:
-        olo = np.arange(c.start + 1.0, c.stop + 1.0)
-        olo -= spread(first_f)
-        o, e_c = spread(cnt_f), spread(e)
-        for m, (coords, lower, _, dens, (_, m_draws)) in zip(masked, tabs):
-            _, ok = candidate_scores(coords[c].astype(float), olo, o, spread(lower),
-                                     spread(dens), e_c, z, kind,
-                                     None if m_draws is None else m_draws[c], out=m[c])
-            np.copyto(m[c], -np.inf, where=~ok)
     last = first + cnt - 1
     summaries = []
-    for m, (coords, lower, upper, dens, (p_draws, _)) in zip(masked, tabs):
-        pseudo = coords[first] - 1
-        scores, ok = candidate_scores(pseudo.astype(float), 0.0, cnt_f, lower, dens, e, z,
-                                      kind, p_draws)
-        # only a margin's last member can sit on its upper bound
-        m[last[coords[last] >= upper]] = -np.inf
-        summaries.append(_summary(m, np.where(ok, scores, -np.inf), pseudo, coords, cnt, parts))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Candidate 0 of a margin is its pseudo-point, one below every
+        # member; candidate i >= 1 is its i-th member, with i members at or
+        # below it.
+        for c, spread in parts:
+            n = c.stop - c.start
+            olo, o, e_c = ws.olo[:n], ws.o[:n], ws.e[:n]
+            np.subtract(ws.ramp[:n], spread(first_f), out=olo)
+            olo += c.start
+            # both margins read these; a spread is freed once copied here
+            o[...] = spread(cnt_f)
+            e_c[...] = spread(e)
+            for m, (coords, lower, _, dens, (_, m_draws)) in zip(masked, tabs):
+                ws.score(m[c], coords[c], olo, o, spread(lower), spread(dens), e_c, z, kind,
+                         None if m_draws is None else m_draws[c])
+        for m, (coords, lower, upper, dens, (p_draws, _)) in zip(masked, tabs):
+            pseudo = coords[first] - 1
+            p_masked = np.empty(k)
+            for b in range(0, k, BLOCK):
+                j = slice(b, b + BLOCK)
+                ws.score(p_masked[j], pseudo[j], 0.0, cnt_f[j], lower[j], dens[j], e[j], z,
+                         kind, None if p_draws is None else p_draws[j])
+            # only a margin's last member can sit on its upper bound
+            m[last[coords[last] >= upper]] = -np.inf
+            summaries.append(_summary(m, p_masked, pseudo, coords, cnt, parts, ws))
     return summaries
 
 
@@ -172,16 +214,18 @@ def best_splits(
     lo_s: np.ndarray, hi_s: np.ndarray, lo_t: np.ndarray, hi_t: np.ndarray,
     e: np.ndarray, cnt: np.ndarray, ss: np.ndarray, tt: np.ndarray,
     kind: str, z: float, rng_of: Callable[[int], np.random.Generator],
+    parts: list, ws: Workspace,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each bin's best split: (splittable, cut is on t, cut coordinate).
 
     Bin j has integer bounds ``(lo_s, hi_s] x (lo_t, hi_t]``, expected count
     ``e[j]`` and ``cnt[j]`` >= 1 members, whose sorted s and t coordinates
-    are the next ``cnt[j]`` entries of ``ss`` and ``tt``.  ``rng_of(j)``
-    gives bin j's random stream and is called only for a bin that draws:
-    every bin under random scoring (s-margin draws, t-margin draws, then
-    the degenerate-tie margin pick if needed), and under chi or mi only a
-    degenerate bin whose two margins tie.
+    are the next ``cnt[j]`` entries of ``ss`` and ``tt``; ``parts`` are their
+    ``chunks``, and the scoring passes write their temporaries to ``ws``.
+    ``rng_of(j)`` gives bin j's random stream and is called only for a bin
+    that draws: every bin under random scoring (s-margin draws, t-margin
+    draws, then the degenerate-tie margin pick if needed), and under chi or
+    mi only a degenerate bin whose two margins tie.
     """
     made: dict[int, np.random.Generator] = {}
 
@@ -209,7 +253,8 @@ def best_splits(
     for hs in [(0, 1)] if np.array_equal(*full) else [(0,), (1,)]:
         todo = ~full[hs[0]]
         if todo.all():
-            for h, got in zip(hs, _scored([(*margins[h], draws[h]) for h in hs], cnt, e, kind, z)):
+            for h, got in zip(hs, _scored([(*margins[h], draws[h]) for h in hs], cnt, e, kind,
+                                          z, parts, ws)):
                 summaries[h] = got
             continue
         for h in hs:
@@ -217,7 +262,8 @@ def best_splits(
         if todo.any():
             on = np.repeat(todo, cnt)
             scored = _scored([(margins[h][0][on], margins[h][1][todo], margins[h][2][todo],
-                               draws[h]) for h in hs], cnt[todo], e[todo], kind, z)
+                               draws[h]) for h in hs], cnt[todo], e[todo], kind, z,
+                             chunks(cnt[todo]), ws)
             for h, got in zip(hs, scored):
                 for a, b in zip(summaries[h], got):
                     a[todo] = b

@@ -200,12 +200,11 @@ def _read_statistics(levels, pairs, seeds, depths) -> tuple[np.ndarray, np.ndarr
         dev = lv.observed[keep] - lv.expected[keep]
         return dev * dev / lv.expected[keep]
 
-    taken, root, parts = read_off(levels, depths, take)
+    taken, root, part, start = read_off(levels, depths, take)
     terms, count = np.concatenate(taken), len(pairs)
     # row k * count + r holds tree r's terms under the k-th limit, left-aligned
     # and zero-padded, and is summed along
-    part = np.concatenate(parts)
-    row = np.repeat(np.arange(len(depths)) * count, [p.size for p in parts]) + root[part]
+    row = np.repeat(np.arange(len(depths)) * count, np.diff(start)) + root[part]
     n_bins = np.bincount(row, minlength=len(depths) * count)
     grid = np.zeros((n_bins.size, n_bins.max()))
     grid[row, np.arange(row.size) - (np.cumsum(n_bins) - n_bins)[row]] = terms[part]

@@ -4,7 +4,8 @@ Everything here recomputes quantities from scratch (per-candidate counting,
 direct two-child evaluation, the per-bin engine) so that library results
 are checked against a second, structurally different implementation.  Two
 thin wrappers put the library's batched scorer and splitter in the shape of
-one margin and one bin, and ``check_partition`` checks the invariants every
+one margin and one bin, ``allocating_scored`` is the scoring pass without
+a scratch workspace, and ``check_partition`` checks the invariants every
 partition must meet.  ``per_pair_scan`` is the scan one pair at a time,
 placing each p-value with ``per_record_p``.
 """
@@ -20,7 +21,7 @@ from rankbin.engine import bin_pair
 from rankbin.ranks import RankedPair, rank
 from rankbin.scan import ScanRecord
 from rankbin.scoring import candidate_scores
-from rankbin.splitting import best_splits
+from rankbin.splitting import Workspace, best_splits, chunks
 from rankbin.stats import chi2_statistic
 
 
@@ -34,9 +35,10 @@ def margin_scores(w, e, z, kind, rng=None):
     w = np.asarray(w, dtype=float)
     inner = w[1:-1]
     draws = rng.random(inner.size) if kind == "random" else None
-    scores, ok = candidate_scores(inner, np.arange(inner.size, dtype=float),
-                                  inner.size - 1.0, w[0], e / (w[-1] - w[0]), e, z,
-                                  kind, draws)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores, ok = candidate_scores(inner, np.arange(inner.size, dtype=float),
+                                      inner.size - 1.0, w[0], e / (w[-1] - w[0]), e, z,
+                                      kind, draws)
     ok[-1] &= inner[-1] < w[-1]
     return np.where(ok, scores, 0.0), ok
 
@@ -46,8 +48,93 @@ def one_bin_split(b, kind, z, rng):
     ok, on_t, cut = best_splits(
         np.array([b.lower_s]), np.array([b.upper_s]), np.array([b.lower_t]),
         np.array([b.upper_t]), np.array([b.expected]), np.array([b.observed]),
-        np.sort(b.points_s), np.sort(b.points_t), kind, z, lambda j: rng)
+        np.sort(b.points_s), np.sort(b.points_t), kind, z, lambda j: rng,
+        chunks(np.array([b.observed])), Workspace())
     return bool(ok[0]), bool(on_t[0]), int(cut[0])
+
+
+# ---------------------------------------------------------------------------
+# The allocating scoring pass: ``splitting._scored`` and the scorer as they
+# were before the scratch workspace, every temporary of every chunk allocated
+# afresh, kept verbatim as the byte-for-byte reference of the workspace path.
+
+
+def allocating_candidate_scores(coord, olo, o, lower, dens, e, z, kind, draws=None, out=None):
+    e_lo = coord - lower
+    e_lo *= dens
+    e_hi = e - e_lo
+    low = np.minimum(e_lo, e_hi)
+    ok = low >= z if z > 0 else low > 0
+    if kind == "random":
+        if out is None:
+            return draws, ok
+        np.copyto(out, draws)
+        return out, ok
+    if kind not in ("chi", "mi"):
+        raise ValueError(f"unknown score kind {kind!r}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == "chi":
+            lo = np.subtract(olo, e_lo, out=out)
+            lo *= lo
+            lo /= e_lo
+            hi = o - olo
+            hi -= e_hi
+            hi *= hi
+            hi /= e_hi
+            lo += hi
+            return lo, ok
+        ohi = o - olo
+        return np.add(np.where(olo > 0, (olo / o) * np.log(olo / e_lo), 0.0),
+                      np.where(ohi > 0, (ohi / o) * np.log(ohi / e_hi), 0.0), out=out), ok
+
+
+def _allocating_summary(masked, p_masked, pseudo, coords, cnt, parts):
+    first = np.cumsum(cnt) - cnt
+    best = np.maximum(p_masked, np.maximum.reduceat(masked, first))
+    hits = np.concatenate([np.flatnonzero(masked[c] == spread(best)) + c.start
+                           for c, spread in parts] + [[masked.size]])
+    at = np.searchsorted(hits, first)
+    p_best = p_masked == best
+    n_best = np.searchsorted(hits, first + cnt) - at + p_best
+    some = best > -np.inf
+    flat = ~some
+    tied = some & (n_best > 1)
+    if tied.any():
+        n_ok = np.add.reduceat(masked > -np.inf, first, dtype=np.intp) + (p_masked > -np.inf)
+        flat |= tied & (n_best == n_ok)
+    member = np.minimum(hits[at], masked.size - 1)
+    idx = np.where(some, np.where(p_best, 0, member - first + 1), -1)
+    return flat, np.where(some, best, 0.0), idx, np.where(p_best, pseudo, coords[member])
+
+
+def allocating_scored(margins, cnt, e, kind, z):
+    """``splitting._scored`` without a workspace: the summary of each of
+    ``margins`` of every bin, by scoring every candidate."""
+    first = np.cumsum(cnt) - cnt
+    parts = chunks(cnt)
+    first_f, cnt_f = first.astype(float), cnt.astype(float)
+    tabs = [(coords, lower.astype(float), upper, e / (upper - lower), draws)
+            for coords, lower, upper, draws in margins]
+    masked = [np.empty(cnt.sum()) for _ in tabs]
+    for c, spread in parts:
+        olo = np.arange(c.start + 1.0, c.stop + 1.0)
+        olo -= spread(first_f)
+        o, e_c = spread(cnt_f), spread(e)
+        for m, (coords, lower, _, dens, (_, m_draws)) in zip(masked, tabs):
+            _, ok = allocating_candidate_scores(
+                coords[c].astype(float), olo, o, spread(lower), spread(dens), e_c, z, kind,
+                None if m_draws is None else m_draws[c], out=m[c])
+            np.copyto(m[c], -np.inf, where=~ok)
+    last = first + cnt - 1
+    summaries = []
+    for m, (coords, lower, upper, dens, (p_draws, _)) in zip(masked, tabs):
+        pseudo = coords[first] - 1
+        scores, ok = allocating_candidate_scores(pseudo.astype(float), 0.0, cnt_f, lower, dens,
+                                                 e, z, kind, p_draws)
+        m[last[coords[last] >= upper]] = -np.inf
+        summaries.append(_allocating_summary(m, np.where(ok, scores, -np.inf), pseudo, coords,
+                                             cnt, parts))
+    return summaries
 
 
 def check_partition(binning, z):

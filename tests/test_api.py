@@ -1,11 +1,16 @@
-"""The package's export list matches what it actually exposes, and only the
-engine names the batching policy."""
+"""The package's export list matches what it actually exposes, only the
+engine names the batching policy, and no module holds an array."""
 
+import importlib
+import pkgutil
 import re
 import types
 from pathlib import Path
 
+import numpy as np
+
 import rankbin
+from rankbin.splitting import Workspace
 
 
 def _public_names():
@@ -38,3 +43,15 @@ def test_only_engine_knows_the_batching_policy():
         if names:
             strays[path.stem] = sorted(names)
     assert strays == {}
+
+
+def test_no_module_binds_an_array():
+    # scratch space belongs to each growth, never to a module, so threads
+    # growing trees at once share none
+    held = {}
+    for info in pkgutil.iter_modules(rankbin.__path__):
+        module = importlib.import_module(f"rankbin.{info.name}")
+        names = [n for n, v in vars(module).items() if isinstance(v, (np.ndarray, Workspace))]
+        if names:
+            held[info.name] = names
+    assert held == {}

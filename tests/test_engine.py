@@ -1,4 +1,6 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -190,3 +192,29 @@ def test_tree_order_matches_lexsort():
         node_id = np.array([i for _, i in pairs], dtype=ids_kind)
         assert np.array_equal(_tree_order(root, node_id, deepest),
                               np.lexsort((node_id, root)))
+
+
+def test_concurrent_threads_match_serial_runs():
+    # Every growth makes its own scratch workspace, so growths running at
+    # once on two threads, switching often, give the serial bytes.
+    stop = StopConfig(max_depth=6)
+
+    def null(seed):
+        return simulate_null(300, range(2, 7), "chi", stop, n_sim=20, seed=seed).to_csv_text()
+
+    def binning(seed):
+        pair = _pair(2000, seed=seed)
+        return "".join(binning_to_json(bin_pair(pair, kind, stop, seed=seed))
+                       for kind in ("chi", "mi", "random"))
+
+    jobs = [(null, 0), (binning, 1), (null, 2), (binning, 3)] * 2
+    want = [f(seed) for f, seed in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(f, seed) for f, seed in jobs]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want

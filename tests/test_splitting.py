@@ -1,10 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from _oracles import one_bin_split, per_bin_split_at
+from _oracles import allocating_scored, one_bin_split, per_bin_split_at
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rankbin import Bin, StopConfig, bin_pair_by_depth
+from rankbin import Bin, StopConfig, bin_pair_by_depth, splitting
 from rankbin.ranks import RankedPair
-from rankbin.splitting import _full_summary, _scored
+from rankbin.splitting import BLOCK, Workspace, _full_summary, _scored, best_splits, chunks
 
 
 def mk_bin(ls, us, lt, ut, pts_s, pts_t, expected, depth=0):
@@ -233,8 +237,94 @@ def test_full_margin_closed_form_matches_scoring(kind):
         coords = np.concatenate([np.arange(lo + 1, lo + n + 1) for lo in lower]).astype(np.int32)
         cnt, e = np.full(lower.size, n), np.full(lower.size, float(n))
         for z in (0.0, 0.5, 2.5, 5.0, float(n), 1e300):
-            want = _scored([(coords, lower, lower + n, (None, None))], cnt, e, kind, z)[0]
+            want = _scored([(coords, lower, lower + n, (None, None))], cnt, e, kind, z,
+                           chunks(cnt), Workspace())[0]
             got = _full_summary(lower, lower + n, z)
             assert np.array_equal(got[0], want[0]), (n, z)
             assert got[1].tobytes() == want[1].tobytes(), (n, z)
             assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3]), (n, z)
+
+
+def _level(cnt, full, seed):
+    """One level of bins holding ``cnt[j]`` members each, for ``best_splits``.
+
+    ``full[j]`` names the margins ("", "s", "t" or "st") on which bin j holds
+    one member per rank and expects exactly its width; the other margins are
+    wider than the bin's count, and a bin full on neither expects a random
+    share of its count.  Returns (lo_s, hi_s, lo_t, hi_t, e, cnt, ss, tt)
+    with bounds in int64 and sorted coordinates in int32, as the engine
+    passes them.
+    """
+    rng = np.random.default_rng(seed)
+    rows = []
+    for c, f in zip(cnt, full):
+        w_s, w_t = (c if m in f else c + int(rng.integers(1, 3 * c + 2)) for m in "st")
+        lo_s, lo_t = (int(v) for v in rng.integers(0, 10**6, 2))
+        s = np.sort(rng.choice(w_s, c, replace=False)) + lo_s + 1
+        t = np.sort(rng.choice(w_t, c, replace=False)) + lo_t + 1
+        e = float(c) if f else float(rng.uniform(0.25, 3.0)) * c
+        rows.append((lo_s, lo_s + w_s, lo_t, lo_t + w_t, e, s, t))
+    lo_s, hi_s, lo_t, hi_t = (np.array([r[i] for r in rows], dtype=np.int64) for i in range(4))
+    ss, tt = (np.concatenate([r[i] for r in rows]).astype(np.int32) for i in (5, 6))
+    return (lo_s, hi_s, lo_t, hi_t, np.array([r[4] for r in rows]),
+            np.array(cnt, dtype=np.int64), ss, tt)
+
+
+# Bin counts are a small multiple of a scale, so that many levels hold more
+# than a ``BLOCK`` of points and chunk boundaries fall inside bins.
+_LEVELS = dict(
+    bins=st.lists(st.tuples(st.integers(1, 12), st.sampled_from(["", "", "s", "t", "st"])),
+                  min_size=1, max_size=8),
+    scale=st.sampled_from([1, 7, 409, 1201]),
+    kind=st.sampled_from(["chi", "mi", "random"]),
+    z=st.sampled_from([0.0, 0.5, 2.5, 5.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(**_LEVELS)
+# 9,500 points: the first chunk ends inside the third bin, and the last is short
+@example(bins=[(6, ""), (6, "s"), (6, ""), (1, "t")], scale=500, kind="mi", z=2.5, seed=1)
+@example(bins=[(BLOCK, ""), (1, ""), (BLOCK - 1, "st")], scale=1, kind="random", z=0.0, seed=2)
+# more bins than a ``BLOCK``: their pseudo-points are scored in two chunks
+@example(bins=[(1, ""), (2, "s")] * (BLOCK // 2 + 2), scale=1, kind="chi", z=0.5, seed=5)
+def test_workspace_scoring_matches_allocating_oracle(bins, scale, kind, z, seed):
+    # The scoring pass with one scratch workspace gives, bit for bit, the
+    # summaries of the pass that allocated every temporary per chunk.
+    cnt, full = zip(*((c * scale, f) for c, f in bins))
+    lo_s, hi_s, lo_t, hi_t, e, cnt, ss, tt = _level(cnt, full, seed)
+    rng = np.random.default_rng(seed)
+    draws = [(rng.random(cnt.size), rng.random(ss.size)) if kind == "random" else (None, None)
+             for _ in "st"]
+    margins = [(ss, lo_s, hi_s, draws[0]), (tt, lo_t, hi_t, draws[1])]
+    ws = Workspace()
+    got = _scored(margins, cnt, e, kind, z, chunks(cnt), ws)
+    again = _scored(margins, cnt, e, kind, z, chunks(cnt), ws)  # a used workspace
+    want = allocating_scored(margins, cnt, e, kind, z)
+    for g, a, w in zip(got, again, want):
+        for x, y, v in zip(g, a, w):
+            assert x.dtype == v.dtype and x.tobytes() == y.tobytes() == v.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(**_LEVELS)
+@example(bins=[(6, ""), (6, "s"), (6, ""), (1, "t")], scale=500, kind="chi", z=5.0, seed=3)
+@example(bins=[(BLOCK + 1, "st"), (3000, ""), (10, "t")], scale=1, kind="chi", z=0.5, seed=4)
+def test_workspace_best_splits_matches_allocating_oracle(bins, scale, kind, z, seed):
+    # best_splits on its workspace path, full margins and the subsets of
+    # bins left to score included, against the same function scoring
+    # through the allocating pass
+    cnt, full = zip(*((c * scale, f) for c, f in bins))
+    level = _level(cnt, full, seed)
+
+    def split(ws):
+        return best_splits(*level, kind, z, lambda j: np.random.default_rng((seed, j)),
+                           chunks(level[5]), ws)
+
+    got = split(Workspace())
+    oracle = lambda margins, cnt, e, kind, z, parts, ws: allocating_scored(margins, cnt, e, kind, z)
+    with mock.patch.object(splitting, "_scored", oracle):
+        want = split(None)
+    for x, w in zip(got, want):
+        assert x.dtype == w.dtype and x.tobytes() == w.tobytes()
