@@ -6,8 +6,12 @@ empirical p-value.  Inputs are expected to be approximately serially
 independent pseudo-observations -- any time-series whitening (e.g. fitting
 and residualizing a volatility model on returns) happens upstream.
 
-Each pair derives its own random substream from the scan seed and the two
-column indices, so results do not depend on worker count or scheduling.
+Each pair derives its own random substreams from the scan seed and the two
+column indices, so results do not depend on worker count or scheduling.  A
+column with no tie gets the same ranks from any stream, so each such column
+is ranked once per call and its read-only ranks are shared by every pair that
+holds it (a pool worker receives them once, with the tree source); only a
+tied column is ranked per pair, from that pair's substream.
 Pairs are grown and read off as null replicates are, by
 ``stats.tree_statistics``, and their p-values placed in one pass by
 ``stats.empirical_ps``; ``pair_binnings`` rebuilds chosen pairs' binnings
@@ -192,19 +196,39 @@ def _columns(table: dict[str, np.ndarray]) -> tuple[list[str], list[np.ndarray],
     return names, cols, n
 
 
-def _seeded_pair(cols, jobs, base_seed, i) -> tuple[RankedPair, int]:
-    """Rank column pair ``jobs[i]`` from its own substreams; return it and its binning seed.
+def _tie_free_ranks(cols, used) -> list[np.ndarray | None]:
+    """The ranks of each used column that holds no tie, read-only; None for the rest.
+
+    Two values tie when they compare equal, as in ``rank``'s stable sort, so
+    ``-0.0`` and ``0.0`` do.  A tie-free column's ranks do not depend on the
+    stream, so any one will do; ``rank`` itself refuses an empty or
+    non-finite column, and a tied one is left to each pair's substream.
+    """
+    rng = np.random.default_rng(0)
+    ranked: list[np.ndarray | None] = [None] * len(cols)
+    for j in sorted(set(used)):
+        v = np.sort(np.asarray(cols[j], dtype=float), axis=None)
+        if not (v[1:] == v[:-1]).any():
+            ranked[j] = rank(cols[j], rng)
+            ranked[j].flags.writeable = False
+    return ranked
+
+
+def _seeded_pair(cols, ranked, jobs, base_seed, i) -> tuple[RankedPair, int]:
+    """Column pair ``jobs[i]`` as ranks and its binning seed.
 
     Streams 0, 1 and 2 are those of
     ``SeedSequence(entropy=(base_seed, ia, ib)).spawn(3)``, built directly
-    from their spawn keys without the parent.
+    from their spawn keys without the parent.  Column ``ia`` (``ib``) takes
+    its shared ranks in ``ranked`` if it has them, and is ranked from stream
+    0 (1) only if not; stream 2's first word is the binning seed.
     """
-    ia, ib = jobs[i]
-    ss_a, ss_b, ss_bin = (np.random.SeedSequence((base_seed, ia, ib), spawn_key=(k,))
-                          for k in range(3))
-    s = rank(cols[ia], np.random.default_rng(ss_a))
-    t = rank(cols[ib], np.random.default_rng(ss_b))
-    return _trusted_pair(s, t, s.size), int(ss_bin.generate_state(1, np.uint64)[0])
+    entropy = (base_seed, *jobs[i])
+    s, t = (ranked[j] if ranked[j] is not None else
+            rank(cols[j], np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(k,))))
+            for k, j in enumerate(jobs[i]))
+    seed = np.random.SeedSequence(entropy, spawn_key=(2,)).generate_state(1, np.uint64)[0]
+    return _trusted_pair(s, t, s.size), int(seed)
 
 
 def pair_binnings(
@@ -223,8 +247,9 @@ def pair_binnings(
     names, cols, n = _columns(table)
     jobs = [(names.index(a), names.index(b)) for a, b in named_pairs]
     d = stop.max_depth
-    binnings = tree_binnings(partial(_seeded_pair, cols, jobs, base_seed), len(jobs), n,
-                             [d], kind, stop, z)
+    ranked = _tie_free_ranks(cols, [j for job in jobs for j in job])
+    binnings = tree_binnings(partial(_seeded_pair, cols, ranked, jobs, base_seed), len(jobs),
+                             n, [d], kind, stop, z)
     return [b[d] for b in binnings]
 
 
@@ -240,9 +265,10 @@ def scan_pairs(
 ) -> list[ScanRecord]:
     """Score every unordered column pair and sort by descending chi2.
 
-    Columns are ranked afresh for each pair (with that pair's substream) so
-    tie-breaking draws stay independent across the scan; pairs are grown and
-    read off in batches by ``stats.tree_statistics``.  The matrix needs
+    Each tie-free column is ranked once and its ranks shared; a tied column
+    is ranked afresh for each pair, from that pair's substream, so
+    tie-breaking draws stay independent across the scan.  Pairs are grown
+    and read off in batches by ``stats.tree_statistics``.  The matrix needs
     columns of equal length and a row, and the null table must have been
     simulated for the same number of rows (when it records one) and under
     the same kind/stop/z configuration (``NullTable.check_config``); these,
@@ -257,8 +283,10 @@ def scan_pairs(
     if window < 0:
         raise ValueError("window must be >= 0")
     jobs = list(combinations(range(len(names)), 2))
-    n_bins, chi2s = tree_statistics(partial(_seeded_pair, cols, jobs, base_seed), len(jobs),
-                                    n, [stop.max_depth], kind, stop, z, workers)
+    source = partial(_seeded_pair, cols, _tie_free_ranks(cols, range(len(cols))), jobs,
+                     base_seed)
+    n_bins, chi2s = tree_statistics(source, len(jobs), n, [stop.max_depth], kind, stop, z,
+                                    workers)
     p_emp = empirical_ps(null, n_bins[:, 0], chi2s[:, 0], window).tolist()
     records = [
         ScanRecord(name_a=names[ia], name_b=names[ib], n_bin=n_bin, chi2=chi2, p_emp=p)

@@ -15,10 +15,12 @@ from rankbin import (
     simulate_null,
     top_k,
 )
-from rankbin import binning_to_json, engine
+from rankbin import binning_to_json, engine, scan
 from rankbin.ranks import RankedPair
 from rankbin.engine import BATCH
 from rankbin.scan import ScanRecord, pair_binnings
+
+from _oracles import per_pair_scan
 
 
 def _write(tmp_path, text, name="m.csv"):
@@ -302,3 +304,104 @@ def test_batched_rebuild_matches_one_pair_at_a_time(kind):
         chosen = pairs[len(pairs) - k:][::-1]  # any order, not the scan's
         got = pair_binnings(table, chosen, kind, stop, z, seed)
         assert [binning_to_json(b) for b in got] == [one[pairs.index(p)] for p in chosen]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tie_free_non_finite_column_is_refused(bad):
+    rng = np.random.default_rng(14)
+    n, stop = 80, StopConfig(max_depth=4)
+    table = {f"c{i}": rng.normal(size=n) for i in range(3)}
+    table["c1"][7] = bad  # no value of c1 ties
+    with pytest.raises(ValueError, match="cannot rank non-finite values"):
+        scan_pairs(table, "chi", stop, 5.0, 0, _null(n, depth=4))
+    with pytest.raises(ValueError, match="cannot rank non-finite values"):
+        pair_binnings(table, [("c0", "c1")], "chi", stop, 5.0, 0)
+    # a column no named pair holds is not ranked, so not refused
+    assert len(pair_binnings(table, [("c0", "c2")], "chi", stop, 5.0, 0)) == 1
+
+
+def test_pair_binnings_refuses_a_table_without_rows():
+    table = {"a": np.array([]), "b": np.array([])}
+    with pytest.raises(ValueError, match="cannot rank an empty sequence"):
+        pair_binnings(table, [("a", "b")], "chi", StopConfig(max_depth=4), 5.0, 0)
+
+
+def _stream_use(monkeypatch, table):
+    """Record the column and stream of every ``rank`` call in ``scan``, and the
+    spawn key of every per-pair ``Generator`` built; returns both lists."""
+    ranked, built = [], []
+    rank, default_rng = scan.rank, np.random.default_rng
+
+    def counted_rank(values, rng):
+        ss = rng.bit_generator.seed_seq
+        name = next(k for k, col in table.items() if col is values)
+        ranked.append((name, ss.entropy, ss.spawn_key))
+        return rank(values, rng)
+
+    def counted_rng(seed=None):
+        if isinstance(seed, np.random.SeedSequence) and seed.spawn_key:
+            built.append(seed.spawn_key)
+        return default_rng(seed)
+
+    monkeypatch.setattr(scan, "rank", counted_rank)
+    monkeypatch.setattr(np.random, "default_rng", counted_rng)
+    return ranked, built
+
+
+def test_tie_free_columns_are_ranked_once_per_call(monkeypatch):
+    rng = np.random.default_rng(15)
+    n, stop = 80, StopConfig(max_depth=4)
+    table = {f"c{i}": rng.normal(size=n) for i in range(5)}
+    null = _null(n, depth=4)
+    ranked, built = _stream_use(monkeypatch, table)
+    scan_pairs(table, "chi", stop, 5.0, 3, null)
+    assert sorted(name for name, _, key in ranked if key == ()) == list(table)
+    assert len(ranked) == len(table) and built == []
+    ranked.clear()
+    pair_binnings(table, [("c0", "c1"), ("c3", "c0"), ("c1", "c3")], "chi", stop, 5.0, 3)
+    assert sorted(name for name, _, key in ranked if key == ()) == ["c0", "c1", "c3"]
+    assert len(ranked) == 3 and built == []
+
+
+def test_tied_column_is_ranked_per_pair_from_its_stream(monkeypatch):
+    rng = np.random.default_rng(16)
+    n, stop, seed = 80, StopConfig(max_depth=4), 3
+    table = {f"c{i}": rng.normal(size=n) for i in range(5)}
+    table["c2"] = np.round(table["c2"], 1)
+    null = _null(n, depth=4)
+    ranked, built = _stream_use(monkeypatch, table)
+    scan_pairs(table, "chi", stop, 5.0, seed, null)
+    tied = sorted((entropy, key) for name, entropy, key in ranked if name == "c2")
+    # c2 is the first column of pairs (2, 3) and (2, 4), the second of (0, 2) and (1, 2)
+    assert tied == [((seed, 0, 2), (1,)), ((seed, 1, 2), (1,)),
+                    ((seed, 2, 3), (0,)), ((seed, 2, 4), (0,))]
+    assert sorted(name for name, _, key in ranked if key == ()) == ["c0", "c1", "c3", "c4"]
+    assert len(ranked) == 8 and sorted(built) == [(0,), (0,), (1,), (1,)]
+
+
+@pytest.mark.parametrize("tie", ["signed_zero", "one_repeat"])
+def test_barely_tied_columns_take_the_per_pair_path(monkeypatch, tie):
+    rng = np.random.default_rng(17)
+    n, stop, seed = 80, StopConfig(max_depth=4), 5
+    table = {f"c{i}": rng.normal(size=n) for i in range(4)}
+    if tie == "signed_zero":
+        table["c1"][[10, 50]] = [0.0, -0.0]
+    else:
+        table["c1"][10] = table["c1"][50]
+    null = _null(n, depth=4)
+    want = per_pair_scan(table, "chi", stop, 5.0, seed, null)
+    ranked, _ = _stream_use(monkeypatch, table)
+    got = scan_pairs(table, "chi", stop, 5.0, seed, null)
+    assert got == want
+    assert sorted(key for name, _, key in ranked if name == "c1") == [(0,), (0,), (1,)]
+
+
+def test_shared_ranks_are_read_only():
+    rng = np.random.default_rng(18)
+    cols = [rng.normal(size=50), np.round(rng.normal(size=50), 1)]
+    ranked = scan._tie_free_ranks(cols, [0, 1])
+    assert ranked[1] is None
+    pair, _ = scan._seeded_pair(cols, ranked, [(0, 1)], 7, 0)
+    assert pair.s is ranked[0]
+    with pytest.raises(ValueError, match="read-only"):
+        pair.s[0] = 1
