@@ -15,14 +15,14 @@ be split is frozen too.
 The members of the nodes still to be scored are kept in two orders, node
 after node: by s and by t, which give every node's sorted candidate
 coordinates without a sort.  A caller that reads the bins' points (``Bin``
-building) also gets every node's members in original index order.  A split
-marks each member of an order that goes to the upper child once; that mask
-moves the members by a stable partition, so every order stays sorted from
-the root down, and the s order's mask also counts each split node's
-children.  Every per-level pass runs over these arrays in chunks of
-``splitting.BLOCK`` entries, planned once per level, and writes its
-temporaries to one scratch ``splitting.Workspace`` per batch, so they stay
-in cache and are never allocated afresh.
+building) also gets every node's members in original index order.  Each
+order is one two-row array of the members' s and t coordinates.  A split
+marks each member of an order that goes to the upper child once, in one
+mask over the whole level; that mask moves the members by one stable
+gather, so every order stays sorted from the root down, and the s order's
+mask also counts each split node's children.  Only the scoring pass runs in
+chunks of ``splitting.BLOCK`` members, writing its temporaries to one
+scratch ``splitting.Workspace`` per batch.
 
 A node's heap id (root 1; a split of node k creates lower child 2k and
 upper child 2k + 1) is the one statement of its tree position.  It fixes
@@ -76,12 +76,12 @@ import numpy as np
 from .bins import SCORE_KINDS, Bin, Binning, StopConfig
 from .ranks import RankedPair
 from .scoring import lower_expected
-from .splitting import BLOCK, Workspace, best_splits, chunks
+from .splitting import BLOCK, Workspace, best_splits
 
 
 # Points per batch of trees grown together.  Every level of a batch pays a
 # fixed numpy cost however few points it holds, so a batch spans several of
-# the ``BLOCK`` chunks the per-level passes run in; a larger one costs peak
+# the ``BLOCK`` chunks the scoring pass runs in; a larger one costs peak
 # memory, which grows with the batch, for little more speed.
 BATCH = 4 * BLOCK
 
@@ -128,41 +128,29 @@ def check_growth_args(depths, kind: str, z: float) -> list[int]:
     return depths
 
 
-def _goes_up(a, b, parts, on_t, cut, ws):
-    """Which entries of one point order go to their node's upper child.
+def _goes_up(order, cnt, on_t, cut):
+    """Which members of one order go to their node's upper child.
 
-    ``a`` and ``b`` hold the s and t coordinates of the order, node after
-    node, in ``splitting.chunks`` ``parts``.  A member of node j goes up when
-    its t (if ``on_t[j]``) or s coordinate exceeds ``cut[j]``.  The t test
-    goes to the ``Workspace`` ``ws``.
+    ``order`` holds the s and t coordinates (rows 0 and 1) of the members,
+    node after node, ``cnt[j]`` of them for node j.  A member of node j goes
+    up when its t (if ``on_t[j]``) or s coordinate exceeds ``cut[j]``.
     """
-    up = np.empty(a.size, dtype=bool)
-    for c, spread in parts:
-        cut_c = spread(cut)
-        np.greater(a[c], cut_c, out=up[c])
-        np.copyto(up[c], np.greater(b[c], cut_c, out=ws.hit[:c.stop - c.start]),
-                  where=spread(on_t))
-    return up
+    return np.where(on_t.repeat(cnt), order[1], order[0]) > cut.repeat(cnt)
 
 
-def _partition(a, b, up, parts, keep=None):
+def _partition(order, up, cnt, keep_lo, keep_up):
     """Move each node's members to its two children, keeping their order.
 
-    ``up`` marks the entries going up (``_goes_up``).  With ``keep`` =
-    (lower, upper) flags per node, the members of a child whose flag is off
-    are dropped.  Returns both coordinate arrays, holding every kept lower
-    child's members node by node and then every kept upper child's.
+    ``up`` marks the members going up (``_goes_up``); the members of node
+    j's lower child are kept if ``keep_lo[j]``, those of its upper child if
+    ``keep_up[j]``.  Returns ``order`` holding every kept lower child's
+    members node by node and then every kept upper child's.
     """
-    out: list[list[np.ndarray]] = [[], [], [], []]
-    for c, spread in parts:
-        a_c, b_c, go = a[c], b[c], up[c]
-        for side, moved in enumerate((~go, go)):
-            if keep is not None:
-                moved = moved & spread(keep[side])
-            idx = moved.nonzero()[0]
-            out[side].append(a_c[idx])
-            out[side + 2].append(b_c[idx])
-    return np.concatenate(out[0] + out[1]), np.concatenate(out[2] + out[3])
+    idx = np.concatenate((np.flatnonzero(~up & keep_lo.repeat(cnt)),
+                          np.flatnonzero(up & keep_up.repeat(cnt))))
+    # ``take`` gathers the columns of a small-row array far faster than
+    # indexing them
+    return order.take(idx, axis=1)
 
 
 def grow_levels(
@@ -188,39 +176,39 @@ def grow_levels(
     ids = np.ones(cnt.size, dtype=np.int64 if max_depth < 62 else object)
     depth = 0
     stop = stopped(e, cnt, depth)
-    # Members by s and by t, and in original order if asked: each tree's
-    # ranks are a permutation, so rank r of a tree starting at slot f goes
-    # to f + r - 1.  32-bit coordinates halve what every pass moves
+    # Members by s, by t and in original order, each an order of (s, t)
+    # columns: each tree's ranks are a permutation, so rank r of a tree
+    # starting at slot f goes to f + r - 1.  32-bit coordinates halve what
+    # every pass moves
     coord = np.int32 if cnt.sum() < 2**31 else np.int64
     ws = Workspace()
-    i_s = np.concatenate([p.s for p in pairs]).astype(coord)
-    i_t = np.concatenate([p.t for p in pairs]).astype(coord)
+    by_i = np.array([np.concatenate([p.s for p in pairs]),
+                     np.concatenate([p.t for p in pairs])], dtype=coord)
     slot = np.repeat(np.cumsum(cnt) - cnt, cnt)
-    s_s, s_t, t_s, t_t = np.empty((4, i_s.size), dtype=coord)
-    s_s[slot + i_s - 1], s_t[slot + i_s - 1] = i_s, i_t
-    t_s[slot + i_t - 1], t_t[slot + i_t - 1] = i_s, i_t
+    by_s, by_t = np.empty_like(by_i), np.empty_like(by_i)
+    by_s[:, slot + by_i[0] - 1] = by_i
+    by_t[:, slot + by_i[1] - 1] = by_i
     if not points:
-        i_s = i_t = None
+        by_i = None
     if stop.any():
         # the s and t orders hold only the members of bins still to be scored
         live = np.repeat(~stop, cnt)
-        s_s, s_t, t_s, t_t = s_s[live], s_t[live], t_s[live], t_t[live]
+        by_s, by_t = by_s.compress(live, axis=1), by_t.compress(live, axis=1)
 
     while True:
         act = np.flatnonzero(~stop)
         ok = np.zeros(act.size, dtype=bool)
-        # the chunks of the s and t orders, shared by this level's passes
-        parts = chunks(cnt[act])
         if act.size:
             ok, on_t, cut = best_splits(
                 lo_s[act], hi_s[act], lo_t[act], hi_t[act], e[act], cnt[act],
-                s_s, t_t, kind, z,
-                lambda j: _bin_rng(seeds[root[act[j]]], ids[act[j]]), parts, ws)
+                by_s[0], by_t[1], kind, z,
+                lambda j: _bin_rng(seeds[root[act[j]]], ids[act[j]]), ws)
             on_t, cut = on_t[ok], cut[ok]
         split = act[ok]
         leaf = np.ones(cnt.size, dtype=bool)
         leaf[split] = False
-        yield Level(depth, lo_s, hi_s, lo_t, hi_t, e, cnt, leaf, root, ids, i_s, i_t)
+        yield Level(depth, lo_s, hi_s, lo_t, hi_t, e, cnt, leaf, root, ids,
+                    *((None, None) if by_i is None else by_i))
         if not split.size:
             return
 
@@ -232,13 +220,11 @@ def grow_levels(
         node_cut = np.zeros(cnt.size, dtype=coord)
         node_cut[split] = cut
         if points:
-            # leaves drop out; a leaf with members is rare before the last level
-            every = chunks(cnt)
-            i_s, i_t = _partition(i_s, i_t, _goes_up(i_s, i_t, every, node_t, node_cut, ws),
-                                  every, (~leaf, ~leaf) if (cnt[leaf] > 0).any() else None)
-        plan = (parts, node_t[act], node_cut[act], ws)
-        up_s = _goes_up(s_s, s_t, *plan)
-        n_up = np.add.reduceat(up_s, np.cumsum(cnt[act]) - cnt[act], dtype=np.intp)[ok]
+            # leaves drop out
+            by_i = _partition(by_i, _goes_up(by_i, cnt, node_t, node_cut), cnt, ~leaf, ~leaf)
+        act_cnt, act_t, act_cut = cnt[act], node_t[act], node_cut[act]
+        up_s = _goes_up(by_s, act_cnt, act_t, act_cut)
+        n_up = np.add.reduceat(up_s, np.cumsum(act_cnt) - act_cnt, dtype=np.intp)[ok]
         kid_cnt = np.concatenate((cnt[split] - n_up, n_up))
         e_lo = lower_expected(cut, np.where(on_t, lo_t[split], lo_s[split]),
                               np.where(on_t, hi_t[split], hi_s[split]), e[split])
@@ -249,9 +235,9 @@ def grow_levels(
             keep_up = np.zeros(act.size, dtype=bool)
             keep_lo[ok] = ~kid_stop[:k]
             keep_up[ok] = ~kid_stop[k:]
-            keep = None if keep_lo.all() and keep_up.all() else (keep_lo, keep_up)
-            s_s, s_t = _partition(s_s, s_t, up_s, parts, keep)
-            t_s, t_t = _partition(t_s, t_t, _goes_up(t_s, t_t, *plan), parts, keep)
+            by_s = _partition(by_s, up_s, act_cnt, keep_lo, keep_up)
+            by_t = _partition(by_t, _goes_up(by_t, act_cnt, act_t, act_cut), act_cnt,
+                              keep_lo, keep_up)
 
         # The children: every lower child, then every upper child, each in
         # the order of their parents.

@@ -9,6 +9,7 @@ case a dependence measure must not flag.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,8 @@ class PatternSpec:
             raise ValueError(f"kind must be one of {PATTERN_KINDS}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.noise is not None and self.noise < 0:
-            raise ValueError("noise must be >= 0")
+        if self.noise is not None and not 0 <= self.noise < math.inf:
+            raise ValueError("noise must be finite and >= 0")
 
 
 def generate(spec: PatternSpec) -> tuple[np.ndarray, np.ndarray]:

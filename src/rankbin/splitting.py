@@ -25,8 +25,11 @@ Every eligible candidate of a full margin scores exactly zero, so its
 summary comes in closed form (``_full_summary``), and only the members of
 the other margins are scored.
 
-The members are scored in ``BLOCK`` chunks (``chunks``), whose temporaries
-go to a ``Workspace``: the caller's, one per batch of trees.
+The members are scored in ``BLOCK`` chunks (``chunks``), planned once per
+scoring pass, whose temporaries go to a ``Workspace``: the caller's, one per
+batch of trees.  Scoring is the one pass that runs in chunks: it builds
+several float temporaries per candidate, while every other pass over the
+members is one mask or one gather.
 """
 
 from __future__ import annotations
@@ -37,15 +40,15 @@ import numpy as np
 
 from .scoring import candidate_scores, lower_expected
 
-# Points per chunk: every per-level pass runs over its arrays in chunks of
-# this many points (twice as many candidates over both margins), so the
+# Points per chunk: the scoring pass runs over the members in chunks of
+# this many points (twice as many candidates over both margins), so its
 # temporaries, 64 KB of floats each, stay in cache however many points a
 # batch of trees holds.
 BLOCK = 1 << 13
 
 
 class Workspace:
-    """Scratch arrays of ``BLOCK`` entries for the per-chunk passes of a batch.
+    """Scratch arrays of ``BLOCK`` entries for the scoring passes of a batch.
 
     Each pass writes its temporaries here instead of allocating them chunk
     after chunk: freed, they would go back to the system and fault in again
@@ -56,7 +59,6 @@ class Workspace:
     def __init__(self):
         self.ramp = np.arange(1.0, BLOCK + 1.0)
         self.coord, self.olo, self.o, self.e = (np.empty(BLOCK) for _ in range(4))
-        self.hit = np.empty(BLOCK, dtype=bool)
         self._work = ([np.empty(BLOCK) for _ in range(3)]
                       + [np.empty(BLOCK, dtype=bool) for _ in range(2)])
 
@@ -96,28 +98,23 @@ def chunks(cnt: np.ndarray) -> list:
     return out
 
 
-def _summary(masked, p_masked, pseudo, coords, cnt, parts, ws):
+def _summary(masked, p_masked, pseudo, coords, cnt):
     """One margin of every bin: (flat, best score, best candidate, its cut).
 
     Bin j's candidates on the margin are its pseudo-point (candidate 0,
     score ``p_masked[j]``) and its sorted members ``coords`` (candidates
     1..cnt[j], the next scores of ``masked``, bin after bin), a gated
-    candidate scoring -inf; ``parts`` are the members' ``chunks``.  Flat
-    means the margin offers no informative choice: either nothing is
-    eligible (score 0, candidate -1) or at least two eligible candidates all
-    carry one identical score.  A margin with a single eligible candidate is
-    not flat -- that candidate is simply its best.  The best is the first,
-    that is lowest, eligible candidate with the largest score.
+    candidate scoring -inf.  Flat means the margin offers no informative
+    choice: either nothing is eligible (score 0, candidate -1) or at least
+    two eligible candidates all carry one identical score.  A margin with a
+    single eligible candidate is not flat -- that candidate is simply its
+    best.  The best is the first, that is lowest, eligible candidate with
+    the largest score.
     """
     first = np.cumsum(cnt) - cnt
     best = np.maximum(p_masked, np.maximum.reduceat(masked, first))
     # Members scoring the best, with a sentinel so every margin finds one.
-    hits = []
-    for c, spread in parts:
-        at = np.equal(masked[c], spread(best), out=ws.hit[:c.stop - c.start]).nonzero()[0]
-        at += c.start
-        hits.append(at)
-    hits = np.concatenate(hits + [[masked.size]])
+    hits = np.append(np.flatnonzero(masked == best.repeat(cnt)), masked.size)
     at = np.searchsorted(hits, first)
     p_best = p_masked == best
     n_best = np.searchsorted(hits, first + cnt) - at + p_best
@@ -175,7 +172,7 @@ def _scored(margins, cnt, e, kind, z, parts, ws):
                          kind, None if p_draws is None else p_draws[j])
             # only a margin's last member can sit on its upper bound
             m[last[coords[last] >= upper]] = -np.inf
-            summaries.append(_summary(m, p_masked, pseudo, coords, cnt, parts, ws))
+            summaries.append(_summary(m, p_masked, pseudo, coords, cnt))
     return summaries
 
 
@@ -214,14 +211,15 @@ def best_splits(
     lo_s: np.ndarray, hi_s: np.ndarray, lo_t: np.ndarray, hi_t: np.ndarray,
     e: np.ndarray, cnt: np.ndarray, ss: np.ndarray, tt: np.ndarray,
     kind: str, z: float, rng_of: Callable[[int], np.random.Generator],
-    parts: list, ws: Workspace,
+    ws: Workspace,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each bin's best split: (splittable, cut is on t, cut coordinate).
 
     Bin j has integer bounds ``(lo_s, hi_s] x (lo_t, hi_t]``, expected count
     ``e[j]`` and ``cnt[j]`` >= 1 members, whose sorted s and t coordinates
-    are the next ``cnt[j]`` entries of ``ss`` and ``tt``; ``parts`` are their
-    ``chunks``, and the scoring passes write their temporaries to ``ws``.
+    are the next ``cnt[j]`` entries of ``ss`` and ``tt``.  Each scoring pass
+    runs over them in ``chunks`` planned once for it and writes its
+    temporaries to ``ws``.
     ``rng_of(j)`` gives bin j's random stream and is called only for a bin
     that draws: every bin under random scoring (s-margin draws, t-margin
     draws, then the degenerate-tie margin pick if needed), and under chi or
@@ -254,7 +252,7 @@ def best_splits(
         todo = ~full[hs[0]]
         if todo.all():
             for h, got in zip(hs, _scored([(*margins[h], draws[h]) for h in hs], cnt, e, kind,
-                                          z, parts, ws)):
+                                          z, chunks(cnt), ws)):
                 summaries[h] = got
             continue
         for h in hs:

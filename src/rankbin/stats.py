@@ -153,9 +153,9 @@ class NullTable:
                 row = (int(cells[0]), int(cells[1]), float(cells[2]))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {i}: {exc}") from None
-            if row[0] < 0 or row[1] < 1 or not 0 <= row[2] < np.inf:
+            if not (0 <= row[0] < 2**63 and 1 <= row[1] < 2**63 and 0 <= row[2] < np.inf):
                 raise ValueError(f"{path}: line {i}: entries require depth >= 0, "
-                                 "n_bin >= 1 and a finite chi2 >= 0")
+                                 "n_bin >= 1, both below 2**63, and a finite chi2 >= 0")
             rows.append(row)
         depths = np.array([r[0] for r in rows], dtype=np.int64)
         n_bins = np.array([r[1] for r in rows], dtype=np.int64)

@@ -5,9 +5,10 @@ direct two-child evaluation, the per-bin engine) so that library results
 are checked against a second, structurally different implementation.  Two
 thin wrappers put the library's batched scorer and splitter in the shape of
 one margin and one bin, ``allocating_scored`` is the scoring pass without
-a scratch workspace, and ``check_partition`` checks the invariants every
-partition must meet.  ``per_pair_scan`` is the scan one pair at a time,
-placing each p-value with ``per_record_p``.
+a scratch workspace, ``chunked_goes_up`` and ``chunked_partition`` are the
+member moves run chunk by chunk, and ``check_partition`` checks the
+invariants every partition must meet.  ``per_pair_scan`` is the scan one
+pair at a time, placing each p-value with ``per_record_p``.
 """
 
 from __future__ import annotations
@@ -48,8 +49,7 @@ def one_bin_split(b, kind, z, rng):
     ok, on_t, cut = best_splits(
         np.array([b.lower_s]), np.array([b.upper_s]), np.array([b.lower_t]),
         np.array([b.upper_t]), np.array([b.expected]), np.array([b.observed]),
-        np.sort(b.points_s), np.sort(b.points_t), kind, z, lambda j: rng,
-        chunks(np.array([b.observed])), Workspace())
+        np.sort(b.points_s), np.sort(b.points_t), kind, z, lambda j: rng, Workspace())
     return bool(ok[0]), bool(on_t[0]), int(cut[0])
 
 
@@ -135,6 +135,50 @@ def allocating_scored(margins, cnt, e, kind, z):
         summaries.append(_allocating_summary(m, np.where(ok, scores, -np.inf), pseudo, coords,
                                              cnt, parts))
     return summaries
+
+
+# ---------------------------------------------------------------------------
+# The chunked member moves: ``engine._goes_up`` and ``engine._partition`` as
+# they were before every move became one whole-level mask and gather, run
+# over the ``chunks`` of the members, kept verbatim as their byte-for-byte
+# reference.  ``ws`` needs only a ``hit`` array of ``BLOCK`` booleans.
+
+
+def chunked_goes_up(a, b, parts, on_t, cut, ws):
+    """Which entries of one point order go to their node's upper child.
+
+    ``a`` and ``b`` hold the s and t coordinates of the order, node after
+    node, in ``splitting.chunks`` ``parts``.  A member of node j goes up when
+    its t (if ``on_t[j]``) or s coordinate exceeds ``cut[j]``.  The t test
+    goes to the ``Workspace`` ``ws``.
+    """
+    up = np.empty(a.size, dtype=bool)
+    for c, spread in parts:
+        cut_c = spread(cut)
+        np.greater(a[c], cut_c, out=up[c])
+        np.copyto(up[c], np.greater(b[c], cut_c, out=ws.hit[:c.stop - c.start]),
+                  where=spread(on_t))
+    return up
+
+
+def chunked_partition(a, b, up, parts, keep=None):
+    """Move each node's members to its two children, keeping their order.
+
+    ``up`` marks the entries going up (``_goes_up``).  With ``keep`` =
+    (lower, upper) flags per node, the members of a child whose flag is off
+    are dropped.  Returns both coordinate arrays, holding every kept lower
+    child's members node by node and then every kept upper child's.
+    """
+    out: list[list[np.ndarray]] = [[], [], [], []]
+    for c, spread in parts:
+        a_c, b_c, go = a[c], b[c], up[c]
+        for side, moved in enumerate((~go, go)):
+            if keep is not None:
+                moved = moved & spread(keep[side])
+            idx = moved.nonzero()[0]
+            out[side].append(a_c[idx])
+            out[side + 2].append(b_c[idx])
+    return np.concatenate(out[0] + out[1]), np.concatenate(out[2] + out[3])
 
 
 def check_partition(binning, z):

@@ -268,6 +268,16 @@ def test_data_errors_exit_2(tmp_path, capsys):
                          "--chi2", "100"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("rankbin: data error:") and where in err
+    # a depth or an n_bin beyond int64 in a CSV null, for pvalue and scan
+    for name, row in (("huge_nbin.csv", "2,99999999999999999999999,1.0"),
+                      ("huge_depth.csv", "99999999999999999999999,3,1.0")):
+        (tmp_path / name).write_text(f"depth,n_bin,chi2\n6,3,5\n{row}\n")
+        for argv in (["pvalue", "--nbin", "3", "--chi2", "1"],
+                     ["scan", "--input", str(matrix), "--out", str(tmp_path / "s.csv")]):
+            assert cli_main(argv + ["--null", str(tmp_path / name)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("rankbin: data error:") and f"{name}: line 3" in err
+    assert not (tmp_path / "s.csv").exists()
     # an observed pair or a window that empirical_p cannot place
     good = tmp_path / "good.csv"
     good.write_text("depth,n_bin,chi2\n6,3,1\n6,3,5\n")
@@ -280,3 +290,8 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert cli_main(["nullsim", "--n", "1", "--sims", "5",
                      "--out", str(tmp_path / "n.csv")]) == 2
     assert capsys.readouterr().err.startswith("rankbin: data error:")
+    # a pattern with non-finite noise
+    assert cli_main(["pattern", "--kind", "wave", "--n", "3", "--noise", "nan",
+                     "--out", str(tmp_path / "p.csv")]) == 2
+    assert "noise must be finite and >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()

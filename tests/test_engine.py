@@ -2,9 +2,13 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from _oracles import check_partition
+from _oracles import check_partition, chunked_goes_up, chunked_partition
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from rankbin import (
     StopConfig,
@@ -15,8 +19,9 @@ from rankbin import (
     simulate_null,
 )
 from rankbin import engine
-from rankbin.engine import _bin_rng, _tree_order
+from rankbin.engine import _bin_rng, _goes_up, _partition, _tree_order
 from rankbin.ranks import RankedPair
+from rankbin.splitting import BLOCK, chunks
 
 
 def _pair(n, seed=0):
@@ -218,3 +223,46 @@ def test_concurrent_threads_match_serial_runs():
     finally:
         sys.setswitchinterval(interval)
     assert got == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    # per node: member count (0 for a node the points order drops), whether
+    # it is cut on t, and whether its lower and its upper child are kept
+    nodes=st.lists(st.tuples(st.integers(0, 12), st.booleans(), st.booleans(),
+                             st.booleans()), min_size=1, max_size=8),
+    scale=st.sampled_from([1, 7, 409, 1201]),
+    keep_all=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# a node over two chunks, an empty node, and a node ending on a chunk boundary
+@example(nodes=[(BLOCK + 5, True, True, False), (0, False, False, False),
+                (BLOCK - 5, False, False, True)], scale=1, keep_all=False, seed=1)
+@example(nodes=[(3, False, True, True), (0, True, True, True), (2 * BLOCK, True, True, True)],
+         scale=1, keep_all=True, seed=2)
+def test_whole_level_moves_match_chunked_oracle(nodes, scale, keep_all, seed):
+    # The whole-level up-mask and member move give, bit for bit, what the
+    # chunked passes gave, chunk boundaries inside nodes and empty nodes
+    # included.  Every cut sits on a member, so a member equal to its cut
+    # must stay below.
+    cnt = np.array([c * scale for c, *_ in nodes], dtype=np.int64)
+    assume(cnt.sum() > 0)
+    _, on_t, keep_lo, keep_up = (np.array(col) for col in zip(*nodes))
+    keep_lo, keep_up = keep_lo | keep_all, keep_up | keep_all
+    rng = np.random.default_rng(seed)
+    order = rng.integers(1, 4 * int(cnt.max()) + 2, size=(2, int(cnt.sum()))).astype(np.int32)
+    first = np.cumsum(cnt) - cnt
+    # the cut on the cut margin's coordinate of a random member, 0 if empty
+    pick = np.minimum(first + (rng.random(cnt.size) * cnt).astype(np.int64), cnt.sum() - 1)
+    cut = np.where(cnt > 0, order[on_t.astype(np.intp), pick], 0).astype(np.int32)
+    parts = chunks(cnt)
+    up = _goes_up(order, cnt, on_t, cut)
+    want_up = chunked_goes_up(order[0], order[1], parts, on_t, cut,
+                              SimpleNamespace(hit=np.empty(BLOCK, dtype=bool)))
+    assert up.dtype == want_up.dtype and up.tobytes() == want_up.tobytes()
+    moved = _partition(order, up, cnt, keep_lo, keep_up)
+    want = chunked_partition(order[0], order[1], want_up, parts,
+                             None if keep_all else (keep_lo, keep_up))
+    assert moved.shape == (2, want[0].size)
+    for row, w in zip(moved, want):
+        assert row.dtype == w.dtype and row.tobytes() == w.tobytes()

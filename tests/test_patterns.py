@@ -33,8 +33,9 @@ def test_spec_validation():
         PatternSpec(kind="spiral", n=10)
     with pytest.raises(ValueError):
         PatternSpec(kind="wave", n=0)
-    with pytest.raises(ValueError):
-        PatternSpec(kind="wave", n=10, noise=-0.1)
+    for noise in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="noise must be finite and >= 0"):
+            PatternSpec(kind="wave", n=10, noise=noise)
 
 
 def test_four_clusters_margins_are_independent():

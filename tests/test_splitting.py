@@ -319,8 +319,7 @@ def test_workspace_best_splits_matches_allocating_oracle(bins, scale, kind, z, s
     level = _level(cnt, full, seed)
 
     def split(ws):
-        return best_splits(*level, kind, z, lambda j: np.random.default_rng((seed, j)),
-                           chunks(level[5]), ws)
+        return best_splits(*level, kind, z, lambda j: np.random.default_rng((seed, j)), ws)
 
     got = split(Workspace())
     oracle = lambda margins, cnt, e, kind, z, parts, ws: allocating_scored(margins, cnt, e, kind, z)

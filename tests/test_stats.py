@@ -288,3 +288,16 @@ def test_null_table_json_round_trip(tmp_path):
     assert back.config == table.config
     assert back.n == 60
     assert np.array_equal(back.chi2s, table.chi2s)
+
+
+def test_null_table_csv_refuses_integers_beyond_int64(tmp_path):
+    # the row's line is named, as for any other malformed row
+    path = tmp_path / "null.csv"
+    for row in ("2,99999999999999999999999,1.0", "99999999999999999999999,3,1.0",
+                f"{2**63},3,1.0", f"6,{2**63},1.0"):
+        path.write_text(f"depth,n_bin,chi2\n6,3,5\n\n{row}\n")
+        with pytest.raises(ValueError, match="null.csv: line 4: .*below 2\\*\\*63"):
+            NullTable.from_csv(path)
+    path.write_text(f"depth,n_bin,chi2\n{2**63 - 1},{2**63 - 1},1.0\n")
+    back = NullTable.from_csv(path)
+    assert back.depths.tolist() == back.n_bins.tolist() == [2**63 - 1]
