@@ -356,16 +356,21 @@ def _read_bins(kind, stop, z, levels, pairs, seeds, depths) -> list[dict[int, Bi
     """The ``Bin`` reader: each tree's ``Binning`` under every limit.
 
     A taken node's ``Bin`` is built once, whichever partitions list it, and
-    holds its members in their original order.
+    holds its members in their original order: int64 slices of one array of
+    the level's taken members, so no other member of the level stays alive.
     """
     def take(lv, keep):
-        points_s = lv.points_s.astype(np.int64)
-        points_t = lv.points_t.astype(np.int64)
-        start = (np.cumsum(lv.observed) - lv.observed)[keep]
+        cnt = lv.observed[keep]
+        end = np.cumsum(cnt)
+        start = end - cnt
+        # one gather of the taken nodes' members, cast after
+        at = np.repeat((np.cumsum(lv.observed) - lv.observed)[keep] - start, cnt)
+        at += np.arange(at.size)
+        points_s = lv.points_s[at].astype(np.int64)
+        points_t = lv.points_t[at].astype(np.int64)
         rows = zip(lv.lower_s[keep].tolist(), lv.upper_s[keep].tolist(),
                    lv.lower_t[keep].tolist(), lv.upper_t[keep].tolist(),
-                   lv.expected[keep].tolist(), start.tolist(),
-                   (start + lv.observed[keep]).tolist())
+                   lv.expected[keep].tolist(), start.tolist(), end.tolist())
         return [Bin(ls, us, lt, ut, points_s[a:b], points_t[a:b], e, lv.depth)
                 for ls, us, lt, ut, e, a, b in rows]
 

@@ -93,10 +93,14 @@ def render_binning(
             f'fill="{color}" stroke="#333333" stroke-width="0.5"/>'
         )
     if show_points and binning.bins:
-        # int64 ranks times a float: the same float64 values as sx and sy
-        xs = np.concatenate([b.points_s for b in binning.bins]) * scale
-        ys = (n - np.concatenate([b.points_t for b in binning.bins])) * scale
-        out += [f'<circle cx="{_num(x)}" cy="{_num(y)}" r="1.5" fill="#000000"/>'
+        xs = np.concatenate([b.points_s for b in binning.bins])
+        ys = n - np.concatenate([b.points_t for b in binning.bins])
+        if xs.size and (min(xs.min(), ys.min()) < 0 or max(xs.max(), ys.max()) > n):
+            raise ValueError("bin points must lie in 0..n")
+        # each rank coordinate k is formatted once, from the float64 k * scale
+        # that sx and sy give
+        text = [_num(v) for v in (np.arange(n + 1) * scale).tolist()]
+        out += [f'<circle cx="{text[x]}" cy="{text[y]}" r="1.5" fill="#000000"/>'
                 for x, y in zip(xs.tolist(), ys.tolist())]
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -53,6 +53,14 @@ def _trusted_pair(s: np.ndarray, t: np.ndarray, n: int) -> RankedPair:
     return pair
 
 
+def _tied(ascending: np.ndarray) -> bool:
+    """The one tie test: whether two neighbours of a sorted sample compare equal.
+
+    ``-0.0 == 0.0``, so a sample holding both is tied, as in the stable sort.
+    """
+    return bool((ascending[1:] == ascending[:-1]).any())
+
+
 def rank(values, rng: np.random.Generator) -> np.ndarray:
     """Rank a sample onto 1..n, breaking ties uniformly at random.
 
@@ -62,6 +70,12 @@ def rank(values, rng: np.random.Generator) -> np.ndarray:
 
     Raises ``ValueError`` on empty input or non-finite values.
     """
+    return _rank(values, rng, tied=False)
+
+
+def _rank(values, rng: np.random.Generator, tied: bool) -> np.ndarray:
+    """``rank``; a sample known to hold a tie (``tied``) goes straight to
+    the stable sort."""
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         v = v.reshape(-1)
@@ -71,9 +85,15 @@ def rank(values, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("cannot rank non-finite values")
     n = v.size
     # Stable-sorting a randomly shuffled copy keeps untied values in order
-    # while randomizing each tied run uniformly.
+    # while randomizing each tied run uniformly.  Without a tie every sort
+    # gives that order, so the default (SIMD) one is tried first.
     shuffle = rng.permutation(n)
-    order = np.argsort(v[shuffle], kind="stable")
+    w = v[shuffle]
+    if not tied:
+        order = np.argsort(w)
+        tied = _tied(w[order])
+    if tied:
+        order = np.argsort(w, kind="stable")
     out = np.empty(n, dtype=np.int64)
     out[shuffle[order]] = np.arange(1, n + 1)
     return out
@@ -91,4 +111,4 @@ def rank_pair(x, y, rng: np.random.Generator) -> RankedPair:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
     s = rank(x, rng)
     t = rank(y, rng)
-    return RankedPair(s=s, t=t, n=s.size)
+    return _trusted_pair(s, t, s.size)

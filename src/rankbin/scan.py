@@ -32,7 +32,7 @@ import numpy as np
 
 from .bins import Binning, StopConfig
 from .engine import tree_binnings
-from .ranks import RankedPair, _trusted_pair, rank
+from .ranks import RankedPair, _rank, _tied, _trusted_pair, rank
 from .stats import NullTable, empirical_ps, tree_statistics
 
 logger = logging.getLogger(__name__)
@@ -101,14 +101,14 @@ def _read_plain(path) -> dict[str, np.ndarray] | None:
     beside = np.concatenate((a[at - 1], a[(at + 1) % a.size]))
     if np.isin(beside, np.frombuffer(b",\n\r", np.uint8)).any():
         return None
-    del a, at, beside
     # loadtxt skips blank lines where csv reads empty rows, so the shape must
     # match the row count taken from the line terminators, which end a row
     # as they do for csv: LF, CR, or CRLF counted once
-    rows = raw.count(b"\n") + (raw[-1:] not in (b"\n", b"\r")) - 1
+    rows = np.count_nonzero(a == ord("\n")) + (raw[-1:] not in (b"\n", b"\r")) - 1
     if b"\r" in raw:
         rows += raw.count(b"\r") - raw.count(b"\r\n")
-    del raw  # before loadtxt allocates: peak memory holds one copy of the file
+    # before loadtxt allocates: peak memory holds one copy of the file
+    del raw, a, at, beside
     try:
         body = np.loadtxt(path, delimiter=",", skiprows=1, comments=None, ndmin=2)
     except ValueError:
@@ -199,16 +199,15 @@ def _columns(table: dict[str, np.ndarray]) -> tuple[list[str], list[np.ndarray],
 def _tie_free_ranks(cols, used) -> list[np.ndarray | None]:
     """The ranks of each used column that holds no tie, read-only; None for the rest.
 
-    Two values tie when they compare equal, as in ``rank``'s stable sort, so
-    ``-0.0`` and ``0.0`` do.  A tie-free column's ranks do not depend on the
-    stream, so any one will do; ``rank`` itself refuses an empty or
-    non-finite column, and a tied one is left to each pair's substream.
+    A column ties under ``rank``'s own test (``ranks._tied``), so ``-0.0``
+    and ``0.0`` tie.  A tie-free column's ranks do not depend on the stream,
+    so any one will do; ``rank`` itself refuses an empty or non-finite
+    column, and a tied one is left to each pair's substream.
     """
     rng = np.random.default_rng(0)
     ranked: list[np.ndarray | None] = [None] * len(cols)
     for j in sorted(set(used)):
-        v = np.sort(np.asarray(cols[j], dtype=float), axis=None)
-        if not (v[1:] == v[:-1]).any():
+        if not _tied(np.sort(np.asarray(cols[j], dtype=float), axis=None)):
             ranked[j] = rank(cols[j], rng)
             ranked[j].flags.writeable = False
     return ranked
@@ -221,11 +220,13 @@ def _seeded_pair(cols, ranked, jobs, base_seed, i) -> tuple[RankedPair, int]:
     ``SeedSequence(entropy=(base_seed, ia, ib)).spawn(3)``, built directly
     from their spawn keys without the parent.  Column ``ia`` (``ib``) takes
     its shared ranks in ``ranked`` if it has them, and is ranked from stream
-    0 (1) only if not; stream 2's first word is the binning seed.
+    0 (1) only if not: it is tied, so straight by the stable sort.  Stream
+    2's first word is the binning seed.
     """
     entropy = (base_seed, *jobs[i])
     s, t = (ranked[j] if ranked[j] is not None else
-            rank(cols[j], np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(k,))))
+            _rank(cols[j], np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(k,))),
+                  tied=True)
             for k, j in enumerate(jobs[i]))
     seed = np.random.SeedSequence(entropy, spawn_key=(2,)).generate_state(1, np.uint64)[0]
     return _trusted_pair(s, t, s.size), int(seed)

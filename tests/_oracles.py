@@ -8,7 +8,10 @@ one margin and one bin, ``allocating_scored`` is the scoring pass without
 a scratch workspace, ``chunked_goes_up`` and ``chunked_partition`` are the
 member moves run chunk by chunk, and ``check_partition`` checks the
 invariants every partition must meet.  ``per_pair_scan`` is the scan one
-pair at a time, placing each p-value with ``per_record_p``.
+pair at a time, placing each p-value with ``per_record_p``.  The per-point
+layers are kept as they were before they became array passes:
+``stable_rank``, ``per_bin_json``, ``per_point_render`` and
+``whole_level_read_bins``.
 """
 
 from __future__ import annotations
@@ -17,13 +20,21 @@ import math
 
 import numpy as np
 
-from rankbin.bins import Bin, Binning, StopConfig
-from rankbin.engine import bin_pair
+from rankbin.bins import Bin, Binning, StopConfig, _fmt_real
+from rankbin.engine import bin_pair, read_off
+from rankbin.plotting import (
+    DEPTH_HUE,
+    FILL_MODES,
+    NEGATIVE_HUE,
+    POSITIVE_HUE,
+    _lerp_from_white,
+    _num,
+)
 from rankbin.ranks import RankedPair, rank
 from rankbin.scan import ScanRecord
 from rankbin.scoring import candidate_scores
 from rankbin.splitting import Workspace, best_splits, chunks
-from rankbin.stats import chi2_statistic
+from rankbin.stats import chi2_statistic, pearson_residuals
 
 
 def margin_scores(w, e, z, kind, rng=None):
@@ -555,3 +566,164 @@ def per_pair_scan(table, kind, stop, z, base_seed, null, window=2):
                                       per_record_p(null, (n_bin, chi2), window=window)))
     records.sort(key=lambda r: -r.chi2)
     return records
+
+
+# ---------------------------------------------------------------------------
+# The per-point layers as they were before they became array passes, kept
+# verbatim as their byte-for-byte references: ``ranks.rank`` with the stable
+# sort alone, ``bins.binning_to_json`` formatting each bin's lists on their
+# own, ``plotting.render_binning`` formatting both coordinates of every
+# point, and ``engine._read_bins`` casting every member of a level it reads.
+
+
+def stable_rank(values, rng: np.random.Generator) -> np.ndarray:
+    """Rank a sample onto 1..n, breaking ties uniformly at random.
+
+    An untied value receives the count of elements less than or equal to it.
+    A run of m tied values receives its m consecutive ranks in an order
+    drawn uniformly from the m! arrangements, using ``rng``.
+
+    Raises ``ValueError`` on empty input or non-finite values.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1:
+        v = v.reshape(-1)
+    if v.size == 0:
+        raise ValueError("cannot rank an empty sequence")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("cannot rank non-finite values")
+    n = v.size
+    # Stable-sorting a randomly shuffled copy keeps untied values in order
+    # while randomizing each tied run uniformly.
+    shuffle = rng.permutation(n)
+    order = np.argsort(v[shuffle], kind="stable")
+    out = np.empty(n, dtype=np.int64)
+    out[shuffle[order]] = np.arange(1, n + 1)
+    return out
+
+
+def per_bin_json(binning: Binning) -> str:
+    """Serialize a Binning to its canonical JSON document.
+
+    The field order is fixed and reals carry 17 significant digits, so equal
+    binnings serialize to byte-identical documents.
+    """
+    stop = binning.stop
+    head = (
+        f'{{"n":{binning.n},'
+        f'"score_kind":"{binning.score_kind}",'
+        f'"seed":{binning.seed},'
+        f'"stop":{{"max_depth":{stop.max_depth},'
+        f'"min_expected":{_fmt_real(stop.min_expected)},'
+        f'"stop_empty":true}},'
+        f'"bins":['
+    )
+    parts = []
+    for b in binning.bins:
+        # the repr of a list of ints, spaces removed: one C call per list
+        ps = str(b.points_s.tolist())[1:-1].replace(" ", "")
+        pt = str(b.points_t.tolist())[1:-1].replace(" ", "")
+        parts.append(
+            f'{{"ls":{b.lower_s},"us":{b.upper_s},'
+            f'"lt":{b.lower_t},"ut":{b.upper_t},'
+            f'"depth":{b.depth},'
+            f'"expected":{_fmt_real(b.expected)},'
+            f'"observed":{b.observed},'
+            f'"points_s":[{ps}],"points_t":[{pt}]}}'
+        )
+    return head + ",".join(parts) + "]}"
+
+
+def per_point_render(
+    binning: Binning,
+    fill: str = "residual",
+    show_points: bool = False,
+    max_abs_residual: float | None = None,
+    size: int = 500,
+) -> str:
+    """Render a binning as an SVG document string.
+
+    ``max_abs_residual`` overrides the residual normalization so a set of
+    plots can share one hue range; it is ignored for other fill modes.
+    """
+    if fill not in FILL_MODES:
+        raise ValueError(f"fill must be one of {FILL_MODES}")
+    n = binning.n
+    scale = size / n
+
+    def sx(v: float) -> float:
+        return v * scale
+
+    def sy(v: float) -> float:
+        # rank t increases upward; SVG y increases downward
+        return (n - v) * scale
+
+    if fill == "residual":
+        resid = pearson_residuals(binning)
+        rmax = max_abs_residual
+        if rmax is None:
+            rmax = float(max(abs(resid.max()), abs(resid.min()), 0.0))
+    elif fill == "depth":
+        depth_norm = max(binning.stop.max_depth, 1)
+
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
+    ]
+    for i, b in enumerate(binning.bins):
+        if fill == "none":
+            color = "#FFFFFF"
+        elif fill == "depth":
+            color = _lerp_from_white(DEPTH_HUE, b.depth / depth_norm)
+        else:
+            if rmax > 0:
+                r = resid[i]
+                hue = POSITIVE_HUE if r > 0 else NEGATIVE_HUE
+                color = _lerp_from_white(hue, abs(r) / rmax)
+            else:
+                color = "#FFFFFF"
+        x0, x1 = sx(b.lower_s), sx(b.upper_s)
+        y0, y1 = sy(b.upper_t), sy(b.lower_t)
+        out.append(
+            f'<rect x="{_num(x0)}" y="{_num(y0)}" '
+            f'width="{_num(x1 - x0)}" height="{_num(y1 - y0)}" '
+            f'fill="{color}" stroke="#333333" stroke-width="0.5"/>'
+        )
+    if show_points and binning.bins:
+        # int64 ranks times a float: the same float64 values as sx and sy
+        xs = np.concatenate([b.points_s for b in binning.bins]) * scale
+        ys = (n - np.concatenate([b.points_t for b in binning.bins])) * scale
+        out += [f'<circle cx="{_num(x)}" cy="{_num(y)}" r="1.5" fill="#000000"/>'
+                for x, y in zip(xs.tolist(), ys.tolist())]
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+def whole_level_read_bins(kind, stop, z, levels, pairs, seeds, depths) -> list[dict[int, Binning]]:
+    """The ``Bin`` reader: each tree's ``Binning`` under every limit.
+
+    A taken node's ``Bin`` is built once, whichever partitions list it, and
+    holds its members in their original order.
+    """
+    def take(lv, keep):
+        points_s = lv.points_s.astype(np.int64)
+        points_t = lv.points_t.astype(np.int64)
+        start = (np.cumsum(lv.observed) - lv.observed)[keep]
+        rows = zip(lv.lower_s[keep].tolist(), lv.upper_s[keep].tolist(),
+                   lv.lower_t[keep].tolist(), lv.upper_t[keep].tolist(),
+                   lv.expected[keep].tolist(), start.tolist(),
+                   (start + lv.observed[keep]).tolist())
+        return [Bin(ls, us, lt, ut, points_s[a:b], points_t[a:b], e, lv.depth)
+                for ls, us, lt, ut, e, a, b in rows]
+
+    taken, root, listed, start = read_off(levels, depths, take)
+    bins = [b for level in taken for b in level]
+    out: list[dict[int, Binning]] = [{} for _ in pairs]
+    for d, part in zip(depths, np.split(listed, start[1:-1])):
+        bounds = np.searchsorted(root[part], np.arange(len(pairs) + 1)).tolist()
+        for r, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            out[r][d] = Binning(bins=[bins[i] for i in part[a:b].tolist()], score_kind=kind,
+                                stop=StopConfig(d, stop.min_expected),
+                                min_split_expected=z, seed=seeds[r], n=pairs[r].n)
+    return out

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
-from _oracles import check_partition
+from _oracles import check_partition, per_bin_json
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rankbin import Bin, StopConfig, bin_pair, binning_to_json
+from rankbin import Bin, Binning, StopConfig, bin_pair, binning_to_json
+from rankbin.bins import _decimal_lists
 from rankbin.ranks import RankedPair
 
 
@@ -107,3 +110,59 @@ def test_json_deterministic():
     a = binning_to_json(bin_pair(p, "random", StopConfig(max_depth=6), 5.0, 11))
     b = binning_to_json(bin_pair(p, "random", StopConfig(max_depth=6), 5.0, 11))
     assert a == b
+
+
+def _runs_text(values, bounds):
+    return [str(values[a:b].tolist())[1:-1].replace(" ", "")
+            for a, b in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    values=st.lists(st.one_of(st.integers(0, 12), st.integers(2**32 - 3, 2**32 + 3),
+                              st.integers(-2**63, 2**63 - 1)), max_size=30),
+    cuts=st.lists(st.integers(0, 30), max_size=5),
+)
+@example(values=[], cuts=[])
+@example(values=[0], cuts=[0])  # an empty run first
+@example(values=[2**32 - 1, 2**32, 0], cuts=[1, 1, 3])
+@example(values=[-2**63, 2**63 - 1, -1, 10], cuts=[4])
+def test_decimal_lists_match_the_list_repr(values, cuts):
+    v = np.array(values, dtype=np.int64)
+    bounds = np.array(sorted([0, v.size] + [min(c, v.size) for c in cuts]), dtype=np.intp)
+    assert _decimal_lists(v, bounds) == _runs_text(v, bounds)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.uint32, np.int64, np.uint64])
+def test_decimal_lists_cover_each_integer_type(dtype):
+    info = np.iinfo(dtype)
+    v = np.array([0, info.max, info.min, 1, 9, 10, info.max // 10], dtype=dtype)
+    bounds = np.array([0, 0, 3, 3, 7], dtype=np.intp)
+    assert _decimal_lists(v, bounds) == _runs_text(v, bounds)
+    with pytest.raises(ValueError, match="integers"):
+        _decimal_lists(v.astype(float), bounds)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    sizes=st.lists(st.integers(0, 4), max_size=8),
+    top=st.sampled_from([1, 9, 10, 99_999, 2**32 - 1, 2**32, 2**40]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(sizes=[0, 1], top=9, seed=0)  # an empty bin first, then one point
+@example(sizes=[1], top=2**32, seed=1)
+@example(sizes=[2, 0, 0], top=10, seed=2)
+@example(sizes=[], top=1, seed=3)
+def test_json_matches_per_bin_oracle(sizes, top, seed):
+    rng = np.random.default_rng(seed)
+    bins = [Bin(0, 1, 0, 1, rng.integers(0, top + 1, k), rng.integers(0, top + 1, k),
+                k / 2, 1) for k in sizes]
+    binning = Binning(bins, "chi", StopConfig(3), 5.0, seed, n=max(sum(sizes), 1))
+    assert binning_to_json(binning) == per_bin_json(binning)
+
+
+@pytest.mark.parametrize("kind", ["chi", "mi", "random"])
+@pytest.mark.parametrize("n", [1, 2, 7, 755, 1000])
+def test_grown_binning_json_matches_per_bin_oracle(kind, n):
+    binning = bin_pair(_pair(n, seed=n), kind, StopConfig(max_depth=6), z=1.0, seed=n)
+    assert binning_to_json(binning) == per_bin_json(binning)

@@ -1,12 +1,19 @@
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from _oracles import check_partition, chunked_goes_up, chunked_partition
+from _oracles import (
+    check_partition,
+    chunked_goes_up,
+    chunked_partition,
+    per_bin_json,
+    whole_level_read_bins,
+)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +26,7 @@ from rankbin import (
     simulate_null,
 )
 from rankbin import engine
-from rankbin.engine import _bin_rng, _goes_up, _partition, _tree_order
+from rankbin.engine import _bin_rng, _goes_up, _partition, _read_bins, _tree_order, grow_trees
 from rankbin.ranks import RankedPair
 from rankbin.splitting import BLOCK, chunks
 
@@ -266,3 +273,39 @@ def test_whole_level_moves_match_chunked_oracle(nodes, scale, keep_all, seed):
     assert moved.shape == (2, want[0].size)
     for row, w in zip(moved, want):
         assert row.dtype == w.dtype and row.tobytes() == w.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 3000),
+    count=st.integers(1, 4),
+    depths=st.lists(st.integers(0, 9), min_size=1, max_size=3),
+    kind=st.sampled_from(["chi", "mi", "random"]),
+    min_expected=st.sampled_from([0.0, 10.0, 60.0]),
+    seed=st.integers(0, 2**31),
+)
+@example(n=1, count=1, depths=[0], kind="chi", min_expected=10.0, seed=0)
+@example(n=25_000, count=4, depths=[3, 10], kind="chi", min_expected=10.0, seed=0)
+def test_read_bins_match_whole_level_oracle(n, count, depths, kind, min_expected, seed):
+    # Gathering only the taken nodes' members gives the same binnings, bin
+    # for bin, as casting whole levels, while every Bin's points are slices
+    # of an array that holds taken members alone.
+    pairs = [_pair(n, seed + i) for i in range(count)]
+    stop, z = StopConfig(max(depths), min_expected), 2.0
+
+    def grown(read):
+        batches = grow_trees(lambda i: (pairs[i], seed + i), count, n, depths, kind,
+                             min_expected, z, partial(read, kind, stop, z), points=True)
+        return [binnings for batch in batches for binnings in batch]
+
+    got, want = grown(_read_bins), grown(whole_level_read_bins)
+    assert [g.keys() for g in got] == [w.keys() for w in want]
+    taken = {}
+    for g, w in zip(got, want):
+        for d in g:
+            assert binning_to_json(g[d]) == per_bin_json(w[d])
+            for b in g[d].bins:
+                assert b.points_s.dtype == b.points_t.dtype == np.int64
+                taken[id(b)] = b
+    held = {id(p.base): p.base.size for b in taken.values() for p in (b.points_s, b.points_t)}
+    assert sum(held.values()) == 2 * sum(b.observed for b in taken.values())

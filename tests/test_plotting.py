@@ -1,8 +1,13 @@
 import re
 
 import numpy as np
+import pytest
+from _oracles import per_point_render
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rankbin import StopConfig, bin_pair, render_binning
+from rankbin import Bin, Binning, StopConfig, bin_pair, render_binning
+from rankbin.plotting import FILL_MODES
 from rankbin.ranks import RankedPair
 
 
@@ -108,3 +113,36 @@ def test_svg_deterministic_and_points_overlay():
     assert a == b
     assert a.count("<circle") == 100
     assert "<?xml" in a and a.rstrip().endswith("</svg>")
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 1000),
+    kind=st.sampled_from(["chi", "mi", "random"]),
+    size=st.sampled_from([500, 333, 1, 4096]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=7, kind="chi", size=500, seed=0)
+@example(n=755, kind="random", size=500, seed=1)
+@example(n=1000, kind="mi", size=333, seed=2)
+def test_points_plot_matches_per_point_oracle(n, kind, size, seed):
+    # one formatted text per rank coordinate gives, byte for byte, the plot
+    # that formatted both coordinates of every point
+    binning = bin_pair(_pair(n, seed), kind, StopConfig(max_depth=5), z=2.0, seed=seed)
+    for fill in FILL_MODES:
+        assert (render_binning(binning, fill, show_points=True, size=size)
+                == per_point_render(binning, fill, show_points=True, size=size))
+
+
+def test_points_outside_the_rank_range_are_refused():
+    # rank 0 (and t = n, drawn at y = 0) still has a place on the plot
+    for s, t, ok in (([0, 5], [1, 5], True), ([1, 6], [1, 2], False),
+                     ([-1, 2], [1, 2], False), ([1, 2], [-1, 2], False),
+                     ([1, 2], [6, 2], False)):
+        b = Bin(0, 5, 0, 5, np.array(s), np.array(t), 2.0, 0)
+        binning = Binning([b], "chi", StopConfig(2), 5.0, 0, n=5)
+        if ok:
+            assert render_binning(binning, show_points=True).count("<circle ") == 2
+        else:
+            with pytest.raises(ValueError, match="0..n"):
+                render_binning(binning, show_points=True)

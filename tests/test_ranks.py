@@ -3,8 +3,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from _oracles import stable_rank
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rankbin import RankedPair, rank, rank_pair
+from rankbin.ranks import _rank
 
 
 def test_distinct_values_rank_by_sort_index():
@@ -103,3 +107,71 @@ def test_ranked_pair_validates_permutations():
         RankedPair(s=np.array([1, 2]), t=np.array([1, 2]), n=3)
     with pytest.raises(ValueError):
         RankedPair(s=np.array([]), t=np.array([]), n=0)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 1200),
+    # distinct values drawn per column: 1 is all equal, None no tie at all
+    levels=st.sampled_from([1, 2, 7, 60, None]),
+    signed_zeros=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, levels=None, signed_zeros=False, seed=0)
+@example(n=2, levels=1, signed_zeros=False, seed=1)
+@example(n=2, levels=None, signed_zeros=True, seed=2)
+@example(n=755, levels=60, signed_zeros=False, seed=3)
+@example(n=755, levels=None, signed_zeros=True, seed=4)
+def test_rank_matches_stable_oracle(n, levels, signed_zeros, seed):
+    # Trying the default sort first gives, bit for bit, the ranks of the
+    # stable sort alone, and leaves the stream where it left it; so does a
+    # sample ranked as known tied.
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=n) if levels is None else rng.integers(0, levels, n) - levels // 2.0
+    if signed_zeros and n >= 2:
+        v[rng.choice(n, size=2, replace=False)] = [-0.0, 0.0]
+    want_rng = np.random.default_rng(seed)
+    want = stable_rank(v, want_rng)
+    for ranks, got_rng in ((rank, np.random.default_rng(seed)),
+                           (lambda v, rng: _rank(v, rng, tied=True), np.random.default_rng(seed))):
+        got = ranks(v, got_rng)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 300), tied=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(n=1, tied=False, seed=0)
+@example(n=2, tied=True, seed=1)
+def test_rank_pair_matches_oracle(n, tied, seed):
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(size=(2, n))
+    if tied:
+        x = np.round(x)
+    pair = rank_pair(x, y, np.random.default_rng(seed))
+    want_rng = np.random.default_rng(seed)
+    for got, want in ((pair.s, stable_rank(x, want_rng)), (pair.t, stable_rank(y, want_rng))):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert pair.n == n
+    RankedPair(s=pair.s, t=pair.t, n=pair.n)  # a valid pair without the check
+
+
+def test_known_tied_sample_goes_straight_to_the_stable_sort(monkeypatch):
+    kinds = []
+    argsort = np.argsort
+
+    def counted(a, *args, kind=None, **kwargs):
+        kinds.append(kind)
+        return argsort(a, *args, kind=kind, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    rng = np.random.default_rng(0)
+    tied = np.round(rng.normal(size=755), 1)
+    _rank(tied, rng, tied=True)
+    assert kinds == ["stable"]
+    kinds.clear()
+    rank(tied, rng)  # a failed try first
+    assert kinds == [None, "stable"]
+    kinds.clear()
+    rank(rng.normal(size=755), rng)
+    assert kinds == [None]

@@ -327,23 +327,27 @@ def test_pair_binnings_refuses_a_table_without_rows():
 
 
 def _stream_use(monkeypatch, table):
-    """Record the column and stream of every ``rank`` call in ``scan``, and the
-    spawn key of every per-pair ``Generator`` built; returns both lists."""
+    """Record the column and stream of every ranking in ``scan`` (``rank``, or
+    ``_rank`` for a tied column), and the spawn key of every per-pair
+    ``Generator`` built; returns both lists."""
     ranked, built = [], []
-    rank, default_rng = scan.rank, np.random.default_rng
+    default_rng = np.random.default_rng
 
-    def counted_rank(values, rng):
-        ss = rng.bit_generator.seed_seq
-        name = next(k for k, col in table.items() if col is values)
-        ranked.append((name, ss.entropy, ss.spawn_key))
-        return rank(values, rng)
+    def counted(rank):
+        def counted_rank(values, rng, **tied):
+            ss = rng.bit_generator.seed_seq
+            name = next(k for k, col in table.items() if col is values)
+            ranked.append((name, ss.entropy, ss.spawn_key))
+            return rank(values, rng, **tied)
+        return counted_rank
 
     def counted_rng(seed=None):
         if isinstance(seed, np.random.SeedSequence) and seed.spawn_key:
             built.append(seed.spawn_key)
         return default_rng(seed)
 
-    monkeypatch.setattr(scan, "rank", counted_rank)
+    monkeypatch.setattr(scan, "rank", counted(scan.rank))
+    monkeypatch.setattr(scan, "_rank", counted(scan._rank))
     monkeypatch.setattr(np.random, "default_rng", counted_rng)
     return ranked, built
 
