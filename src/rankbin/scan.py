@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import re
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
@@ -59,70 +58,66 @@ def load_matrix(path) -> dict[str, np.ndarray]:
     The first row is a header of unique column names.  Cells must be
     numeric and finite; an empty field marks a missing value, and any column
     holding one is dropped with a warning.  Malformed input raises
-    IngestionError naming the offending row and column.
+    IngestionError naming the offending row and column, and a file that is
+    not UTF-8 text raises it naming the file.
 
     A plain file -- no ``"`` anywhere, a header row of unique names, at
-    least one data row, and every line a full row of finite cells -- is
-    parsed in one ``np.loadtxt`` call.  Every other file takes the per-cell
-    ``csv`` loop: quoted or multi-line fields, blank or ragged rows, empty,
-    text or non-finite cells, and spellings that ``float`` reads but
-    loadtxt does not (``1_0``, non-ASCII digits).  An empty cell between
-    commas or at a line end is found by a byte scan before loadtxt runs, so
-    a file with missing values costs the loop and a few milliseconds more.
-    The loop alone words the errors and the dropped-column warnings; both
-    paths give identical arrays for any file the fast one accepts.
+    least one data row, and every line a full row of non-empty cells -- is
+    read by a vectorised tokeniser and decimal parser (``plaincsv``), in
+    blocks of whole lines.  One byte pass per block finds the field ends
+    (``,``, and LF, CR or CRLF ending a row, as for ``csv``) and checks the
+    block before any of it is parsed: an empty cell, a blank line, a row of
+    the wrong length or a field beyond ``csv``'s size limit declines the
+    file.
+
+    Grammar and exactness.  A token
+    ``[-]digits[.digits][(e|E)[+|-]digits]``, with a digit on at least one
+    side of the point, at most 24 bytes before the ``e`` and at most 7 after
+    it, spells an integer mantissa m and a decimal exponent q; m < 10**19 is
+    read exactly in 64 bits (each mantissa is up to three little-endian
+    words ending at its last byte, whose digits SWAR masks and multiplies
+    group).  If m <= 2**53 and |q| <= 22, both m and 10**|q| are exact
+    doubles, so one IEEE multiply or divide rounds m * 10**q correctly
+    (Clinger's fast path).  Otherwise, if |q| <= 27, the same operation runs
+    in the x87 80-bit long double, where m and 10**|q| are also exact
+    (10**27 = 2**27 * 5**27 and 5**27 < 2**63): the one rounding to 64 bits
+    leaves the value on the same side of every double midpoint (those have
+    54 bits) unless it lands on one, so its rounding to double is correct
+    whenever the low 11 bits of the 64-bit significand are not exactly a
+    half; a result on a midpoint is handed on.  That wide step runs only
+    where numpy's long double is that format (``plaincsv._WIDE``).  The sign
+    rides on the power of ten, so ``-0`` reads as ``-0.0``.  Every other
+    token -- outside the grammar, longer, or handed on -- goes to
+    ``float()`` of its stripped text, as ``_read_cells`` converts it, so
+    each value equals ``float()``'s bit for bit.
+
+    A token that ``float()`` refuses or reads as non-finite, bytes that are
+    not UTF-8, and every file the checks decline take the per-cell ``csv``
+    loop (``_read_cells``), which alone words the errors and the
+    dropped-column warnings; both paths give identical arrays for any file
+    the fast one accepts.  A file declined at a later block has parsed the
+    blocks before it, so a missing value late in a large file costs the loop
+    and a few milliseconds more.
     """
+    # imported on first use, so a process that reads no CSV, such as a null
+    # simulation, does not load the parser
+    from .plaincsv import _read_plain
+
     table = _read_plain(path)
     return _read_cells(path) if table is None else table
 
 
 def _header(path) -> list[str]:
     """The stripped names of the first CSV row, as ``load_matrix`` reads them."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         return [h.strip() for h in next(csv.reader(fh), [])]
-
-
-def _read_plain(path) -> dict[str, np.ndarray] | None:
-    """The fast path of ``load_matrix``; None declines the file."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        header = _header(path)
-    except (OSError, ValueError, csv.Error):
-        return None
-    # a file with no data line would make loadtxt warn that it holds no data
-    if (b'"' in raw or len(set(header)) != len(header)
-            or not re.search(rb"[\r\n][^\r\n]", raw)):
-        return None
-    # a comma next to a comma or a line end marks an empty cell; one vector
-    # pass finds it before loadtxt would parse the file up to that cell
-    a = np.frombuffer(raw, np.uint8)
-    at = np.flatnonzero(a == ord(","))
-    beside = np.concatenate((a[at - 1], a[(at + 1) % a.size]))
-    if np.isin(beside, np.frombuffer(b",\n\r", np.uint8)).any():
-        return None
-    # loadtxt skips blank lines where csv reads empty rows, so the shape must
-    # match the row count taken from the line terminators, which end a row
-    # as they do for csv: LF, CR, or CRLF counted once
-    rows = np.count_nonzero(a == ord("\n")) + (raw[-1:] not in (b"\n", b"\r")) - 1
-    if b"\r" in raw:
-        rows += raw.count(b"\r") - raw.count(b"\r\n")
-    # before loadtxt allocates: peak memory holds one copy of the file
-    del raw, a, at, beside
-    try:
-        body = np.loadtxt(path, delimiter=",", skiprows=1, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if body.shape != (rows, len(header)) or not np.isfinite(body).all():
-        return None
-    return dict(zip(header, body.T.copy()))
 
 
 def _read_cells(path) -> dict[str, np.ndarray]:
     """Per-cell ``csv`` reading of ``load_matrix``: any file, every error message."""
     i = 0  # the last row read; csv.Error, such as an over-long cell, is in the next
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -158,6 +153,9 @@ def _read_cells(path) -> dict[str, np.ndarray]:
         raise IngestionError(f"{path}: {exc}") from exc
     except csv.Error as exc:
         raise IngestionError(f"{path}: row {i + 1}: {exc}") from None
+    except UnicodeDecodeError as exc:  # decoded a chunk at a time, so no row to name
+        raise IngestionError(f"{path}: not UTF-8 text ({exc.reason}, byte "
+                             f"0x{exc.object[exc.start]:02x})") from None
     for j in sorted(missing):
         logger.warning("dropping column %r: missing values", header[j])
     table = {

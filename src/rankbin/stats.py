@@ -310,11 +310,11 @@ def empirical_ps(null: NullTable, n_bins, chi2s, window: int = 2) -> np.ndarray:
     except OverflowError:
         raise ValueError("observed n_bin lies outside int64") from None
     chi2s = np.asarray(chi2s, dtype=float)
-    bad = np.flatnonzero((n_bins < 1) | ~np.isfinite(chi2s))
+    bad = np.flatnonzero((n_bins < 1) | ~(np.isfinite(chi2s) & (chi2s >= 0)))  # -0.0 passes
     if bad.size:
         i = bad[0]
         raise ValueError(f"observed n_bin={int(n_bins[i])}, chi2={float(chi2s[i])}: "
-                         "need n_bin >= 1 and a finite chi2")
+                         "need n_bin >= 1 and a finite chi2 >= 0")
     out = np.empty(chi2s.size)
     levels, inverse = np.unique(n_bins, return_inverse=True)
     for i, nb in enumerate(levels.tolist()):
@@ -338,7 +338,8 @@ def empirical_p(
     form the reference set.  If the window captures nothing it widens
     symmetrically until it holds at least 100 entries or spans the table.
     Raises ``ValueError`` for an empty table, a window below 0, or an
-    observed pair with ``n_bin`` < 1 or outside int64, or a non-finite chi2.
+    observed pair with ``n_bin`` < 1 or outside int64, or a chi2 that is not
+    finite and >= 0.
     """
     return float(empirical_ps(null, [int(observed[0])], [float(observed[1])], window)[0])
 

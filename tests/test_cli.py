@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rankbin
 from rankbin.cli import cli_main
 from rankbin.patterns import PatternSpec, generate, pattern_to_csv
 
@@ -55,6 +60,21 @@ def test_pvalue_prints_one_for_zero_statistic(tmp_path, capsys):
     code = cli_main(["pvalue", "--null", str(null), "--nbin", "40", "--chi2", "0"])
     assert code == 0
     assert capsys.readouterr().out.strip() == "1.0"
+
+
+def test_python_m_runs_the_cli(tmp_path, capsys):
+    null = tmp_path / "null.csv"
+    null.write_text("depth,n_bin,chi2\n6,3,1\n6,3,5\n")
+    argv = ["pvalue", "--null", str(null), "--nbin", "3", "--chi2", "2"]
+    env = dict(os.environ, PYTHONPATH=str(Path(rankbin.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-m", "rankbin", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert cli_main(argv) == done.returncode == 0, done.stderr
+    assert done.stdout == capsys.readouterr().out == "0.6666666666666666\n"
+    # a usage error exits as the installed command does
+    done = subprocess.run([sys.executable, "-m", "rankbin", "pvalue"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1 and done.stderr.startswith("usage: rankbin pvalue")
 
 
 def test_pvalue_reads_json_null_after_leading_blanks(tmp_path, capsys):
@@ -218,6 +238,15 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert cli_main(["scan", "--input", str(header_only), "--null", str(null_csv),
                      "--out", str(tmp_path / "s.csv")]) == 2
     assert "at least 1 row" in capsys.readouterr().err
+    # bytes that are not UTF-8 name the file, for bin and for scan
+    not_utf8 = tmp_path / "latin1.csv"
+    not_utf8.write_bytes(b"x,y\n1,2\n3,4\n5,\xff\n")
+    for argv in (["bin", "--out", str(tmp_path / "u.json")],
+                 ["scan", "--null", str(null_csv), "--out", str(tmp_path / "s.csv")]):
+        assert cli_main(argv + ["--input", str(not_utf8)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rankbin: data error:") and "latin1.csv: not UTF-8" in err
+    assert not (tmp_path / "u.json").exists()
     # a config that is not an object, and config depths that are not a list
     for name, config in (("list_config.json", "[1]"),
                          ("int_depths.json", '{"kind": "chi", "depths": 6}')):
@@ -287,6 +316,12 @@ def test_data_errors_exit_2(tmp_path, capsys):
                   ["--nbin", "100000000000000000000000", "--chi2", "1"]):
         assert cli_main(["pvalue", "--null", str(good)] + extra) == 2
         assert capsys.readouterr().err.startswith("rankbin: data error:")
+    # a negative statistic, which no null entry can take; either zero is one
+    assert cli_main(["pvalue", "--null", str(good), "--nbin", "3", "--chi2", "-1"]) == 2
+    assert "a finite chi2 >= 0" in capsys.readouterr().err
+    for zero in ("0", "-0.0"):
+        assert cli_main(["pvalue", "--null", str(good), "--nbin", "3", "--chi2", zero]) == 0
+        assert capsys.readouterr().out == "1.0\n"
     assert cli_main(["nullsim", "--n", "1", "--sims", "5",
                      "--out", str(tmp_path / "n.csv")]) == 2
     assert capsys.readouterr().err.startswith("rankbin: data error:")

@@ -8,8 +8,9 @@ and the partition invariants of acceptance criterion 7.  Statistics-only
 growth is checked level by level against growth that carries the points,
 the statistics reader against the ``Bin`` reader on the same trees, the
 batched null simulation row for row against the per-bin engine, the
-batched scan against one ``bin_pair`` per pair, and ``load_matrix``
-against its per-cell ``csv`` loop.
+batched scan against one ``bin_pair`` per pair, ``load_matrix``
+against its per-cell ``csv`` loop, and its decimal parser against
+``float()``.
 """
 
 import numpy as np
@@ -31,7 +32,9 @@ from rankbin import (
 )
 from rankbin.ranks import RankedPair, rank_pair
 from rankbin.engine import BATCH, _read_bins, grow_levels
-from rankbin.scan import _read_cells, _read_plain, load_matrix
+from rankbin import plaincsv
+from rankbin.plaincsv import _read_plain
+from rankbin.scan import _read_cells, load_matrix
 from rankbin.stats import _read_statistics
 
 
@@ -324,3 +327,98 @@ def test_load_matrix_matches_cell_loop(case, tmp_path, caplog):
     assert _outcome(load_matrix, path, caplog) == _outcome(_read_cells, path, caplog)
     if plain:
         assert _read_plain(path) is not None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_csv_text(), block=st.integers(1, 64))
+# a CRLF across the first cut, and a line longer than a block
+@example(case=("x,y\r\n1,2\r\n3,4\r\n", True), block=9)
+@example(case=("x,y\n1.25,-2e-5\n3,4\n", True), block=3)
+def test_load_matrix_blocks_match_the_cell_loop(case, block, tmp_path, caplog, monkeypatch):
+    # small blocks cut the file at many line ends, and through long lines
+    monkeypatch.setattr(plaincsv, "_BLOCK", block)
+    text, plain = case
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode())
+    assert _outcome(load_matrix, path, caplog) == _outcome(_read_cells, path, caplog)
+    if plain:
+        assert _read_plain(path) is not None
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _decimal(draw):
+    """Digits with the point anywhere (or none), an optional sign and exponent."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=25))
+    at = draw(st.integers(0, len(digits)) | st.none())
+    body = digits if at is None else f"{digits[:at]}.{digits[at:]}"
+    sign = draw(st.sampled_from(["", "-"]))
+    exp = draw(st.none() | st.integers(-350, 350))
+    if exp is None:
+        return sign + body
+    mark = draw(st.sampled_from(["e", "E"]))
+    plus = draw(st.sampled_from(["", "+"])) if exp >= 0 else ""
+    return f"{sign}{body}{mark}{plus}{exp:0{draw(st.integers(1, 4))}d}"
+
+
+_TOKENS = st.one_of(
+    _FLOATS.map(repr),
+    _FLOATS.map(lambda x: format(x, ".17e")),
+    st.tuples(_FLOATS, st.integers(0, 20)).map(lambda xk: "%.*f" % (xk[1], xk[0])),
+    _decimal(),
+)
+_PINNED = ["9007199254740993", "0.1", "1e23", "2.2250738585072011e-308",
+           "4.9406564584124654e-324", "1.7976931348623157e308", "-0", "5.", ".5",
+           "0.000123456789012345678",
+           # just above a double midpoint, which the 64-bit rounding reaches:
+           # converted from the long double they would round down
+           "707.7880717698402009", "3179605624364390053e-16"]
+
+
+def _parse(tokens, tables=None):
+    """``plaincsv._parse_fields`` over the tokens laid out as one CSV line."""
+    text = ",".join(tokens).encode()
+    raw = bytearray(bytes(plaincsv._PAD) + text + b"\n")
+    lengths = np.array([len(t.encode()) for t in tokens])
+    stops = plaincsv._PAD + np.cumsum(lengths + 1) - 1
+    return plaincsv._parse_fields(raw, np.frombuffer(raw, np.uint8), stops - lengths, stops,
+                                  plaincsv._tables() if tables is None else tables)
+
+
+@pytest.mark.parametrize("wide", [True, False])
+@settings(max_examples=600, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tokens=st.lists(_TOKENS.filter(lambda t: np.isfinite(float(t))), min_size=1,
+                       max_size=12))
+@example(tokens=_PINNED)
+@example(tokens=[t for t in _PINNED if t != "1.7976931348623157e308"] * 4)
+# either side of the fast path's and the wide step's exponent limits
+@example(tokens=["1e22", "-1e23", "1e27", "1e28", "-1e-27", "1e-28", "123456789012345678e-27",
+                 "-123456789012345678e-28", "9007199254740993e22", "9007199254740993e-23"])
+def test_decimal_parser_matches_float(tokens, wide, monkeypatch):
+    # with the wide step switched off every value it would give comes from float()
+    monkeypatch.setattr(plaincsv, "_WIDE", plaincsv._WIDE and wide)
+    got = _parse(tokens)
+    want = np.array([float(t) for t in tokens])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_decimal_parser_reads_its_grammar_without_float(monkeypatch):
+    # m <= 2**53 and |q| <= 22 throughout; "7" and "2" follow exponents
+    tokens = ["0", "-0", "7", "5.", ".5", "-.5", "1.5e-5", "-2.25E+3", "1e5", "7",
+              "9007199254740992", "1e22", "-1e-22", "123.456", "0.000001", "3E-05", "2"]
+    tables, calls = plaincsv._tables(), []
+    monkeypatch.setattr(plaincsv, "float", lambda s: calls.append(s) or float(s), raising=False)
+    got = _parse(tokens, tables)
+    want = np.array([float(t) for t in tokens])
+    assert calls == []
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("token", ["1e999", "-1e400", "inf", "nan", "1x", "1e", "--1", ".",
+                                   "1.2.3", "\xff"])
+def test_decimal_parser_declines_what_float_refuses_or_reads_as_non_finite(token):
+    assert _parse(["1.5", token, "2"]) is None

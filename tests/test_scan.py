@@ -15,7 +15,7 @@ from rankbin import (
     simulate_null,
     top_k,
 )
-from rankbin import binning_to_json, engine, scan
+from rankbin import binning_to_json, engine, plaincsv, scan
 from rankbin.ranks import RankedPair
 from rankbin.engine import BATCH
 from rankbin.scan import ScanRecord, pair_binnings
@@ -53,8 +53,9 @@ def test_load_matrix_drops_incomplete_with_warning(tmp_path, caplog):
 ])
 def test_load_matrix_missing_cell_skips_loadtxt(tmp_path, monkeypatch, caplog, body, kept):
     calls = []
-    loadtxt = np.loadtxt
-    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+    parse = plaincsv._parse_fields
+    monkeypatch.setattr(plaincsv, "_parse_fields",
+                        lambda *a, **k: calls.append(a) or parse(*a, **k))
     path = tmp_path / "m.csv"
     path.write_bytes(f"a,b,c\n{body}".encode())
     with caplog.at_level("WARNING"):
@@ -92,6 +93,18 @@ def test_load_matrix_non_finite_names_row_and_column(tmp_path, cell):
 def test_load_matrix_unreadable(tmp_path):
     with pytest.raises(IngestionError):
         load_matrix(tmp_path / "missing.csv")
+
+
+@pytest.mark.parametrize("text", [
+    b"x,y\n1,2\n3,4\n5,\xff\n",                           # in a cell
+    b"x,\xe9\n1,2\n",                                     # in the header
+    b"x,y\n" + b"0.5,1.25\n" * 40_000 + b"\xff,1\n",      # in a later block
+])
+def test_load_matrix_names_a_file_that_is_not_utf8(tmp_path, text):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(text)
+    with pytest.raises(IngestionError, match=r"latin1\.csv: not UTF-8 text \(invalid"):
+        load_matrix(path)
 
 
 def test_neg_log_returns_examples():

@@ -192,6 +192,14 @@ def test_empirical_p_monotone_in_observed_statistic():
     assert all(a >= b for a, b in zip(ps, ps[1:]))
 
 
+def test_empirical_p_refuses_a_negative_statistic():
+    table = _table(np.full(50, 10), np.linspace(0.5, 30, 50))
+    for chi2 in (-1.0, -1e-300, -np.inf):
+        with pytest.raises(ValueError, match="a finite chi2 >= 0"):
+            empirical_p(table, (10, chi2))
+    assert empirical_p(table, (10, -0.0)) == empirical_p(table, (10, 0.0)) == 1.0
+
+
 def test_empirical_p_empty_table_rejected():
     table = _table([], [])
     with pytest.raises(ValueError):
@@ -232,7 +240,8 @@ def test_vectorised_p_values_match_per_record_oracle(entries, observed, window):
 def test_vectorised_p_values_refuse_like_empirical_p():
     table = _table([3, 4], [1.0, 2.0])
     for n_bins, chi2s, window in (([3, 0], [1.0, 1.0], 2), ([3, 3], [1.0, np.nan], 2),
-                                  ([3], [np.inf], 2), ([3], [1.0], -1),
+                                  ([3], [np.inf], 2), ([3, 3], [1.0, -2.0], 2),
+                                  ([3], [1.0], -1),
                                   ([3, 10**23], [1.0, 1.0], 2)):
         with pytest.raises(ValueError):
             empirical_ps(table, n_bins, chi2s, window)
