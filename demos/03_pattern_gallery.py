@@ -17,6 +17,7 @@ import numpy as np
 
 import rankbin as rb
 from rankbin.patterns import PATTERN_KINDS
+from rankbin.plotting import render_binnings
 
 OUT = Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
@@ -37,12 +38,9 @@ for kind in PATTERN_KINDS:
     results.append((kind, n_bin, chi2, p))
     binnings[kind] = binning
 
-rmax = max(
-    float(np.max(np.abs(rb.pearson_residuals(b)))) for b in binnings.values()
-)
-for kind, binning in binnings.items():
-    svg = rb.render_binning(binning, fill="residual", show_points=True,
-                            max_abs_residual=rmax)
+# one hue range, the largest |residual| of the whole gallery
+svgs = render_binnings(list(binnings.values()), fill="residual", show_points=True)
+for kind, svg in zip(binnings, svgs):
     (OUT / f"pattern_{kind}.svg").write_text(svg)
 
 print(f"chi-maximized binning at depth 10, n={n}, vs {null.size}-replicate null\n")

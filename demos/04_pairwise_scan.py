@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 import rankbin as rb
+from rankbin.plotting import render_binnings
 from rankbin.scan import pair_binnings
 
 OUT = Path(__file__).parent / "output"
@@ -51,7 +52,8 @@ panels = {
 chosen = [r for group in panels.values() for r in group]
 binnings = pair_binnings(returns, [(r.name_a, r.name_b) for r in chosen], "chi", stop,
                          5.0, 406)
-rmax = max(float(np.max(np.abs(rb.pearson_residuals(b)))) for b in binnings)
+# one hue range, the largest |residual| of all nine panels
+svgs = render_binnings(binnings, fill="residual", show_points=True)
 
 i = 0
 for group, recs in panels.items():
@@ -59,9 +61,7 @@ for group, recs in panels.items():
     for r in recs:
         print(f"  {r.name_a}-{r.name_b}: n_bin={r.n_bin} "
               f"chi2={r.chi2:8.1f} p={r.p_emp:.4f}")
-        svg = rb.render_binning(binnings[i], fill="residual",
-                                show_points=True, max_abs_residual=rmax)
-        (OUT / f"scan_{group}_{r.name_a}_{r.name_b}.svg").write_text(svg)
+        (OUT / f"scan_{group}_{r.name_a}_{r.name_b}.svg").write_text(svgs[i])
         i += 1
 
 print(f"\nwrote pair panels to {OUT}/ (shared hue range across all nine)")

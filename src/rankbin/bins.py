@@ -11,7 +11,7 @@ coordinates start at 1, so the root's lower bound 0 is never occupied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,24 +62,46 @@ class StopConfig:
             raise ValueError("min_expected must be finite and >= 0")
 
 
-@dataclass(frozen=True)
 class Binning:
-    """A finished partition of rank space plus the provenance that made it."""
+    """A finished partition of rank space plus the provenance that made it.
 
-    bins: list[Bin] = field(repr=False)
-    score_kind: str
-    stop: StopConfig
-    min_split_expected: float
-    seed: int
-    n: int
+    Held by column in partition order: bin i spans ``(lower_s[i], upper_s[i]]
+    x (lower_t[i], upper_t[i]]``, expects ``expected[i]`` points at depth
+    ``depth[i]`` and holds ``observed[i]``, ``points_s``/``points_t[offsets[i]:
+    offsets[i + 1]]`` in original order.  ``columns`` is ``(lower_s, upper_s,
+    lower_t, upper_t, expected, depth, offsets, points_s, points_t)``, else
+    ``bins`` (a list of ``Bin``) gives them; ``bins`` lists ``Bin`` views of
+    the columns, built on first use.
+    """
 
-    def __post_init__(self):
-        if self.score_kind not in SCORE_KINDS:
+    def __init__(self, bins: list[Bin] | None, score_kind: str, stop: StopConfig,
+                 min_split_expected: float, seed: int, n: int, *, columns=None):
+        if score_kind not in SCORE_KINDS:
             raise ValueError(f"score_kind must be one of {SCORE_KINDS}")
+        if columns is None:
+            if any(b.points_s.size != b.points_t.size for b in bins):
+                raise ValueError("a bin's points_s and points_t differ in length")
+            ints = np.array([(b.lower_s, b.upper_s, b.lower_t, b.upper_t, b.depth, b.observed)
+                             for b in bins], dtype=np.int64).reshape(-1, 6).T
+            columns = (*ints[:4], np.array([b.expected for b in bins], dtype=float), ints[4],
+                       np.concatenate(([0], np.cumsum(ints[5]))),
+                       *(np.concatenate([getattr(b, f) for b in bins] or [np.zeros(0, np.int64)])
+                         for f in ("points_s", "points_t")))
+        (self.lower_s, self.upper_s, self.lower_t, self.upper_t, self.expected,
+         self.depth, self.offsets, self.points_s, self.points_t) = columns
+        self.n_bin, self.observed = self.expected.size, np.diff(self.offsets)
+        self.score_kind, self.stop, self.min_split_expected = score_kind, stop, min_split_expected
+        self.seed, self.n, self._bins = seed, n, bins
 
     @property
-    def n_bin(self) -> int:
-        return len(self.bins)
+    def bins(self) -> list[Bin]:
+        if self._bins is None:
+            at = self.offsets.tolist()
+            cols = (c.tolist() for c in (self.lower_s, self.upper_s, self.lower_t,
+                                         self.upper_t, self.expected, self.depth))
+            self._bins = [Bin(ls, us, lt, ut, self.points_s[a:b], self.points_t[a:b], e, d)
+                          for ls, us, lt, ut, e, d, a, b in zip(*cols, at, at[1:])]
+        return self._bins
 
 
 def _fmt_real(x: float) -> str:
@@ -88,13 +110,12 @@ def _fmt_real(x: float) -> str:
 
 
 def _decimal_lists(values: np.ndarray, bounds: np.ndarray) -> list[str]:
-    """Integers ``values[bounds[i]:bounds[i + 1]]`` as comma-separated decimals.
+    """Integers ``values[bounds[i]:bounds[i + 1]]`` as comma-separated decimals,
+    ``str(run.tolist())[1:-1].replace(" ", "")`` of every run, in one pass.
 
-    Equal to ``str(run.tolist())[1:-1].replace(" ", "")`` for every run, in
-    one vectorised pass.  Each value is one row of a byte matrix: a sign,
-    its digits peeled off by division and right-aligned, and a comma, or a
-    line end after a run's last value.  Unused leading bytes stay NUL and
-    are deleted, and the runs are split apart at the line ends.
+    Each value is a row of a byte matrix: a sign, its digits peeled off by
+    division, and a comma, or a line end after a run's last value; unused
+    bytes stay NUL and are deleted, and the runs split at the line ends.
     """
     if values.dtype.kind not in "iu":
         raise ValueError("bin points must be integers")
@@ -114,9 +135,11 @@ def _decimal_lists(values: np.ndarray, bounds: np.ndarray) -> list[str]:
     for col in range(width - 1, 0, -1):
         mag = mag // 10
         text[:, col] = (mag % 10 + ord("0")) * (mag > 0)
-    runs = iter(text.tobytes().translate(None, b"\0").decode("ascii").split("\n"))
+    runs = text.tobytes().translate(None, b"\0").decode("ascii").split("\n")
     # an empty run has no line end
-    return [next(runs) if b > a else "" for a, b in zip(bounds.tolist(), bounds[1:].tolist())]
+    out = np.full(bounds.size - 1, "", dtype=object)
+    out[np.diff(bounds) > 0] = np.array(runs[:-1], dtype=object)
+    return out.tolist()
 
 
 def binning_to_json(binning: Binning) -> str:
@@ -135,21 +158,15 @@ def binning_to_json(binning: Binning) -> str:
         f'"stop_empty":true}},'
         f'"bins":['
     )
-    bins = binning.bins
-    if not bins:
+    if not binning.n_bin:
         return head + "]}"
-    bounds = np.zeros(len(bins) + 1, dtype=np.intp)
-    np.cumsum([b.observed for b in bins], out=bounds[1:])
     # every bin's point list, per margin in one pass
-    ps = _decimal_lists(np.concatenate([b.points_s for b in bins]), bounds)
-    pt = _decimal_lists(np.concatenate([b.points_t for b in bins]), bounds)
-    parts = [
-        f'{{"ls":{b.lower_s},"us":{b.upper_s},'
-        f'"lt":{b.lower_t},"ut":{b.upper_t},'
-        f'"depth":{b.depth},'
-        f'"expected":{_fmt_real(b.expected)},'
-        f'"observed":{b.observed},'
-        f'"points_s":[{s}],"points_t":[{t}]}}'
-        for b, s, t in zip(bins, ps, pt)
-    ]
-    return head + ",".join(parts) + "]}"
+    ps = _decimal_lists(binning.points_s, binning.offsets)
+    pt = _decimal_lists(binning.points_t, binning.offsets)
+    # '%.17g' is _fmt_real's format
+    row = ('{"ls":%d,"us":%d,"lt":%d,"ut":%d,"depth":%d,"expected":%.17g,'
+           '"observed":%d,"points_s":[%s],"points_t":[%s]}')
+    cols = (binning.lower_s, binning.upper_s, binning.lower_t, binning.upper_t,
+            binning.depth, binning.expected, binning.observed)
+    return "".join((head, ",".join(map(row.__mod__, zip(*(c.tolist() for c in cols), ps, pt))),
+                    "]}"))

@@ -30,7 +30,7 @@ import numpy as np
 from .bins import StopConfig, binning_to_json
 from .engine import bin_pair
 from .patterns import PATTERN_KINDS, PatternSpec, generate, pattern_to_csv
-from .plotting import render_binning
+from .plotting import render_binning, render_binnings
 from .ranks import rank_pair
 from .scan import (
     IngestionError,
@@ -41,7 +41,7 @@ from .scan import (
     top_k,
     write_records_csv,
 )
-from .stats import NullTable, chi2_statistic, empirical_p, pearson_residuals, simulate_null
+from .stats import NullTable, chi2_statistic, empirical_p, simulate_null
 
 _SCORES = {"chi": "chi", "mi": "mi", "rand": "random", "random": "random"}
 
@@ -240,16 +240,11 @@ def _cmd_scan(args) -> int:
                                  _SCORES[args.score], _stop(args), args.min_split,
                                  args.seed)
         # one shared hue range so the panels compare directly
-        rmax = max(
-            (float(np.max(np.abs(pearson_residuals(b)))) for b in binnings),
-            default=0.0,
-        )
-        for i, (rec, binning) in enumerate(zip(chosen, binnings), start=1):
+        svgs = render_binnings(binnings, fill="residual", show_points=True)
+        for i, (rec, svg) in enumerate(zip(chosen, svgs), start=1):
             name = f"rank{i:02d}_{_safe_name(rec.name_a)}__{_safe_name(rec.name_b)}.svg"
-            path = os.path.join(args.plot_dir, name)
-            with open(path, "w") as fh:
-                fh.write(render_binning(binning, fill="residual",
-                                        show_points=True, max_abs_residual=rmax))
+            with open(os.path.join(args.plot_dir, name), "w") as fh:
+                fh.write(svg)
         print(f"wrote {len(chosen)} pair plots to {args.plot_dir}")
     return 0
 

@@ -6,41 +6,38 @@ scan pairs (``stats.tree_statistics``) as well as binnings
 ``scan.pair_binnings``).  It validates the growth arguments, builds the
 trees from a source in batches of up to ``BATCH`` points, runs the batches
 serially or over one process pool, and hands each batch's levels to a
-reader.  The trees of a batch are grown under the deepest requested limit,
-one level at a time.  Each pass takes every node at one depth of every tree
-in the batch, freezes those meeting a stop criterion, and scores and splits
-all the others at once with ``splitting.best_splits``.  A node that cannot
-be split is frozen too.
+reader.  A batch grows under the deepest requested limit, one level at a
+time: each pass freezes the nodes of that depth meeting a stop criterion
+and scores and splits all the others at once (``splitting.best_splits``),
+freezing those that cannot be split.
 
 The members of the nodes still to be scored are kept in two orders, node
-after node: by s and by t, which give every node's sorted candidate
-coordinates without a sort.  A caller that reads the bins' points (``Bin``
-building) also gets every node's members in original index order.  Each
-order is one two-row array of the members' s and t coordinates.  A split
-marks each member of an order that goes to the upper child once, in one
-mask over the whole level; that mask moves the members by one stable
-gather, so every order stays sorted from the root down, and the s order's
-mask also counts each split node's children.  Only the scoring pass runs in
-chunks of ``splitting.BLOCK`` members, writing its temporaries to one
-scratch ``splitting.Workspace`` per batch.
+after node, by s and by t, which give every node's sorted candidates
+without a sort; each is one two-row array of the members' s and t.  A
+split marks the members going to the upper child in one mask per order
+over the whole level, which moves them by one stable gather, so both
+orders stay sorted from the root down; the s order's mask also counts the
+children.  A cut on one margin leaves each child's members together in
+its parent's order by that margin, so each ``Level`` names every node's
+members as one range of its parent level's orders.  Only the scoring pass
+runs in ``splitting.BLOCK`` chunks, into one ``splitting.Workspace`` per
+batch.
 
-A node's heap id (root 1; a split of node k creates lower child 2k and
-upper child 2k + 1) is the one statement of its tree position.  It fixes
-both the node's random substream (below) and its place in a partition,
-since within a tree ascending id is breadth-first order.  ``grow_levels``
-yields each level in growth order (every lower child, then every upper
-child) with the ids, and only ``read_off`` orders nodes: by tree, then id.
+A node's heap id (root 1; node k splits into 2k and 2k + 1) is the one
+statement of its tree position.  It fixes the node's random substream
+(below) and its place in a partition: ascending id is breadth-first order.
+``grow_levels`` yields each level in growth order (every lower child, then
+every upper child), and only ``read_off`` orders nodes: by tree, then id.
 
 The partition for a limit ``d`` lists, in breadth-first order, every leaf
-above depth ``d`` and every node at depth ``d``.  Below ``d`` the stop
+above depth ``d`` and every node at depth ``d``: below ``d`` the stop
 criteria of limit ``d`` and of the deepest limit differ only in the depth
-test, so a node freezes under ``d`` exactly when it is a leaf of the grown
-tree.  One routine, ``read_off``, applies this rule for both readers, which
-supply only how to read a level's selected nodes and what to make of a
-partition: the statistics reader (``stats``) sums each tree's ``(n_bin,
-chi2)`` straight off the per-node counts and builds no ``Bin``; the ``Bin``
-reader (``_read_bins``) builds a ``Bin`` only for the nodes a partition
-lists.
+test.  ``read_off`` applies this rule for both readers: the statistics
+reader (``stats``) sums each tree's ``(n_bin, chi2)`` off the per-node
+counts; the ``Bin`` reader (``_read_bins``) reads the listed nodes'
+members off their ranges and gives each partition as a columnar
+``Binning``, its points in original order from one stable sort of
+per-point labels.
 
 Randomness is splittable: every bin in the binary split tree owns a
 substream derived from the run seed and the bin's node id, namely
@@ -73,7 +70,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .bins import SCORE_KINDS, Bin, Binning, StopConfig
+from .bins import SCORE_KINDS, Binning, StopConfig
 from .ranks import RankedPair
 from .scoring import lower_expected
 from .splitting import BLOCK, Workspace, best_splits
@@ -94,10 +91,9 @@ class Level(NamedTuple):
     """Every node at one depth of the grown trees, in growth order.
 
     Per-node arrays are indexed alike.  ``root`` is each node's tree and
-    ``node_id`` its heap id, which fix its substream and its place in every
-    partition.  The members of the nodes, in original index order, are
-    ``points_s``/``points_t``, node after node, ``observed[j]`` of them for
-    node j; both are None when the growth carries no points.
+    ``node_id`` its heap id.  Node j's ``observed[j]`` members are the
+    columns from ``first[j]`` on of ``orders[in_t[j]]``, the (by s, by t)
+    orders its parent's level was scored with (a root's: the whole ones).
     """
 
     depth: int
@@ -110,8 +106,9 @@ class Level(NamedTuple):
     leaf: np.ndarray
     root: np.ndarray
     node_id: np.ndarray
-    points_s: np.ndarray
-    points_t: np.ndarray
+    orders: tuple[np.ndarray, np.ndarray]
+    first: np.ndarray
+    in_t: np.ndarray
 
 
 def check_growth_args(depths, kind: str, z: float) -> list[int]:
@@ -129,22 +126,17 @@ def check_growth_args(depths, kind: str, z: float) -> list[int]:
 
 
 def _goes_up(order, cnt, on_t, cut):
-    """Which members of one order go to their node's upper child.
-
-    ``order`` holds the s and t coordinates (rows 0 and 1) of the members,
-    node after node, ``cnt[j]`` of them for node j.  A member of node j goes
-    up when its t (if ``on_t[j]``) or s coordinate exceeds ``cut[j]``.
-    """
+    """Which members of ``order`` (rows s and t; node j's ``cnt[j]`` of them,
+    node after node) exceed their node's ``cut`` on t if ``on_t``, else s."""
     return np.where(on_t.repeat(cnt), order[1], order[0]) > cut.repeat(cnt)
 
 
 def _partition(order, up, cnt, keep_lo, keep_up):
     """Move each node's members to its two children, keeping their order.
 
-    ``up`` marks the members going up (``_goes_up``); the members of node
-    j's lower child are kept if ``keep_lo[j]``, those of its upper child if
-    ``keep_up[j]``.  Returns ``order`` holding every kept lower child's
-    members node by node and then every kept upper child's.
+    ``up`` marks the members going up (``_goes_up``); node j's lower child's
+    are kept if ``keep_lo[j]``, its upper child's if ``keep_up[j]``.  Returns
+    every kept lower child's members, node by node, then every upper's.
     """
     idx = np.concatenate((np.flatnonzero(~up & keep_lo.repeat(cnt)),
                           np.flatnonzero(up & keep_up.repeat(cnt))))
@@ -155,15 +147,13 @@ def _partition(order, up, cnt, keep_lo, keep_up):
 
 def grow_levels(
     pairs: list[RankedPair], seeds: list[int], kind: str, max_depth: int,
-    min_expected: float, z: float, points: bool = False,
+    min_expected: float, z: float,
 ) -> Iterator[Level]:
     """Grow one split tree per pair, all at once; yield each depth's nodes.
 
     Tree r splits from the substreams of ``seeds[r]``.  A node is a leaf when
     it is at ``max_depth``, expects at most ``min_expected`` points, is
-    empty, or has no admissible split.  Only with ``points`` are the members
-    carried in original order, giving each ``Level`` its ``points_s`` and
-    ``points_t`` (None otherwise).
+    empty, or has no admissible split.
     """
     def stopped(e, cnt, depth):
         return (e <= min_expected) | (cnt == 0) | (depth >= max_depth)
@@ -176,20 +166,20 @@ def grow_levels(
     ids = np.ones(cnt.size, dtype=np.int64 if max_depth < 62 else object)
     depth = 0
     stop = stopped(e, cnt, depth)
-    # Members by s, by t and in original order, each an order of (s, t)
-    # columns: each tree's ranks are a permutation, so rank r of a tree
-    # starting at slot f goes to f + r - 1.  32-bit coordinates halve what
-    # every pass moves
+    # Members by s and by t, each an order of (s, t) columns: rank r of a
+    # tree starting at slot f goes to f + r - 1.  32-bit coordinates halve
+    # what every pass moves
     coord = np.int32 if cnt.sum() < 2**31 else np.int64
     ws = Workspace()
-    by_i = np.array([np.concatenate([p.s for p in pairs]),
-                     np.concatenate([p.t for p in pairs])], dtype=coord)
-    slot = np.repeat(np.cumsum(cnt) - cnt, cnt)
-    by_s, by_t = np.empty_like(by_i), np.empty_like(by_i)
-    by_s[:, slot + by_i[0] - 1] = by_i
-    by_t[:, slot + by_i[1] - 1] = by_i
-    if not points:
-        by_i = None
+    pts = np.array([np.concatenate([p.s for p in pairs]),
+                    np.concatenate([p.t for p in pairs])], dtype=coord)
+    first = np.cumsum(cnt) - cnt
+    slot = np.repeat(first, cnt)
+    by_s, by_t = np.empty_like(pts), np.empty_like(pts)
+    by_s[:, slot + pts[0] - 1] = pts
+    by_t[:, slot + pts[1] - 1] = pts
+    del pts, slot
+    orders, in_t = (by_s, by_t), np.zeros(cnt.size, dtype=bool)
     if stop.any():
         # the s and t orders hold only the members of bins still to be scored
         live = np.repeat(~stop, cnt)
@@ -208,24 +198,26 @@ def grow_levels(
         leaf = np.ones(cnt.size, dtype=bool)
         leaf[split] = False
         yield Level(depth, lo_s, hi_s, lo_t, hi_t, e, cnt, leaf, root, ids,
-                    *((None, None) if by_i is None else by_i))
+                    orders, first, in_t)
         if not split.size:
             return
 
-        # Move every member of a split node to its child.  The s order holds
-        # every split node's members, so its up-mask also counts the children.
+        # Move every member of a split node to its child; the s order's
+        # up-mask also counts the children.  A child's members lie together
+        # in its parent's order by the margin cut, the lower child's first.
         k = split.size
         node_t = np.zeros(cnt.size, dtype=bool)
         node_t[split] = on_t
         node_cut = np.zeros(cnt.size, dtype=coord)
         node_cut[split] = cut
-        if points:
-            # leaves drop out
-            by_i = _partition(by_i, _goes_up(by_i, cnt, node_t, node_cut), cnt, ~leaf, ~leaf)
         act_cnt, act_t, act_cut = cnt[act], node_t[act], node_cut[act]
         up_s = _goes_up(by_s, act_cnt, act_t, act_cut)
-        n_up = np.add.reduceat(up_s, np.cumsum(act_cnt) - act_cnt, dtype=np.intp)[ok]
+        at = np.cumsum(act_cnt) - act_cnt
+        n_up = np.add.reduceat(up_s, at, dtype=np.intp)[ok]
         kid_cnt = np.concatenate((cnt[split] - n_up, n_up))
+        at = at[ok]
+        orders, in_t = (by_s, by_t), np.concatenate((on_t, on_t))
+        first = np.concatenate((at, at + kid_cnt[:k]))
         e_lo = lower_expected(cut, np.where(on_t, lo_t[split], lo_s[split]),
                               np.where(on_t, hi_t[split], hi_s[split]), e[split])
         kid_e = np.concatenate((e_lo, e[split] - e_lo))
@@ -255,12 +247,10 @@ def grow_levels(
 
 
 def _tree_order(root, node_id, deepest: int) -> np.ndarray:
-    """Positions of nodes sorted by tree, then heap id.
-
-    One argsort of the key ``root << (deepest + 1) | node_id``, unique since
-    every id of a tree grown to depth ``deepest`` is below ``2**(deepest +
-    1)``: in int64 while every key fits, else in Python ints, which also hold
-    the object ids of trees grown to ``max_depth`` >= 62.
+    """Positions of nodes sorted by tree, then heap id: one argsort of the
+    key ``root << (deepest + 1) | node_id`` (ids of a tree grown to depth
+    ``deepest`` are below ``2**(deepest + 1)``), in int64 while every key
+    fits, else in Python ints, which also hold object ids (``max_depth`` >= 62).
     """
     fits = (int(root.max()) + 1) << (deepest + 1) <= 2**63
     dtype = np.int64 if fits else object
@@ -271,13 +261,11 @@ def read_off(levels, depths: list[int], take):
     """Read every tree's partition under each of ``depths`` off its levels.
 
     Partition d of a tree lists its leaves above depth d and its nodes at
-    depth d by ascending node id, which is breadth-first order; a limit
-    deeper than the tree gives its leaves.  ``take(lv, keep)`` reads the
-    nodes ``keep`` of level ``lv``, those some partition lists, once.
-    Returns what ``take`` returned for each level, the tree of every taken
-    node, the positions among the taken nodes of every partition's nodes,
-    limit after limit and tree after tree, and where each limit's start:
-    the k-th limit's are ``listed[start[k]:start[k + 1]]``.
+    depth d by ascending node id.  ``take(lv, keep)`` reads the nodes
+    ``keep`` of level ``lv`` that some partition lists, once.  Returns what
+    ``take`` returned for each level, the tree of every taken node, and the
+    positions among the taken nodes of every partition's nodes, limit after
+    limit and tree after tree, the k-th limit's ``listed[start[k]:start[k + 1]]``.
     """
     taken, nodes = [], []
     for lv in levels:
@@ -286,6 +274,7 @@ def read_off(levels, depths: list[int], take):
             taken.append(take(lv, keep))
             nodes.append((np.full(keep.size, lv.depth), lv.leaf[keep], lv.root[keep],
                           lv.node_id[keep]))
+        del lv  # before the next level grows, so its members can go
     depth, leaf, root, node_id = map(np.concatenate, zip(*nodes))
     deepest = int(depth.max())
     order = _tree_order(root, node_id, deepest)
@@ -315,32 +304,31 @@ def _install_job(job) -> None:
 def _grow_batch(trees: range, job=None):
     """Build trees ``trees`` of ``job`` (by default the installed one), grow
     them as one batch and hand its levels to the job's reader."""
-    source, depths, kind, min_expected, z, read, points = job or _WORKER_JOB["job"]
+    source, depths, kind, min_expected, z, read = job or _WORKER_JOB["job"]
     pairs, seeds = map(list, zip(*map(source, trees)))
     if min(seeds) < 0:
         raise ValueError("seed must be >= 0")
-    levels = grow_levels(pairs, seeds, kind, depths[-1], min_expected, z, points)
+    levels = grow_levels(pairs, seeds, kind, depths[-1], min_expected, z)
     return read(levels, pairs, seeds, depths)
 
 
 def grow_trees(
     source, count: int, n: int, depths, kind: str, min_expected: float, z: float,
-    read, workers: int = 1, points: bool = False,
+    read, workers: int = 1,
 ) -> list:
     """The one runner: grow ``count`` trees in batches and read each batch.
 
     ``source(i)`` returns tree i's (pair of ``n`` points, binning seed >= 0).
     Trees are built and grown in batches of up to ``BATCH`` points (one tree
-    if larger) under the deepest of the sorted, validated ``depths``, with
-    members in original order only if ``points``.  With several workers, a
-    batch holds at most ``ceil(count / workers)`` trees, so each worker gets
-    one, but never fewer than fill one ``BLOCK``: a job that fits in one
-    ``BLOCK`` runs serially, without a pool.  Batches run serially, or over
-    one process pool of at most one worker per batch, which needs ``source``
-    and ``read`` to pickle.  Returns ``read(levels, pairs, seeds, depths)``
-    of every batch, in order.
+    if larger) under the deepest of the sorted, validated ``depths``.  With
+    several workers, a batch holds at most ``ceil(count / workers)`` trees,
+    so each worker gets one, but never fewer than fill one ``BLOCK``: a job
+    that fits in one ``BLOCK`` runs serially, without a pool.  Batches run
+    serially, or over one process pool of at most one worker per batch,
+    which needs ``source`` and ``read`` to pickle.  Returns ``read(levels,
+    pairs, seeds, depths)`` of every batch, in order.
     """
-    job = (source, check_growth_args(depths, kind, z), kind, min_expected, z, read, points)
+    job = (source, check_growth_args(depths, kind, z), kind, min_expected, z, read)
     n = max(n, 1)
     per = max(1, min(BATCH // n, max(BLOCK // n, -(-count // max(workers, 1)))))
     batches = [range(a, min(a + per, count)) for a in range(0, count, per)]
@@ -355,34 +343,47 @@ def grow_trees(
 def _read_bins(kind, stop, z, levels, pairs, seeds, depths) -> list[dict[int, Binning]]:
     """The ``Bin`` reader: each tree's ``Binning`` under every limit.
 
-    A taken node's ``Bin`` is built once, whichever partitions list it, and
-    holds its members in their original order: int64 slices of one array of
-    the level's taken members, so no other member of the level stays alive.
+    Taken nodes' members are read once, as slots (tree offset + s); each
+    limit labels every slot with its listed node's place, and one stable sort
+    of the labels in original index order lists each bin's points in order.
     """
+    n = np.array([p.n for p in pairs])
+    base = np.cumsum(n) - n
+
     def take(lv, keep):
         cnt = lv.observed[keep]
-        end = np.cumsum(cnt)
-        start = end - cnt
-        # one gather of the taken nodes' members, cast after
-        at = np.repeat((np.cumsum(lv.observed) - lv.observed)[keep] - start, cnt)
+        by_s, by_t = lv.orders
+        at = np.repeat(lv.first[keep] - (np.cumsum(cnt) - cnt), cnt)
         at += np.arange(at.size)
-        points_s = lv.points_s[at].astype(np.int64)
-        points_t = lv.points_t[at].astype(np.int64)
-        rows = zip(lv.lower_s[keep].tolist(), lv.upper_s[keep].tolist(),
-                   lv.lower_t[keep].tolist(), lv.upper_t[keep].tolist(),
-                   lv.expected[keep].tolist(), start.tolist(), end.tolist())
-        return [Bin(ls, us, lt, ut, points_s[a:b], points_t[a:b], e, lv.depth)
-                for ls, us, lt, ut, e, a, b in rows]
+        s = np.where(lv.in_t[keep].repeat(cnt), by_t[0].take(at), by_s[0].take(at))
+        return (lv.lower_s[keep], lv.upper_s[keep], lv.lower_t[keep], lv.upper_t[keep],
+                lv.expected[keep], np.full(keep.size, lv.depth), cnt,
+                base[lv.root[keep]].repeat(cnt) + s)
 
     taken, root, listed, start = read_off(levels, depths, take)
-    bins = [b for level in taken for b in level]
+    *cols, observed, slots = map(np.concatenate, zip(*taken))
+    s = np.concatenate([p.s for p in pairs])
+    t = np.concatenate([p.t for p in pairs])
+    at = base.repeat(n) + s
     out: list[dict[int, Binning]] = [{} for _ in pairs]
     for d, part in zip(depths, np.split(listed, start[1:-1])):
+        place = np.full(observed.size, -1)
+        place[part] = np.arange(part.size)
+        place = place.repeat(observed)
+        # the narrowest label sorts fastest (by radix, up to 16 bits)
+        label = np.empty(s.size + 1, dtype=np.min_scalar_type(part.size))
+        mine = place >= 0  # slots also lie in nodes only other limits list
+        label[slots[mine]] = place[mine]
+        order = np.argsort(label[at], kind="stable")
+        points_s, points_t = s[order], t[order]
+        offsets = np.concatenate(([0], np.cumsum(observed[part])))
         bounds = np.searchsorted(root[part], np.arange(len(pairs) + 1)).tolist()
         for r, (a, b) in enumerate(zip(bounds, bounds[1:])):
-            out[r][d] = Binning(bins=[bins[i] for i in part[a:b].tolist()], score_kind=kind,
-                                stop=StopConfig(d, stop.min_expected),
-                                min_split_expected=z, seed=seeds[r], n=pairs[r].n)
+            lo, hi = offsets[a], offsets[b]
+            out[r][d] = Binning(
+                None, kind, StopConfig(d, stop.min_expected), z, seeds[r], pairs[r].n,
+                columns=(*(c[part[a:b]] for c in cols), offsets[a:b + 1] - lo,
+                         points_s[lo:hi], points_t[lo:hi]))
     return out
 
 
@@ -393,23 +394,17 @@ def tree_binnings(
     ``Bin`` call of ``grow_trees``, run serially.  ``depths`` replace
     ``stop.max_depth``: only ``stop.min_expected`` is read."""
     batches = grow_trees(source, count, n, depths, kind, stop.min_expected, z,
-                         partial(_read_bins, kind, stop, z), points=True)
+                         partial(_read_bins, kind, stop, z))
     return [binnings for batch in batches for binnings in batch]
 
 
-def bin_pair(
-    pair: RankedPair,
-    kind: str = "chi",
-    stop: StopConfig | None = None,
-    z: float = 5.0,
-    seed: int = 0,
-) -> Binning:
+def bin_pair(pair: RankedPair, kind: str = "chi", stop: StopConfig | None = None,
+             z: float = 5.0, seed: int = 0) -> Binning:
     """Recursively bin a ranked pair and return the frozen partition.
 
     ``kind`` selects the split score ("chi", "mi", or "random"), ``stop``
     the freeze criteria, ``z`` the minimum expected count either side of an
-    accepted split, and ``seed`` pins all randomness.  Identical arguments
-    give a bit-identical result.
+    accepted split, and ``seed`` pins all randomness, bit for bit.
     """
     if stop is None:
         stop = StopConfig(max_depth=6)
@@ -417,21 +412,13 @@ def bin_pair(
     return bin_pair_by_depth(pair, kind, [d], stop, z, seed)[d]
 
 
-def bin_pair_by_depth(
-    pair: RankedPair,
-    kind: str,
-    depths: list[int],
-    stop: StopConfig,
-    z: float = 5.0,
-    seed: int = 0,
-) -> dict[int, Binning]:
+def bin_pair_by_depth(pair: RankedPair, kind: str, depths: list[int], stop: StopConfig,
+                      z: float = 5.0, seed: int = 0) -> dict[int, Binning]:
     """Bin one pair under several depth limits sharing one grown tree.
 
-    Equivalent to calling ``bin_pair`` once per depth (the split tree is
-    identical for every limit because bin substreams depend only on tree
-    position), but the splits are computed once at the deepest limit and
-    each limit's partition is read off the tree level by level.  Each bin
-    lists its members in their original order.  ``depths`` replace
-    ``stop.max_depth``: only ``stop.min_expected`` is read.
+    Equal to ``bin_pair`` once per depth (substreams depend only on tree
+    position), but the tree is grown once, under the deepest limit, and each
+    limit's partition read off it.  ``depths`` replace ``stop.max_depth``:
+    only ``stop.min_expected`` is read.
     """
     return tree_binnings(lambda _: (pair, seed), 1, pair.n, depths, kind, stop, z)[0]

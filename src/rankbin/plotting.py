@@ -3,16 +3,18 @@
 One rectangle per bin, scaled from rank space onto a fixed square viewport.
 Depth fill shades bins white (depth 0) to dark gray at the configured
 maximum depth, so plots made at different depth limits stay comparable.
-Residual fill encodes each bin's signed residual: negative residuals in
-blue, positive in red, saturating linearly from white at zero to the full
-hue at the normalizing magnitude (by default the plot's own maximum, or a
-caller-supplied value shared across several plots).
-
-Output is plain SVG 1.1 text with elements emitted in bin order and no
-volatile content, so renders of equal binnings are byte-identical.
+Residual fill shades negative residuals blue and positive ones red,
+linearly from white at zero to the full hue at the normalizing magnitude
+(the plot's own maximum, or one shared across several plots).  Output is
+plain SVG 1.1 in bin order with no volatile content, so renders of equal
+binnings are byte-identical.  Each layer is an array pass over the
+binning's columns.
 """
 
 from __future__ import annotations
+
+import math
+from itertools import repeat
 
 import numpy as np
 
@@ -26,81 +28,83 @@ DEPTH_HUE = (0x40, 0x40, 0x40)  # dark gray
 FILL_MODES = ("none", "depth", "residual")
 
 
-def _lerp_from_white(target: tuple[int, int, int], t: float) -> str:
-    t = min(max(t, 0.0), 1.0)
-    channels = (round(255 + (c - 255) * t) for c in target)
-    return "#" + "".join(f"{c:02X}" for c in channels)
+def _nums(values: np.ndarray) -> list[str]:
+    """Each value to 6 decimals, trailing zeros and point stripped, by built-ins."""
+    text = map("%.6f".__mod__, values.tolist())
+    return list(map(str.rstrip, map(str.rstrip, text, repeat("0")), repeat(".")))
 
 
-def _num(x: float) -> str:
-    return format(x, ".6f").rstrip("0").rstrip(".")
+def _channels(binning: Binning, fill: str, resid, rmax) -> np.ndarray:
+    """Every bin's (r, g, b): its hue lerped from white, rounded half to even."""
+    if fill == "depth":
+        t = binning.depth / max(binning.stop.max_depth, 1)
+        hue = np.array([DEPTH_HUE])
+    elif fill == "residual" and rmax > 0:
+        t = np.abs(resid) / rmax
+        hue = np.where((resid > 0)[:, None], POSITIVE_HUE, NEGATIVE_HUE)
+    else:
+        return np.full((binning.n_bin, 3), 255)
+    return np.rint(255 + (hue - 255) * np.clip(t, 0.0, 1.0)[:, None]).astype(np.int64)
 
 
-def render_binning(
-    binning: Binning,
-    fill: str = "residual",
-    show_points: bool = False,
-    max_abs_residual: float | None = None,
-    size: int = 500,
-) -> str:
-    """Render a binning as an SVG document string.
-
-    ``max_abs_residual`` overrides the residual normalization so a set of
-    plots can share one hue range; it is ignored for other fill modes.
-    """
-    if fill not in FILL_MODES:
-        raise ValueError(f"fill must be one of {FILL_MODES}")
+def _svg(binning: Binning, channels: np.ndarray, text: list[str] | None, size: int) -> str:
+    """One binning's SVG, its points drawn from ``text``, if given."""
     n = binning.n
     scale = size / n
-
-    def sx(v: float) -> float:
-        return v * scale
-
-    def sy(v: float) -> float:
-        # rank t increases upward; SVG y increases downward
-        return (n - v) * scale
-
-    if fill == "residual":
-        resid = pearson_residuals(binning)
-        rmax = max_abs_residual
-        if rmax is None:
-            rmax = float(max(abs(resid.max()), abs(resid.min()), 0.0))
-    elif fill == "depth":
-        depth_norm = max(binning.stop.max_depth, 1)
-
+    # rank t increases upward; SVG y increases downward
+    x0, x1 = binning.lower_s * scale, binning.upper_s * scale
+    y0, y1 = (n - binning.upper_t) * scale, (n - binning.lower_t) * scale
+    rect = ('<rect x="%s" y="%s" width="%s" height="%s" fill="#%02X%02X%02X" '
+            'stroke="#333333" stroke-width="0.5"/>')
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
     ]
-    for i, b in enumerate(binning.bins):
-        if fill == "none":
-            color = "#FFFFFF"
-        elif fill == "depth":
-            color = _lerp_from_white(DEPTH_HUE, b.depth / depth_norm)
-        else:
-            if rmax > 0:
-                r = resid[i]
-                hue = POSITIVE_HUE if r > 0 else NEGATIVE_HUE
-                color = _lerp_from_white(hue, abs(r) / rmax)
-            else:
-                color = "#FFFFFF"
-        x0, x1 = sx(b.lower_s), sx(b.upper_s)
-        y0, y1 = sy(b.upper_t), sy(b.lower_t)
-        out.append(
-            f'<rect x="{_num(x0)}" y="{_num(y0)}" '
-            f'width="{_num(x1 - x0)}" height="{_num(y1 - y0)}" '
-            f'fill="{color}" stroke="#333333" stroke-width="0.5"/>'
-        )
-    if show_points and binning.bins:
-        xs = np.concatenate([b.points_s for b in binning.bins])
-        ys = n - np.concatenate([b.points_t for b in binning.bins])
+    out += map(rect.__mod__, zip(_nums(x0), _nums(y0), _nums(x1 - x0), _nums(y1 - y0),
+                                 *channels.T.tolist()))
+    if text is not None and binning.n_bin:
+        xs, ys = binning.points_s, n - binning.points_t
         if xs.size and (min(xs.min(), ys.min()) < 0 or max(xs.max(), ys.max()) > n):
             raise ValueError("bin points must lie in 0..n")
-        # each rank coordinate k is formatted once, from the float64 k * scale
-        # that sx and sy give
-        text = [_num(v) for v in (np.arange(n + 1) * scale).tolist()]
+        # an f-string per point outruns every mapped formatting of them
         out += [f'<circle cx="{text[x]}" cy="{text[y]}" r="1.5" fill="#000000"/>'
                 for x, y in zip(xs.tolist(), ys.tolist())]
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def render_binning(binning: Binning, fill: str = "residual", show_points: bool = False,
+                   max_abs_residual: float | None = None, size: int = 500) -> str:
+    """Render a binning as an SVG document string.
+
+    ``max_abs_residual`` overrides the residual normalization so a set of
+    plots can share one hue range; other fill modes ignore it.  Raises
+    ``ValueError`` for an unknown fill, a negative or non-finite
+    ``max_abs_residual`` (whatever the fill) or a ``size`` below 1.
+    """
+    return render_binnings([binning], fill, show_points, max_abs_residual, size)[0]
+
+
+def render_binnings(
+    binnings: list[Binning], fill: str = "residual", show_points: bool = False,
+    max_abs_residual: float | None = None, size: int = 500,
+) -> list[str]:
+    """``render_binning`` of each binning, by default all normalised by the
+    largest absolute residual of them all.  Each binning's residuals are
+    computed once, and each n's rank coordinates formatted once for all its
+    plots, rank k as the float64 ``k * scale`` the rect corners also use."""
+    if fill not in FILL_MODES:
+        raise ValueError(f"fill must be one of {FILL_MODES}")
+    if max_abs_residual is not None and not 0 <= max_abs_residual < math.inf:
+        raise ValueError("max_abs_residual must be finite and >= 0")
+    if size < 1:
+        raise ValueError("size must be >= 1")
+    resid = [pearson_residuals(b) if fill == "residual" else None for b in binnings]
+    if max_abs_residual is None and fill == "residual":
+        max_abs_residual = max((float(max(abs(r.max()), abs(r.min()), 0.0)) for r in resid),
+                               default=0.0)
+    text = {n: _nums(np.arange(n + 1) * (size / n))
+            for n in {b.n for b in binnings}} if show_points else {}
+    return [_svg(b, _channels(b, fill, r, max_abs_residual), text.get(b.n), size)
+            for b, r in zip(binnings, resid)]

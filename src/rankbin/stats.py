@@ -26,35 +26,33 @@ from .ranks import RankedPair, _trusted_pair
 logger = logging.getLogger(__name__)
 
 
+def _deviations(binning: Binning) -> np.ndarray:
+    """Each bin's observed minus expected count, each expected one > 0."""
+    if not np.all((binning.expected > 0) & (binning.expected < np.inf)):
+        raise RuntimeError("bin with an expected count that is not finite and > 0")
+    return binning.observed - binning.expected
+
+
 def chi2_statistic(binning: Binning) -> tuple[float, int]:
-    """Chi-squared statistic over the final bins and the bin count."""
-    total = 0.0
-    for b in binning.bins:
-        if b.expected == 0:
-            raise RuntimeError("bin with zero expected count")
-        d = b.observed - b.expected
-        total += d * d / b.expected
-    return total, binning.n_bin
+    """Chi-squared statistic over the final bins and the bin count; the
+    ``(o - e)^2 / e`` are summed left to right, as ``tree_statistics`` does."""
+    d = _deviations(binning)
+    total = np.cumsum(d * d / binning.expected)[-1] if d.size else 0.0
+    return float(total), binning.n_bin
 
 
 def mi_statistic(binning: Binning) -> float:
     """Plug-in mutual information of the partition, with 0*log(0) = 0."""
     n = binning.n
-    total = 0.0
-    for b in binning.bins:
-        o = b.observed
-        if o > 0:
-            total += (o / n) * np.log(o / b.expected)
-    return total
+    # one log per bin: numpy's array log may differ from it in the last place
+    return sum(((o / n) * np.log(o / e) for o, e in zip(
+        binning.observed.tolist(), binning.expected.tolist()) if o > 0), 0.0)
 
 
 def pearson_residuals(binning: Binning) -> np.ndarray:
     """Signed square roots of the per-bin chi contributions, in bin order."""
-    out = np.empty(binning.n_bin)
-    for i, b in enumerate(binning.bins):
-        d = b.observed - b.expected
-        out[i] = np.sign(d) * np.sqrt(d * d / b.expected)
-    return out
+    d = _deviations(binning)
+    return np.sign(d) * np.sqrt(d * d / binning.expected)
 
 
 @dataclass(frozen=True)
@@ -192,9 +190,8 @@ class NullTable:
 def _read_statistics(levels, pairs, seeds, depths) -> tuple[np.ndarray, np.ndarray]:
     """The statistics reader: each tree's (n_bin, chi2) under every limit.
 
-    A partition's statistic is summed from its nodes' counts, without a
-    ``Bin``, left to right like ``chi2_statistic``'s loop (``np.sum`` adds
-    pairwise), so it matches its binning's bit for bit.
+    A partition's statistic is summed off its nodes' counts, left to right
+    as ``chi2_statistic`` sums (``np.sum`` adds pairwise), bit for bit.
     """
     def take(lv, keep):
         dev = lv.observed[keep] - lv.expected[keep]

@@ -9,9 +9,11 @@ a scratch workspace, ``chunked_goes_up`` and ``chunked_partition`` are the
 member moves run chunk by chunk, and ``check_partition`` checks the
 invariants every partition must meet.  ``per_pair_scan`` is the scan one
 pair at a time, placing each p-value with ``per_record_p``.  The per-point
-layers are kept as they were before they became array passes:
-``stable_rank``, ``per_bin_json``, ``per_point_render`` and
-``whole_level_read_bins``.
+and per-bin layers are kept as they were before they became array passes:
+``stable_rank``, ``per_bin_json``, ``per_point_render`` (with
+``per_bin_residuals``), ``per_bin_chi2``, and ``points_tree_binnings``, the
+growth that carried every member in original order (``points_grow_levels``)
+read by ``whole_level_read_bins``.
 """
 
 from __future__ import annotations
@@ -20,21 +22,16 @@ import math
 
 import numpy as np
 
+from typing import NamedTuple
+
 from rankbin.bins import Bin, Binning, StopConfig, _fmt_real
-from rankbin.engine import bin_pair, read_off
-from rankbin.plotting import (
-    DEPTH_HUE,
-    FILL_MODES,
-    NEGATIVE_HUE,
-    POSITIVE_HUE,
-    _lerp_from_white,
-    _num,
-)
+from rankbin.engine import _bin_rng, _goes_up, _partition, bin_pair, read_off
+from rankbin.plotting import DEPTH_HUE, FILL_MODES, NEGATIVE_HUE, POSITIVE_HUE
 from rankbin.ranks import RankedPair, rank
 from rankbin.scan import ScanRecord
-from rankbin.scoring import candidate_scores
+from rankbin.scoring import candidate_scores, lower_expected
 from rankbin.splitting import Workspace, best_splits, chunks
-from rankbin.stats import chi2_statistic, pearson_residuals
+from rankbin.stats import chi2_statistic
 
 
 def margin_scores(w, e, z, kind, rng=None):
@@ -571,9 +568,41 @@ def per_pair_scan(table, kind, stop, z, base_seed, null, window=2):
 # ---------------------------------------------------------------------------
 # The per-point layers as they were before they became array passes, kept
 # verbatim as their byte-for-byte references: ``ranks.rank`` with the stable
-# sort alone, ``bins.binning_to_json`` formatting each bin's lists on their
-# own, ``plotting.render_binning`` formatting both coordinates of every
-# point, and ``engine._read_bins`` casting every member of a level it reads.
+# sort alone, ``bins.binning_to_json`` formatting each bin on its own,
+# ``plotting.render_binning`` formatting every rect and both coordinates of
+# every point on their own, with the per-bin residual and colour, the
+# statistics summed bin by bin, and the growth that carried every member in
+# original order, read into ``Bin``s level by level.
+
+
+def per_bin_chi2(binning: Binning) -> tuple[float, int]:
+    """Chi-squared statistic over the final bins and the bin count."""
+    total = 0.0
+    for b in binning.bins:
+        if b.expected == 0:
+            raise RuntimeError("bin with zero expected count")
+        d = b.observed - b.expected
+        total += d * d / b.expected
+    return total, binning.n_bin
+
+
+def per_bin_residuals(binning: Binning) -> np.ndarray:
+    """Signed square roots of the per-bin chi contributions, in bin order."""
+    out = np.empty(binning.n_bin)
+    for i, b in enumerate(binning.bins):
+        d = b.observed - b.expected
+        out[i] = np.sign(d) * np.sqrt(d * d / b.expected)
+    return out
+
+
+def _lerp_from_white(target: tuple[int, int, int], t: float) -> str:
+    t = min(max(t, 0.0), 1.0)
+    channels = (round(255 + (c - 255) * t) for c in target)
+    return "#" + "".join(f"{c:02X}" for c in channels)
+
+
+def _num(x: float) -> str:
+    return format(x, ".6f").rstrip("0").rstrip(".")
 
 
 def stable_rank(values, rng: np.random.Generator) -> np.ndarray:
@@ -659,7 +688,7 @@ def per_point_render(
         return (n - v) * scale
 
     if fill == "residual":
-        resid = pearson_residuals(binning)
+        resid = per_bin_residuals(binning)
         rmax = max_abs_residual
         if rmax is None:
             rmax = float(max(abs(resid.max()), abs(resid.min()), 0.0))
@@ -727,3 +756,107 @@ def whole_level_read_bins(kind, stop, z, levels, pairs, seeds, depths) -> list[d
                                 stop=StopConfig(d, stop.min_expected),
                                 min_split_expected=z, seed=seeds[r], n=pairs[r].n)
     return out
+
+
+class PointsLevel(NamedTuple):
+    """``engine.Level`` of the growth that carried the members in original
+    order: node j's ``observed[j]`` members are the next ones of
+    ``points_s``/``points_t``."""
+
+    depth: int
+    lower_s: np.ndarray
+    upper_s: np.ndarray
+    lower_t: np.ndarray
+    upper_t: np.ndarray
+    expected: np.ndarray
+    observed: np.ndarray
+    leaf: np.ndarray
+    root: np.ndarray
+    node_id: np.ndarray
+    points_s: np.ndarray
+    points_t: np.ndarray
+
+
+def points_grow_levels(pairs, seeds, kind, max_depth, min_expected, z):
+    """``engine.grow_levels`` carrying a third member order, in original
+    index order, moved to the children at every split."""
+    def stopped(e, cnt, depth):
+        return (e <= min_expected) | (cnt == 0) | (depth >= max_depth)
+
+    cnt = np.array([p.n for p in pairs], dtype=np.int64)
+    lo_s, hi_s, lo_t, hi_t = np.zeros_like(cnt), cnt, np.zeros_like(cnt), cnt
+    e = cnt.astype(float)
+    root = np.arange(cnt.size)
+    ids = np.ones(cnt.size, dtype=np.int64 if max_depth < 62 else object)
+    depth = 0
+    stop = stopped(e, cnt, depth)
+    coord = np.int32 if cnt.sum() < 2**31 else np.int64
+    ws = Workspace()
+    by_i = np.array([np.concatenate([p.s for p in pairs]),
+                     np.concatenate([p.t for p in pairs])], dtype=coord)
+    slot = np.repeat(np.cumsum(cnt) - cnt, cnt)
+    by_s, by_t = np.empty_like(by_i), np.empty_like(by_i)
+    by_s[:, slot + by_i[0] - 1] = by_i
+    by_t[:, slot + by_i[1] - 1] = by_i
+    if stop.any():
+        live = np.repeat(~stop, cnt)
+        by_s, by_t = by_s.compress(live, axis=1), by_t.compress(live, axis=1)
+
+    while True:
+        act = np.flatnonzero(~stop)
+        ok = np.zeros(act.size, dtype=bool)
+        if act.size:
+            ok, on_t, cut = best_splits(
+                lo_s[act], hi_s[act], lo_t[act], hi_t[act], e[act], cnt[act],
+                by_s[0], by_t[1], kind, z,
+                lambda j: _bin_rng(seeds[root[act[j]]], ids[act[j]]), ws)
+            on_t, cut = on_t[ok], cut[ok]
+        split = act[ok]
+        leaf = np.ones(cnt.size, dtype=bool)
+        leaf[split] = False
+        yield PointsLevel(depth, lo_s, hi_s, lo_t, hi_t, e, cnt, leaf, root, ids, *by_i)
+        if not split.size:
+            return
+
+        k = split.size
+        node_t = np.zeros(cnt.size, dtype=bool)
+        node_t[split] = on_t
+        node_cut = np.zeros(cnt.size, dtype=coord)
+        node_cut[split] = cut
+        by_i = _partition(by_i, _goes_up(by_i, cnt, node_t, node_cut), cnt, ~leaf, ~leaf)
+        act_cnt, act_t, act_cut = cnt[act], node_t[act], node_cut[act]
+        up_s = _goes_up(by_s, act_cnt, act_t, act_cut)
+        n_up = np.add.reduceat(up_s, np.cumsum(act_cnt) - act_cnt, dtype=np.intp)[ok]
+        kid_cnt = np.concatenate((cnt[split] - n_up, n_up))
+        e_lo = lower_expected(cut, np.where(on_t, lo_t[split], lo_s[split]),
+                              np.where(on_t, hi_t[split], hi_s[split]), e[split])
+        kid_e = np.concatenate((e_lo, e[split] - e_lo))
+        kid_stop = stopped(kid_e, kid_cnt, depth + 1)
+        if not kid_stop.all():
+            keep_lo = np.zeros(act.size, dtype=bool)
+            keep_up = np.zeros(act.size, dtype=bool)
+            keep_lo[ok] = ~kid_stop[:k]
+            keep_up[ok] = ~kid_stop[k:]
+            by_s = _partition(by_s, up_s, act_cnt, keep_lo, keep_up)
+            by_t = _partition(by_t, _goes_up(by_t, act_cnt, act_t, act_cut), act_cnt,
+                              keep_lo, keep_up)
+
+        on_s = ~on_t
+        lo_s, hi_s, lo_t, hi_t = (
+            np.concatenate((lo_s[split], np.where(on_s, cut, lo_s[split]))),
+            np.concatenate((np.where(on_s, cut, hi_s[split]), hi_s[split])),
+            np.concatenate((lo_t[split], np.where(on_t, cut, lo_t[split]))),
+            np.concatenate((np.where(on_t, cut, hi_t[split]), hi_t[split])),
+        )
+        ids = np.concatenate((2 * ids[split], 2 * ids[split] + 1))
+        root = np.tile(root[split], 2)
+        e, cnt, stop = kid_e, kid_cnt, kid_stop
+        depth += 1
+
+
+def points_tree_binnings(pairs, seeds, depths, kind, stop, z) -> list[dict[int, Binning]]:
+    """``engine.tree_binnings`` of ``pairs`` grown as one batch by the growth
+    that carried the members in original order, read into ``Bin``s."""
+    depths = sorted(set(depths))
+    levels = points_grow_levels(pairs, seeds, kind, depths[-1], stop.min_expected, z)
+    return whole_level_read_bins(kind, stop, z, levels, pairs, seeds, depths)

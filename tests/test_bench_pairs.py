@@ -1,0 +1,65 @@
+"""``scripts/bench_pairs.py`` on synthetic result files of two checkouts."""
+
+import importlib.util
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def _result(checkout, workload, seed, work, mtime, trace=0):
+    out = checkout / ".bench_out"
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / f"result-{workload}-seed{seed}-trace{trace}.json"
+    metrics = ({"engine.self_ms": [work, "ms", 3]} if trace else
+               {"setup_s": [0.1, "s", 3], "peak_rss_mb": [50.0, "MB", 1],
+                "ok_frac": [1.0, "frac", 9], "work_per_s": [work, "1/s", 9]})
+    prov = {"nproc": 2, "cpu_model": "cpu", "python": "3", "numpy": "2", "scipy": "1",
+            "source_sha256": "ab"}
+    path.write_text(json.dumps({"metrics": metrics, "failed": 0, "attempted": 9,
+                                "provenance": prov}))
+    os.utime(path, (mtime, mtime))
+
+
+PARENT = [95, 105, 97, 103, 99, 101, 96, 104, 98, 102]  # median 100, IQR 5.5
+
+
+@pytest.mark.parametrize("gain, holds", [
+    ([15] * 10, True),
+    # one pair lost in ten still holds; two do not
+    ([15] * 9 + [-1], True),
+    ([15] * 8 + [-1, -1], False),
+    # every pair won, by less than the parent's spread
+    ([2] * 10, False),
+])
+def test_pairs_are_aggregated_and_the_claim_judged(tmp_path, gain, holds):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent_work, change_work = PARENT, [p + g for p, g in zip(PARENT, gain)]
+    for i, (p, c) in enumerate(zip(parent_work, change_work)):
+        # the first side alternates from pair to pair
+        _result(parent, "bin_1e5", 300 + i, p, 1000 + 10 * i + i % 2)
+        _result(change, "bin_1e5", 300 + i, c, 1000 + 10 * i + 1 - i % 2)
+    _result(parent, "null_sim", 1, 5.0, 0)  # on one side only: left out
+    _result(parent, "bin_1e5", 0, 20.0, 0, trace=1)
+    _result(change, "bin_1e5", 0, 15.0, 0, trace=1)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--claim", "bin_1e5:work_per_s", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert list(doc["workloads"]) == ["bin_1e5"]
+    w = doc["workloads"]["bin_1e5"]
+    assert w["pairs"] == 10 and w["parent"]["seeds"] == list(range(300, 310))
+    assert w["parent"]["first_side"][:2] == ["parent", "change"]
+    assert w["change"]["runs"]["work_per_s"] == change_work
+    assert w["parent"]["summary"]["work_per_s"]["median"] == 100
+    assert w["parent"]["summary"]["work_per_s"]["iqr"] == 5.5
+    assert doc["claim"]["holds"] is holds
+    assert doc["traces"] == {"bin_1e5": {"seed": 0, "parent": {"engine.self_ms": 20.0},
+                                         "change": {"engine.self_ms": 15.0}}}
+    assert doc["claim"]["pairs_won"] == sum(c > p for p, c in zip(parent_work, change_work))

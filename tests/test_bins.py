@@ -166,3 +166,23 @@ def test_json_matches_per_bin_oracle(sizes, top, seed):
 def test_grown_binning_json_matches_per_bin_oracle(kind, n):
     binning = bin_pair(_pair(n, seed=n), kind, StopConfig(max_depth=6), z=1.0, seed=n)
     assert binning_to_json(binning) == per_bin_json(binning)
+
+
+def test_binning_columns_and_bin_views():
+    # a binning built from Bins holds them by column; a grown one lists Bin
+    # views of its columns, int64 slices of one point array per margin
+    bins = [Bin(0, 3, 0, 7, np.array([1, 2]), np.array([5, 1]), 1.5, 1),
+            Bin(3, 7, 0, 7, np.array([], dtype=np.int64), np.array([], dtype=np.int64), 4.0, 1)]
+    binning = Binning(bins, "chi", StopConfig(1), 5.0, 0, n=7)
+    assert binning.bins is bins and binning.n_bin == 2
+    assert binning.offsets.tolist() == [0, 2, 2] and binning.observed.tolist() == [2, 0]
+    assert binning.points_t.tolist() == [5, 1] and binning.upper_s.tolist() == [3, 7]
+    grown = bin_pair(_pair(300, seed=2), "mi", StopConfig(max_depth=5), z=2.0, seed=3)
+    views = grown.bins
+    assert views is grown.bins and len(views) == grown.n_bin
+    for b, a, z in zip(views, grown.offsets, grown.offsets[1:]):
+        assert b.points_s.base is grown.points_s.base and b.observed == z - a
+    assert per_bin_json(grown) == binning_to_json(grown)
+    with pytest.raises(ValueError, match="differ in length"):
+        Binning([Bin(0, 1, 0, 1, np.array([1]), np.array([], dtype=np.int64), 1.0, 0)],
+                "chi", StopConfig(1), 5.0, 0, n=1)

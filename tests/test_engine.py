@@ -12,7 +12,7 @@ from _oracles import (
     chunked_goes_up,
     chunked_partition,
     per_bin_json,
-    whole_level_read_bins,
+    points_tree_binnings,
 )
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -287,23 +287,26 @@ def test_whole_level_moves_match_chunked_oracle(nodes, scale, keep_all, seed):
 @example(n=1, count=1, depths=[0], kind="chi", min_expected=10.0, seed=0)
 @example(n=25_000, count=4, depths=[3, 10], kind="chi", min_expected=10.0, seed=0)
 def test_read_bins_match_whole_level_oracle(n, count, depths, kind, min_expected, seed):
-    # Gathering only the taken nodes' members gives the same binnings, bin
-    # for bin, as casting whole levels, while every Bin's points are slices
-    # of an array that holds taken members alone.
+    # Labelling slots and sorting the labels once per limit gives the same
+    # binnings, bin for bin, as the growth that carried every member in
+    # original order and cast whole levels; each binning's points are int64,
+    # its tree's points listed once each, and every Bin's points are slices
+    # of an array that holds its limit's listed members alone.
     pairs = [_pair(n, seed + i) for i in range(count)]
+    seeds = [seed + i for i in range(count)]
     stop, z = StopConfig(max(depths), min_expected), 2.0
-
-    def grown(read):
-        batches = grow_trees(lambda i: (pairs[i], seed + i), count, n, depths, kind,
-                             min_expected, z, partial(read, kind, stop, z), points=True)
-        return [binnings for batch in batches for binnings in batch]
-
-    got, want = grown(_read_bins), grown(whole_level_read_bins)
+    batches = grow_trees(lambda i: (pairs[i], seeds[i]), count, n, depths, kind,
+                         min_expected, z, partial(_read_bins, kind, stop, z))
+    got = [binnings for batch in batches for binnings in batch]
+    want = points_tree_binnings(pairs, seeds, depths, kind, stop, z)
     assert [g.keys() for g in got] == [w.keys() for w in want]
     taken = {}
     for g, w in zip(got, want):
         for d in g:
             assert binning_to_json(g[d]) == per_bin_json(w[d])
+            assert g[d].points_s.dtype == g[d].points_t.dtype == np.int64
+            assert np.array_equal(np.sort(g[d].points_s), np.arange(1, n + 1))
+            assert np.array_equal(np.sort(g[d].points_t), np.arange(1, n + 1))
             for b in g[d].bins:
                 assert b.points_s.dtype == b.points_t.dtype == np.int64
                 taken[id(b)] = b

@@ -6,8 +6,8 @@ from _oracles import per_point_render
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rankbin import Bin, Binning, StopConfig, bin_pair, render_binning
-from rankbin.plotting import FILL_MODES
+from rankbin import Bin, Binning, StopConfig, bin_pair, pearson_residuals, render_binning
+from rankbin.plotting import FILL_MODES, render_binnings
 from rankbin.ranks import RankedPair
 
 
@@ -146,3 +146,51 @@ def test_points_outside_the_rank_range_are_refused():
         else:
             with pytest.raises(ValueError, match="0..n"):
                 render_binning(binning, show_points=True)
+
+
+@pytest.mark.parametrize("rmax", [-1.0, -1e-300, float("nan"), float("inf"), float("-inf")])
+def test_negative_or_non_finite_residual_range_is_refused(rmax):
+    # each once painted every bin white
+    binning = bin_pair(_line_pair(200, seed=2), "chi", StopConfig(max_depth=4), 5.0, 3)
+    for fill in FILL_MODES:
+        with pytest.raises(ValueError, match="max_abs_residual"):
+            render_binning(binning, fill, max_abs_residual=rmax)
+
+
+@pytest.mark.parametrize("size", [0, -5])
+def test_size_below_one_is_refused(size):
+    # each once drew zero or negative rect geometry
+    binning = bin_pair(_pair(50, seed=4), "chi", StopConfig(max_depth=3), 5.0, 5)
+    with pytest.raises(ValueError, match="size"):
+        render_binning(binning, size=size)
+    with pytest.raises(ValueError, match="size"):
+        render_binnings([binning], size=size)
+
+
+def test_render_binnings_share_the_largest_residual():
+    # one call renders each plot as render_binning does, given the largest
+    # absolute residual of all of them; other fills ignore it
+    binnings = [bin_pair(_pair(n, seed=n), "chi", StopConfig(max_depth=5), 5.0, n)
+                for n in (300, 300, 41)] + [bin_pair(_line_pair(300, 6), "mi",
+                                                     StopConfig(max_depth=5), 5.0, 7)]
+    rmax = max(float(np.max(np.abs(pearson_residuals(b)))) for b in binnings)
+    for fill in FILL_MODES:
+        for points in (False, True):
+            assert render_binnings(binnings, fill, points, size=333) == [
+                render_binning(b, fill, points, max_abs_residual=rmax, size=333)
+                for b in binnings]
+    assert render_binnings([]) == []
+
+
+def test_fills_clamp_and_round_half_to_even_as_round_does():
+    # 255 + (0x40 - 255) * 1 / 382 is 254.5: round gives 254, as np.rint
+    # does, where rounding half up would give 255; a range below the
+    # largest residual saturates the hue instead of passing it
+    bins = [Bin(0, 4, 0, 4, np.array([1, 2, 3]), np.array([1, 2, 3]), 1.0, 1),
+            Bin(4, 8, 0, 8, np.array([5]), np.array([6]), 4.0, 382),
+            Bin(0, 4, 4, 8, np.array([], dtype=np.int64), np.array([], dtype=np.int64), 3.0, 0)]
+    binning = Binning(bins, "chi", StopConfig(382), 5.0, 0, n=8)
+    assert 'fill="#FEFEFE"' in render_binning(binning, "depth")
+    for fill, rmax in (("depth", None), ("residual", None), ("residual", 0.5)):
+        assert (render_binning(binning, fill, True, rmax)
+                == per_point_render(binning, fill, True, rmax))

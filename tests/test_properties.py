@@ -4,9 +4,11 @@ Tiny n, z = 0, ``min_expected`` = 0, a diagonal (t = s) pair whose every
 split looks alike, and heavily tied raw data.  Each case checks that a
 single-depth run equals the same depth read off a depth sweep byte for
 byte, that both equal the per-limit replay oracle and the per-bin engine,
-and the partition invariants of acceptance criterion 7.  Statistics-only
-growth is checked level by level against growth that carries the points,
-the statistics reader against the ``Bin`` reader on the same trees, the
+and the partition invariants of acceptance criterion 7.  Growth is checked
+level by level against the growth that carried the points in original
+order, the columnar ``Binning``s, their JSON, SVG and statistics against
+that growth's ``Bin``s and the per-bin writers, the statistics reader
+against the ``Bin`` reader on the same trees, the
 batched null simulation row for row against the per-bin engine, the
 batched scan against one ``bin_pair`` per pair, ``load_matrix``
 against its per-cell ``csv`` loop, and its decimal parser against
@@ -15,7 +17,18 @@ against its per-cell ``csv`` loop, and its decimal parser against
 
 import numpy as np
 import pytest
-from _oracles import check_partition, per_bin_partitions, per_pair_scan, replay_partitions
+from _oracles import (
+    check_partition,
+    per_bin_chi2,
+    per_bin_json,
+    per_bin_partitions,
+    per_bin_residuals,
+    per_pair_scan,
+    per_point_render,
+    points_grow_levels,
+    points_tree_binnings,
+    replay_partitions,
+)
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -26,14 +39,18 @@ from rankbin import (
     bin_pair_by_depth,
     binning_to_json,
     chi2_statistic,
+    mi_statistic,
+    pearson_residuals,
     records_to_csv,
+    render_binning,
     scan_pairs,
     simulate_null,
 )
 from rankbin.ranks import RankedPair, rank_pair
-from rankbin.engine import BATCH, _read_bins, grow_levels
+from rankbin.engine import BATCH, _read_bins, grow_levels, tree_binnings
 from rankbin import plaincsv
 from rankbin.plaincsv import _read_plain
+from rankbin.plotting import FILL_MODES, render_binnings
 from rankbin.scan import _read_cells, load_matrix
 from rankbin.stats import _read_statistics
 
@@ -170,24 +187,72 @@ def _scan_null(n, kind, stop, z, seed):
 )
 @example(trees=[(27, "diagonal", 0)], kind="chi", z=0.0, min_expected=0.0, depth=8)
 def test_statistics_only_growth_matches_points_growth(trees, kind, z, min_expected, depth):
-    # the statistics-only path counts children from the s order; the points
-    # path also carries the original order, which held the counts before
+    # growth without a third member order grows the same nodes, level by
+    # level, and each node's range of its parent's order holds its members
     pairs = [_pair(shape, n, seed) for n, shape, seed in trees]
     seeds = [seed for _, _, seed in trees]
     args = (pairs, seeds, kind, depth, min_expected, z)
-    with_points = list(grow_levels(*args, points=True))
+    with_points = list(points_grow_levels(*args))
     bare = list(grow_levels(*args))
     assert len(bare) == len(with_points)
     for a, b in zip(bare, with_points):
-        assert a.points_s is a.points_t is None
         for field in ("depth", "lower_s", "upper_s", "lower_t", "upper_t", "expected",
                       "observed", "leaf", "root", "node_id"):
             assert np.array_equal(getattr(a, field), getattr(b, field)), field
         assert a.expected.tobytes() == b.expected.tobytes()
-        assert b.points_s.size == b.points_t.size == b.observed.sum()
+        ends = np.cumsum(b.observed).tolist()
+        for j, (first, cnt, in_t) in enumerate(zip(a.first.tolist(), a.observed.tolist(),
+                                                   a.in_t.tolist())):
+            got = a.orders[in_t][:, first:first + cnt]
+            # sorted by the order's margin, the members themselves
+            assert np.all(np.diff(got[int(in_t)]) > 0)
+            want = np.array([b.points_s[ends[j] - cnt:ends[j]], b.points_t[ends[j] - cnt:ends[j]]])
+            assert np.array_equal(got[:, np.argsort(got[0])], want[:, np.argsort(want[0])])
         # a node id states the node's depth, and names one node of its tree
         assert all(int(i).bit_length() - 1 == a.depth for i in a.node_id)
         assert len(set(zip(a.root.tolist(), a.node_id.tolist()))) == a.root.size
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    trees=st.lists(st.tuples(st.sampled_from([1, 2, 7, 755]),
+                             st.sampled_from(["random", "diagonal", "tied"]),
+                             st.integers(0, 2**32 - 1)), min_size=1, max_size=3),
+    kind=st.sampled_from(["chi", "mi", "random"]),
+    z=st.sampled_from([0.0, 5.0]),
+    # 1000 freezes every root
+    min_expected=st.sampled_from([0.0, 10.0, 1000.0]),
+    depths=st.sets(st.sampled_from([0, 1, 3, 6, 10, 62]), min_size=1, max_size=3),
+)
+@example(trees=[(755, "random", 0), (7, "tied", 1)], kind="chi", z=0.0, min_expected=0.0,
+         depths={3, 10, 62})
+def test_columnar_binnings_match_points_growth(trees, kind, z, min_expected, depths):
+    # the read-off from labelled slots, and the JSON, SVG and statistics of
+    # its columns, equal byte for byte those of the growth that carried
+    # every member in original order into per-bin Bins and per-bin writers;
+    # limit 62 grows object node ids
+    pairs = [_pair(shape, n, seed) for n, shape, seed in trees]
+    seeds = [seed for _, _, seed in trees]
+    stop = StopConfig(max(depths), min_expected)
+    got = tree_binnings(lambda i: (pairs[i], seeds[i]), len(pairs), max(p.n for p in pairs),
+                        depths, kind, stop, z)
+    want = points_tree_binnings(pairs, seeds, depths, kind, stop, z)
+    for d in sorted(depths):
+        for g, w in zip((g[d] for g in got), (w[d] for w in want)):
+            assert binning_to_json(g) == per_bin_json(g) == per_bin_json(w)
+            chi2, n_bin = chi2_statistic(g)
+            assert (np.float64(chi2).tobytes(), n_bin) == (np.float64(per_bin_chi2(w)[0]).tobytes(),
+                                                          w.n_bin)
+            assert pearson_residuals(g).tobytes() == per_bin_residuals(w).tobytes()
+            assert mi_statistic(g) == mi_statistic(w)
+            for fill in FILL_MODES:
+                for points in (False, True):
+                    assert (render_binning(g, fill, points)
+                            == per_point_render(w, fill, points))
+        # one hue range over the plots of every tree
+        shared = max(float(np.max(np.abs(per_bin_residuals(w[d])))) for w in want)
+        assert render_binnings([g[d] for g in got], show_points=True) == [
+            per_point_render(w[d], "residual", True, max_abs_residual=shared) for w in want]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -208,8 +273,7 @@ def test_both_readers_read_off_the_same_partitions(trees, kind, z, min_expected,
     seeds = [seed for _, _, seed in trees]
     args = (pairs, seeds, kind, depths[-1], min_expected, z)
     stop = StopConfig(max_depth=depths[-1], min_expected=min_expected)
-    binnings = _read_bins(kind, stop, z, grow_levels(*args, points=True), pairs, seeds,
-                          depths)
+    binnings = _read_bins(kind, stop, z, grow_levels(*args), pairs, seeds, depths)
     n_bins, chi2s = _read_statistics(grow_levels(*args), pairs, seeds, depths)
     assert len(binnings) == len(pairs)
     assert n_bins.shape == chi2s.shape == (len(pairs), len(depths))

@@ -66,6 +66,16 @@ def test_pearson_residual_examples():
     assert r[2] == 0.0
 
 
+@pytest.mark.parametrize("expected", [0.0, -2.0, float("inf"), float("nan")])
+def test_statistics_refuse_an_expected_count_not_finite_and_positive(expected):
+    # a zero once raised ZeroDivisionError in the residuals; a negative or
+    # non-finite one gave a statistic
+    b = _toy_binning([mk_bin(5, 5, 10), mk_bin(expected, 5, 10)], 10)
+    for stat in (chi2_statistic, pearson_residuals):
+        with pytest.raises(RuntimeError, match="expected count"):
+            stat(b)
+
+
 def test_squared_residuals_sum_to_chi2():
     rng = np.random.default_rng(0)
     pair = RankedPair(s=rng.permutation(800) + 1, t=rng.permutation(800) + 1, n=800)
