@@ -18,6 +18,10 @@ in ten and its median differs from the parent's by more than the parent's
 interquartile range.  A ``--trace 1`` run of one seed on both sides
 (``result-<workload>-seed<seed>-trace1.json``) adds both sides' per-layer
 metrics under ``traces``.
+
+Only full-profile results count: the harness's self-test writes smoke-size
+results under the same names, and each one found is reported and skipped.
+A side whose untraced runs measured more than one source is refused.
 """
 
 from __future__ import annotations
@@ -34,14 +38,19 @@ NAME = re.compile(r"result-(?P<workload>\w+)-seed(?P<seed>\d+)-trace(?P<trace>[0
 
 
 def _runs(checkout: Path, trace: int = 0) -> dict[tuple[str, int], tuple[float, dict]]:
-    """(workload, seed) -> (file mtime, result) of every run of a checkout,
-    untraced or traced."""
+    """(workload, seed) -> (file mtime, result) of every full-profile run of
+    a checkout, untraced or traced."""
     out = {}
     for path in sorted((checkout / ".bench_out").glob(f"result-*-trace{trace}.json")):
         m = NAME.fullmatch(path.name)
-        if m:
-            out[m["workload"], int(m["seed"])] = (path.stat().st_mtime,
-                                                   json.loads(path.read_text()))
+        if not m:
+            continue
+        result = json.loads(path.read_text())
+        profile = result["provenance"]["workload"]["profile"]
+        if profile != "full":
+            print(f"skipped {path}: profile {profile!r}")
+            continue
+        out[m["workload"], int(m["seed"])] = (path.stat().st_mtime, result)
     return out
 
 
@@ -79,9 +88,8 @@ def _won(parent: list[float], change: list[float], metric: str) -> int:
     return sum((c > p) if up else (c < p) for p, c in zip(parent, change))
 
 
-def aggregate(parent: Path, change: Path) -> dict[str, dict]:
-    """Per workload: both sides' runs over the seeds present on both."""
-    a, b = _runs(parent), _runs(change)
+def aggregate(a: dict, b: dict) -> dict[str, dict]:
+    """Per workload: both sides' runs (``_runs``) over the seeds present on both."""
     out = {}
     for workload in sorted({w for w, _ in a.keys() & b.keys()}):
         pairs = [(a[k], b[k], k[1]) for k in sorted(a.keys() & b.keys()) if k[0] == workload]
@@ -119,11 +127,16 @@ def main(argv=None) -> int:
     ap.add_argument("--parent-commit", default=None)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
-    workloads = aggregate(args.parent, args.change)
+    runs = {side: _runs(path) for side, path in (("parent", args.parent),
+                                                 ("change", args.change))}
+    for side, got in runs.items():
+        sources = sorted({r["provenance"]["source_sha256"] for _, r in got.values()})
+        if len(sources) > 1:
+            ap.error(f"the {side}'s runs measured {len(sources)} sources: {sources}")
+    workloads = aggregate(runs["parent"], runs["change"])
     if not workloads:
         ap.error("no workload has runs on both sides")
-    some = next(iter(_runs(args.change).values()))[1]
-    prov = some["provenance"]
+    prov = next(iter(runs["change"].values()))[1]["provenance"]
     doc = {
         "what": args.what,
         "command": "python3 benchmarks/run.py --workload W --seed S --seconds T",

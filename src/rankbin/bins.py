@@ -146,7 +146,9 @@ def binning_to_json(binning: Binning) -> str:
     """Serialize a Binning to its canonical JSON document.
 
     The field order is fixed and reals carry 17 significant digits, so equal
-    binnings serialize to byte-identical documents.
+    binnings serialize to byte-identical documents.  The split floor z
+    (``min_split_expected``) is not written, so a document does not say
+    which z grew it.
     """
     stop = binning.stop
     head = (

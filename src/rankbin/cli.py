@@ -34,7 +34,7 @@ from .plotting import render_binning, render_binnings
 from .ranks import rank_pair
 from .scan import (
     IngestionError,
-    _header,
+    _read_table,
     load_matrix,
     pair_binnings,
     scan_pairs,
@@ -164,15 +164,14 @@ def _build_parser() -> _Parser:
 
 
 def _read_xy(path) -> tuple[np.ndarray, np.ndarray]:
-    table = load_matrix(path)
+    names, table = _read_table(path)
     # a dropped x or y column must not let the next columns stand in for it
-    for name in _header(path)[:2]:
+    for name in names[:2]:
         if name not in table:
             raise IngestionError(f"{path}: column {name!r} has missing values")
     if len(table) < 2:
         raise IngestionError(f"{path}: need two columns, found {len(table)}")
-    cols = list(table.values())
-    return cols[0], cols[1]
+    return table[names[0]], table[names[1]]
 
 
 def _load_null(path) -> NullTable:

@@ -189,11 +189,12 @@ def grow_levels(
         act = np.flatnonzero(~stop)
         ok = np.zeros(act.size, dtype=bool)
         if act.size:
-            ok, on_t, cut = best_splits(
+            ok, act_t, act_cut = best_splits(
                 lo_s[act], hi_s[act], lo_t[act], hi_t[act], e[act], cnt[act],
                 by_s[0], by_t[1], kind, z,
                 lambda j: _bin_rng(seeds[root[act[j]]], ids[act[j]]), ws)
-            on_t, cut = on_t[ok], cut[ok]
+            act_cut = act_cut.astype(coord)
+            on_t, cut = act_t[ok], act_cut[ok]
         split = act[ok]
         leaf = np.ones(cnt.size, dtype=bool)
         leaf[split] = False
@@ -205,12 +206,9 @@ def grow_levels(
         # Move every member of a split node to its child; the s order's
         # up-mask also counts the children.  A child's members lie together
         # in its parent's order by the margin cut, the lower child's first.
+        # An unsplittable node's members are dropped, whatever its cut.
         k = split.size
-        node_t = np.zeros(cnt.size, dtype=bool)
-        node_t[split] = on_t
-        node_cut = np.zeros(cnt.size, dtype=coord)
-        node_cut[split] = cut
-        act_cnt, act_t, act_cut = cnt[act], node_t[act], node_cut[act]
+        act_cnt = cnt[act]
         up_s = _goes_up(by_s, act_cnt, act_t, act_cut)
         at = np.cumsum(act_cnt) - act_cnt
         n_up = np.add.reduceat(up_s, at, dtype=np.intp)[ok]
@@ -340,7 +338,7 @@ def grow_trees(
     return [_grow_batch(b, job) for b in batches]
 
 
-def _read_bins(kind, stop, z, levels, pairs, seeds, depths) -> list[dict[int, Binning]]:
+def _read_bins(kind, min_expected, z, levels, pairs, seeds, depths) -> list[dict[int, Binning]]:
     """The ``Bin`` reader: each tree's ``Binning`` under every limit.
 
     Taken nodes' members are read once, as slots (tree offset + s); each
@@ -381,20 +379,19 @@ def _read_bins(kind, stop, z, levels, pairs, seeds, depths) -> list[dict[int, Bi
         for r, (a, b) in enumerate(zip(bounds, bounds[1:])):
             lo, hi = offsets[a], offsets[b]
             out[r][d] = Binning(
-                None, kind, StopConfig(d, stop.min_expected), z, seeds[r], pairs[r].n,
+                None, kind, StopConfig(d, min_expected), z, seeds[r], pairs[r].n,
                 columns=(*(c[part[a:b]] for c in cols), offsets[a:b + 1] - lo,
                          points_s[lo:hi], points_t[lo:hi]))
     return out
 
 
 def tree_binnings(
-    source, count: int, n: int, depths, kind: str, stop: StopConfig, z: float,
+    source, count: int, n: int, depths, kind: str, min_expected: float, z: float,
 ) -> list[dict[int, Binning]]:
     """Entry i maps each of ``depths`` to tree i's ``Binning`` under it: the
-    ``Bin`` call of ``grow_trees``, run serially.  ``depths`` replace
-    ``stop.max_depth``: only ``stop.min_expected`` is read."""
-    batches = grow_trees(source, count, n, depths, kind, stop.min_expected, z,
-                         partial(_read_bins, kind, stop, z))
+    ``Bin`` call of ``grow_trees``, run serially."""
+    batches = grow_trees(source, count, n, depths, kind, min_expected, z,
+                         partial(_read_bins, kind, min_expected, z))
     return [binnings for batch in batches for binnings in batch]
 
 
@@ -421,4 +418,5 @@ def bin_pair_by_depth(pair: RankedPair, kind: str, depths: list[int], stop: Stop
     limit's partition read off it.  ``depths`` replace ``stop.max_depth``:
     only ``stop.min_expected`` is read.
     """
-    return tree_binnings(lambda _: (pair, seed), 1, pair.n, depths, kind, stop, z)[0]
+    return tree_binnings(lambda _: (pair, seed), 1, pair.n, depths, kind, stop.min_expected,
+                         z)[0]

@@ -99,22 +99,22 @@ def load_matrix(path) -> dict[str, np.ndarray]:
     blocks before it, so a missing value late in a large file costs the loop
     and a few milliseconds more.
     """
+    return _read_table(path)[1]
+
+
+def _read_table(path) -> tuple[list[str], dict[str, np.ndarray]]:
+    """``load_matrix``'s reading: the header's names, dropped columns' too,
+    and the table."""
     # imported on first use, so a process that reads no CSV, such as a null
     # simulation, does not load the parser
     from .plaincsv import _read_plain
 
-    table = _read_plain(path)
-    return _read_cells(path) if table is None else table
+    table = _read_plain(path)  # which drops no column
+    return _read_cells(path) if table is None else (list(table), table)
 
 
-def _header(path) -> list[str]:
-    """The stripped names of the first CSV row, as ``load_matrix`` reads them."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        return [h.strip() for h in next(csv.reader(fh), [])]
-
-
-def _read_cells(path) -> dict[str, np.ndarray]:
-    """Per-cell ``csv`` reading of ``load_matrix``: any file, every error message."""
+def _read_cells(path) -> tuple[list[str], dict[str, np.ndarray]]:
+    """Per-cell ``csv`` reading of ``_read_table``: any file, every error message."""
     i = 0  # the last row read; csv.Error, such as an over-long cell, is in the next
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -170,7 +170,7 @@ def _read_cells(path) -> dict[str, np.ndarray]:
                 f"{path}: row {int(bad[0]) + 2}, column {name!r}: "
                 f"non-finite cell {float(col[bad[0]])!r}"
             )
-    return table
+    return header, table
 
 
 def neg_log_returns(prices) -> np.ndarray:
@@ -248,7 +248,7 @@ def pair_binnings(
     d = stop.max_depth
     ranked = _tie_free_ranks(cols, [j for job in jobs for j in job])
     binnings = tree_binnings(partial(_seeded_pair, cols, ranked, jobs, base_seed), len(jobs),
-                             n, [d], kind, stop, z)
+                             n, [d], kind, stop.min_expected, z)
     return [b[d] for b in binnings]
 
 
@@ -284,8 +284,8 @@ def scan_pairs(
     jobs = list(combinations(range(len(names)), 2))
     source = partial(_seeded_pair, cols, _tie_free_ranks(cols, range(len(cols))), jobs,
                      base_seed)
-    n_bins, chi2s = tree_statistics(source, len(jobs), n, [stop.max_depth], kind, stop, z,
-                                    workers)
+    n_bins, chi2s = tree_statistics(source, len(jobs), n, [stop.max_depth], kind,
+                                    stop.min_expected, z, workers)
     p_emp = empirical_ps(null, n_bins[:, 0], chi2s[:, 0], window).tolist()
     records = [
         ScanRecord(name_a=names[ia], name_b=names[ib], n_bin=n_bin, chi2=chi2, p_emp=p)

@@ -30,39 +30,31 @@ def lower_expected(coord, lower, upper, e):
     return (coord - lower) * (e / (upper - lower))
 
 
-def candidate_scores(coord, olo, o, lower, dens, e, z: float, kind: str, draws=None, out=None,
-                     work=None):
-    """Scores and size-gate indicator of candidate cuts, elementwise.
+def candidate_scores(coord, olo, o, lower, dens, e, z: float, kind: str, draws, out, work):
+    """Gated scores of candidate cuts, elementwise, written into ``out``.
 
     A cut at ``coord`` on a margin with lower bound ``lower``, ``dens`` =
     e / (upper - lower) expected points per rank unit and ``e`` expected in
-    all, with ``olo`` of the margin's ``o`` members at or below it; all of
-    them floats (mixed integer and float arithmetic is several times
-    slower, and gives the same values).  Kind
-    "random" scores each cut with its entry of ``draws``.  Arguments
-    broadcast: one margin's candidates score against scalars, and a whole
-    level's against per-candidate arrays.  With ``out``, the scores are
-    written there and it is returned.  With ``work``, three float and two
-    boolean arrays shaped like the candidates, the temporaries are written
-    there and the gate is its first boolean array; without it they are
-    allocated.  The score of a gated cut is meaningless, and a cut on the
-    upper bound is not gated here (there e - e_lo can round to 2e-16
-    instead of 0): callers test the last candidate of each margin by
+    all, with ``olo`` of the margin's ``o`` members at or below it; all but
+    ``coord`` are floats (mixed integer and float arithmetic is several
+    times slower, and gives the same values).  ``kind`` is "chi", "mi" or
+    "random", which scores each cut with its entry of ``draws`` (the caller
+    checks it).  Arguments broadcast: one margin's candidates score against
+    scalars, and a whole level's against per-candidate arrays.  ``work``
+    holds four float and two boolean arrays shaped like ``out``: the float
+    copy of ``coord`` and the temporaries.  A gated cut scores -inf, and a
+    cut on the upper bound is not gated here (there e - e_lo can round to
+    2e-16 instead of 0): callers test the last candidate of each margin by
     coordinate.  Mutual-information terms follow 0*log(0/x) = 0, and their
     sums may be negative: a bin holding fewer points than it expects has
     log-ratios below zero on both sides.  Gated cuts can divide by zero,
     so a caller that minds the warnings enters ``np.errstate(divide=
     "ignore", invalid="ignore")``, once for a whole pass.
     """
-    if kind not in ("chi", "mi", "random"):
-        raise ValueError(f"unknown score kind {kind!r}")
-    if work is None:
-        shape = np.broadcast(coord, olo, o, lower, dens, e).shape
-        work = [np.empty(shape) for _ in range(3)] + [np.empty(shape, dtype=bool)
-                                                     for _ in range(2)]
-    e_lo, e_hi, tmp, ok, off = work
+    f, e_lo, e_hi, tmp, ok, off = work
+    f[...] = coord
     # lower_expected, with e / (upper - lower) evaluated once per margin
-    np.subtract(coord, lower, out=e_lo)
+    np.subtract(f, lower, out=e_lo)
     e_lo *= dens
     np.subtract(e, e_lo, out=e_hi)
     # With z > 0 the floor keeps both children wider than zero; with z == 0
@@ -74,15 +66,10 @@ def candidate_scores(coord, olo, o, lower, dens, e, z: float, kind: str, draws=N
     else:
         np.greater(low, 0, out=ok)
     if kind == "random":
-        if out is None:
-            return draws, ok
         np.copyto(out, draws)
-        return out, ok
-    if out is None:
-        out = np.empty(ok.shape)
-    ohi = np.subtract(o, olo, out=tmp)
-    if kind == "chi":
+    elif kind == "chi":
         # (olo - e_lo)**2 / e_lo + (ohi - e_hi)**2 / e_hi
+        ohi = np.subtract(o, olo, out=tmp)
         lo = np.subtract(olo, e_lo, out=out)
         lo *= lo
         lo /= e_lo
@@ -90,11 +77,13 @@ def candidate_scores(coord, olo, o, lower, dens, e, z: float, kind: str, draws=N
         ohi *= ohi
         ohi /= e_hi
         lo += ohi
-        return lo, ok
-    # (olo / o) * log(olo / e_lo), 0 where olo is 0, and the same above
-    for n_side, e_side in ((olo, e_lo), (ohi, e_hi)):
-        term = np.divide(n_side, e_side, out=e_side)
-        np.log(term, out=term)
-        term *= np.divide(n_side, o, out=out)
-        np.copyto(term, 0.0, where=np.less_equal(n_side, 0, out=off))
-    return np.add(e_lo, e_hi, out=out), ok
+    else:
+        # (olo / o) * log(olo / e_lo), 0 where olo is 0, and the same above
+        ohi = np.subtract(o, olo, out=tmp)
+        for n_side, e_side in ((olo, e_lo), (ohi, e_hi)):
+            term = np.divide(n_side, e_side, out=e_side)
+            np.log(term, out=term)
+            term *= np.divide(n_side, o, out=out)
+            np.copyto(term, 0.0, where=np.less_equal(n_side, 0, out=off))
+        np.add(e_lo, e_hi, out=out)
+    np.copyto(out, -np.inf, where=np.logical_not(ok, out=off))

@@ -58,19 +58,10 @@ class Workspace:
 
     def __init__(self):
         self.ramp = np.arange(1.0, BLOCK + 1.0)
-        self.coord, self.olo, self.o, self.e = (np.empty(BLOCK) for _ in range(4))
-        self._work = ([np.empty(BLOCK) for _ in range(3)]
-                      + [np.empty(BLOCK, dtype=bool) for _ in range(2)])
-
-    def score(self, out, coord, olo, o, lower, dens, e, z, kind, draws):
-        """``candidate_scores`` of ``out.size`` <= ``BLOCK`` candidates into
-        ``out``, a gated one scoring -inf; ``coord`` is copied to floats."""
-        n = out.size
-        work = [a[:n] for a in self._work]
-        f = self.coord[:n]
-        f[...] = coord
-        candidate_scores(f, olo, o, lower, dens, e, z, kind, draws, out, work)
-        np.copyto(out, -np.inf, where=np.logical_not(work[3], out=work[4]))
+        self.olo, self.o, self.e = (np.empty(BLOCK) for _ in range(3))
+        # ``candidate_scores``' work arrays
+        self.work = ([np.empty(BLOCK) for _ in range(4)]
+                     + [np.empty(BLOCK, dtype=bool) for _ in range(2)])
 
 
 def chunks(cnt: np.ndarray) -> list:
@@ -129,15 +120,16 @@ def _summary(masked, p_masked, pseudo, coords, cnt):
     return flat, np.where(some, best, 0.0), idx, np.where(p_best, pseudo, coords[member])
 
 
-def _scored(margins, cnt, e, kind, z, parts, ws):
+def _scored(margins, cnt, e, kind, z, ws):
     """The ``_summary`` of each of ``margins`` of every bin, by scoring every
     candidate.
 
     Bin j has ``cnt[j]`` >= 1 members and expects ``e[j]``; each margin is
     (sorted member coordinates bin after bin, lower bounds, upper bounds,
-    (pseudo-point draws, member draws) or (None, None)).  ``parts`` are the
-    members' ``chunks``, and the temporaries go to the ``Workspace`` ``ws``.
-    The margins share each member's prefix count and its bin's totals.
+    (pseudo-point draws, member draws) or (None, None)).  The members are
+    scored in their ``chunks``, the temporaries going to the ``Workspace``
+    ``ws``.  The margins share each member's prefix count and its bin's
+    totals.
     """
     k = cnt.size
     first = np.cumsum(cnt) - cnt
@@ -152,7 +144,7 @@ def _scored(margins, cnt, e, kind, z, parts, ws):
         # Candidate 0 of a margin is its pseudo-point, one below every
         # member; candidate i >= 1 is its i-th member, with i members at or
         # below it.
-        for c, spread in parts:
+        for c, spread in chunks(cnt):
             n = c.stop - c.start
             olo, o, e_c = ws.olo[:n], ws.o[:n], ws.e[:n]
             np.subtract(ws.ramp[:n], spread(first_f), out=olo)
@@ -160,16 +152,18 @@ def _scored(margins, cnt, e, kind, z, parts, ws):
             # both margins read these; a spread is freed once copied here
             o[...] = spread(cnt_f)
             e_c[...] = spread(e)
+            work = [a[:n] for a in ws.work]
             for m, (coords, lower, _, dens, (_, m_draws)) in zip(masked, tabs):
-                ws.score(m[c], coords[c], olo, o, spread(lower), spread(dens), e_c, z, kind,
-                         None if m_draws is None else m_draws[c])
+                candidate_scores(coords[c], olo, o, spread(lower), spread(dens), e_c, z, kind,
+                                 None if m_draws is None else m_draws[c], m[c], work)
         for m, (coords, lower, upper, dens, (p_draws, _)) in zip(masked, tabs):
             pseudo = coords[first] - 1
             p_masked = np.empty(k)
             for b in range(0, k, BLOCK):
-                j = slice(b, b + BLOCK)
-                ws.score(p_masked[j], pseudo[j], 0.0, cnt_f[j], lower[j], dens[j], e[j], z,
-                         kind, None if p_draws is None else p_draws[j])
+                j = slice(b, min(b + BLOCK, k))
+                candidate_scores(pseudo[j], 0.0, cnt_f[j], lower[j], dens[j], e[j], z, kind,
+                                 None if p_draws is None else p_draws[j], p_masked[j],
+                                 [a[:j.stop - b] for a in ws.work])
             # only a margin's last member can sit on its upper bound
             m[last[coords[last] >= upper]] = -np.inf
             summaries.append(_summary(m, p_masked, pseudo, coords, cnt))
@@ -223,8 +217,11 @@ def best_splits(
     ``rng_of(j)`` gives bin j's random stream and is called only for a bin
     that draws: every bin under random scoring (s-margin draws, t-margin
     draws, then the degenerate-tie margin pick if needed), and under chi or
-    mi only a degenerate bin whose two margins tie.
+    mi only a degenerate bin whose two margins tie.  An unknown ``kind`` is
+    refused before any stream is drawn from.
     """
+    if kind not in ("chi", "mi", "random"):
+        raise ValueError(f"unknown score kind {kind!r}")
     made: dict[int, np.random.Generator] = {}
 
     def rng(j):
@@ -252,7 +249,7 @@ def best_splits(
         todo = ~full[hs[0]]
         if todo.all():
             for h, got in zip(hs, _scored([(*margins[h], draws[h]) for h in hs], cnt, e, kind,
-                                          z, chunks(cnt), ws)):
+                                          z, ws)):
                 summaries[h] = got
             continue
         for h in hs:
@@ -260,8 +257,7 @@ def best_splits(
         if todo.any():
             on = np.repeat(todo, cnt)
             scored = _scored([(margins[h][0][on], margins[h][1][todo], margins[h][2][todo],
-                               draws[h]) for h in hs], cnt[todo], e[todo], kind, z,
-                             chunks(cnt[todo]), ws)
+                               draws[h]) for h in hs], cnt[todo], e[todo], kind, z, ws)
             for h, got in zip(hs, scored):
                 for a, b in zip(summaries[h], got):
                     a[todo] = b

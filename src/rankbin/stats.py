@@ -210,7 +210,7 @@ def _read_statistics(levels, pairs, seeds, depths) -> tuple[np.ndarray, np.ndarr
 
 
 def tree_statistics(
-    source, count: int, n: int, depths, kind: str, stop: StopConfig, z: float,
+    source, count: int, n: int, depths, kind: str, min_expected: float, z: float,
     workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bin count and chi2 statistic of each of ``count`` trees under each depth limit.
@@ -221,10 +221,9 @@ def tree_statistics(
     module-level function) only when ``workers`` > 1.  Entry [i, k] of both
     arrays belongs to tree i's partition under the k-th of the sorted
     distinct ``depths`` and equals ``chi2_statistic`` of that ``bin_pair``
-    binning bit for bit, whatever the batching.  ``depths`` replace
-    ``stop.max_depth``: only ``stop.min_expected`` is read.
+    binning bit for bit, whatever the batching.
     """
-    results = grow_trees(source, count, n, depths, kind, stop.min_expected, z,
+    results = grow_trees(source, count, n, depths, kind, min_expected, z,
                          _read_statistics, workers)
     return (np.concatenate([n_bins for n_bins, _ in results]),
             np.concatenate([chi2s for _, chi2s in results]))
@@ -264,7 +263,7 @@ def simulate_null(
         raise ValueError("n_sim must be >= 1")
     depths = sorted(set(int(d) for d in depths))  # validated by the runner
     n_bins, chi2s = tree_statistics(partial(_null_tree, n, seed), n_sim, n, depths,
-                                    kind, stop, z, workers)
+                                    kind, stop.min_expected, z, workers)
     config = {
         "kind": kind,
         "depths": depths,

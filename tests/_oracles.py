@@ -38,16 +38,22 @@ def margin_scores(w, e, z, kind, rng=None):
     """The library's gated scores (0 where gated) and gate on one margin.
 
     ``w`` is [lower, pseudo, members..., upper], the candidates its interior
-    entries, scored by ``candidate_scores`` with the upper-bound test that
-    ``best_splits`` applies; kind "random" draws one number per candidate.
+    entries, scored by ``candidate_scores`` into buffers of their own, with
+    the upper-bound test that ``best_splits`` applies; kind "random" draws
+    one number per candidate.  A gated cut scores -inf, and every other
+    score is finite (chi and mi) or a draw in [0, 1) (random), so the gate
+    is ``scores > -inf``.
     """
     w = np.asarray(w, dtype=float)
     inner = w[1:-1]
     draws = rng.random(inner.size) if kind == "random" else None
+    scores = np.empty(inner.size)
+    work = [np.empty(inner.size) for _ in range(4)] + [np.empty(inner.size, dtype=bool)
+                                                       for _ in range(2)]
     with np.errstate(divide="ignore", invalid="ignore"):
-        scores, ok = candidate_scores(inner, np.arange(inner.size, dtype=float),
-                                      inner.size - 1.0, w[0], e / (w[-1] - w[0]), e, z,
-                                      kind, draws)
+        candidate_scores(inner, np.arange(inner.size, dtype=float), inner.size - 1.0, w[0],
+                         e / (w[-1] - w[0]), e, z, kind, draws, scores, work)
+    ok = scores > -np.inf
     ok[-1] &= inner[-1] < w[-1]
     return np.where(ok, scores, 0.0), ok
 

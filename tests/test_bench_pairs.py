@@ -13,7 +13,7 @@ bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
 
-def _result(checkout, workload, seed, work, mtime, trace=0):
+def _result(checkout, workload, seed, work, mtime, trace=0, profile="full", source="ab"):
     out = checkout / ".bench_out"
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"result-{workload}-seed{seed}-trace{trace}.json"
@@ -21,7 +21,7 @@ def _result(checkout, workload, seed, work, mtime, trace=0):
                {"setup_s": [0.1, "s", 3], "peak_rss_mb": [50.0, "MB", 1],
                 "ok_frac": [1.0, "frac", 9], "work_per_s": [work, "1/s", 9]})
     prov = {"nproc": 2, "cpu_model": "cpu", "python": "3", "numpy": "2", "scipy": "1",
-            "source_sha256": "ab"}
+            "source_sha256": source, "workload": {"profile": profile}}
     path.write_text(json.dumps({"metrics": metrics, "failed": 0, "attempted": 9,
                                 "provenance": prov}))
     os.utime(path, (mtime, mtime))
@@ -63,3 +63,40 @@ def test_pairs_are_aggregated_and_the_claim_judged(tmp_path, gain, holds):
     assert doc["traces"] == {"bin_1e5": {"seed": 0, "parent": {"engine.self_ms": 20.0},
                                          "change": {"engine.self_ms": 15.0}}}
     assert doc["claim"]["pairs_won"] == sum(c > p for p, c in zip(parent_work, change_work))
+
+
+def test_smoke_results_are_skipped(tmp_path, capsys):
+    # the harness's self-test rewrites seed 0's results, traced ones too,
+    # at smoke size: they are reported and left out, and the traces fall to
+    # the next seed traced on both sides
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side, work in ((parent, 100.0), (change, 110.0)):
+        for seed in (0, 1, 2):
+            _result(side, "null_sim", seed, work, 1000 + seed)
+            _result(side, "null_sim", seed, work, 1000 + seed, trace=1)
+        _result(side, "null_sim", 0, 9.0, 2000, profile="smoke")
+        _result(side, "null_sim", 0, 9.0, 2000, trace=1, profile="smoke")
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    skipped = [line for line in printed.splitlines() if line.startswith("skipped ")]
+    assert len(skipped) == 4 and all(line.endswith("profile 'smoke'") for line in skipped)
+    doc = json.loads(out.read_text())
+    w = doc["workloads"]["null_sim"]
+    assert w["pairs"] == 2 and w["change"]["seeds"] == [1, 2]
+    assert w["change"]["runs"]["work_per_s"] == [110.0, 110.0]
+    assert doc["traces"]["null_sim"]["seed"] == 1
+    assert doc["traces"]["null_sim"]["change"] == {"engine.self_ms": 110.0}
+
+
+def test_a_side_of_two_sources_is_refused(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in (1, 2):
+        _result(parent, "bin_1e5", seed, 100.0, 1000 + seed)
+        _result(change, "bin_1e5", seed, 100.0, 1000 + seed, source="ab" if seed == 1 else "cd")
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                          "--out", str(tmp_path / "BENCH.json")])
+    assert "the change's runs measured 2 sources" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH.json").exists()

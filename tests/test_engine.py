@@ -296,7 +296,7 @@ def test_read_bins_match_whole_level_oracle(n, count, depths, kind, min_expected
     seeds = [seed + i for i in range(count)]
     stop, z = StopConfig(max(depths), min_expected), 2.0
     batches = grow_trees(lambda i: (pairs[i], seeds[i]), count, n, depths, kind,
-                         min_expected, z, partial(_read_bins, kind, stop, z))
+                         min_expected, z, partial(_read_bins, kind, min_expected, z))
     got = [binnings for batch in batches for binnings in batch]
     want = points_tree_binnings(pairs, seeds, depths, kind, stop, z)
     assert [g.keys() for g in got] == [w.keys() for w in want]

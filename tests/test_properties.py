@@ -235,7 +235,7 @@ def test_columnar_binnings_match_points_growth(trees, kind, z, min_expected, dep
     seeds = [seed for _, _, seed in trees]
     stop = StopConfig(max(depths), min_expected)
     got = tree_binnings(lambda i: (pairs[i], seeds[i]), len(pairs), max(p.n for p in pairs),
-                        depths, kind, stop, z)
+                        depths, kind, min_expected, z)
     want = points_tree_binnings(pairs, seeds, depths, kind, stop, z)
     for d in sorted(depths):
         for g, w in zip((g[d] for g in got), (w[d] for w in want)):
@@ -272,8 +272,7 @@ def test_both_readers_read_off_the_same_partitions(trees, kind, z, min_expected,
     pairs = [_pair(shape, n, seed) for n, shape, seed in trees]
     seeds = [seed for _, _, seed in trees]
     args = (pairs, seeds, kind, depths[-1], min_expected, z)
-    stop = StopConfig(max_depth=depths[-1], min_expected=min_expected)
-    binnings = _read_bins(kind, stop, z, grow_levels(*args), pairs, seeds, depths)
+    binnings = _read_bins(kind, min_expected, z, grow_levels(*args), pairs, seeds, depths)
     n_bins, chi2s = _read_statistics(grow_levels(*args), pairs, seeds, depths)
     assert len(binnings) == len(pairs)
     assert n_bins.shape == chi2s.shape == (len(pairs), len(depths))
@@ -388,7 +387,8 @@ def test_load_matrix_matches_cell_loop(case, tmp_path, caplog):
     text, plain = case
     path = tmp_path / "m.csv"
     path.write_bytes(text.encode())
-    assert _outcome(load_matrix, path, caplog) == _outcome(_read_cells, path, caplog)
+    assert _outcome(load_matrix, path, caplog) == _outcome(lambda p: _read_cells(p)[1], path,
+                                                            caplog)
     if plain:
         assert _read_plain(path) is not None
 
@@ -405,7 +405,8 @@ def test_load_matrix_blocks_match_the_cell_loop(case, block, tmp_path, caplog, m
     text, plain = case
     path = tmp_path / "m.csv"
     path.write_bytes(text.encode())
-    assert _outcome(load_matrix, path, caplog) == _outcome(_read_cells, path, caplog)
+    assert _outcome(load_matrix, path, caplog) == _outcome(lambda p: _read_cells(p)[1], path,
+                                                            caplog)
     if plain:
         assert _read_plain(path) is not None
 

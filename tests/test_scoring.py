@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from _oracles import (
+    allocating_candidate_scores,
     brute_force_scores,
     evaluation_sites,
     margin_scores,
@@ -8,7 +9,7 @@ from _oracles import (
     two_child_sum,
 )
 
-from rankbin.scoring import lower_expected
+from rankbin.scoring import candidate_scores, lower_expected
 
 
 def chi(w, e, z=0.0):
@@ -171,3 +172,42 @@ def test_gated_score_never_beats_evaluation_sites():
                 o1 = int(np.count_nonzero(coords <= c))
                 val = two_child_sum(kind, o1, e1, o - o1, e - e1, z)
                 assert val <= best + 1e-9
+
+
+def _work(size):
+    return [np.empty(size) for _ in range(4)] + [np.empty(size, dtype=bool) for _ in range(2)]
+
+
+@pytest.mark.parametrize("kind", ["chi", "mi", "random"])
+@pytest.mark.parametrize("z", [0.0, 0.5, 5.0, 1e300])
+def test_scorer_matches_allocating_oracle(kind, z):
+    # Written into the caller's buffers, the scores equal bit for bit those
+    # of the scorer that allocated them, a gated cut scoring -inf: on the
+    # per-candidate arrays of a level's members and on the scalar ``olo`` of
+    # its pseudo-points.
+    rng = np.random.default_rng([7, len(kind), int(z > 1)])
+    for _ in range(20):
+        k = int(rng.integers(1, 12))
+        cnt = rng.integers(1, 40, k)
+        lower = rng.integers(0, 10**6, k)
+        width = cnt + rng.integers(0, 3 * cnt + 2)
+        e = rng.uniform(0.25, 3.0, k) * cnt
+        coords = np.concatenate([np.sort(rng.choice(w, c, replace=False)) + lo + 1
+                                 for c, w, lo in zip(cnt, width, lower)]).astype(np.int32)
+        first = np.cumsum(cnt) - cnt
+        lower_f, cnt_f, dens = lower.astype(float), cnt.astype(float), e / width
+        olo = np.arange(1.0, cnt.sum() + 1.0) - first.astype(float).repeat(cnt)
+        calls = [(coords, olo, cnt_f.repeat(cnt), lower_f.repeat(cnt), dens.repeat(cnt),
+                  e.repeat(cnt)),
+                 (coords[first] - 1, 0.0, cnt_f, lower_f, dens, e)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for coord, *rest in calls:
+                draws = rng.random(coord.size) if kind == "random" else None
+                want, ok = allocating_candidate_scores(coord.astype(float), *rest, z, kind,
+                                                       draws)
+                want = np.where(ok, want, -np.inf)
+                got = np.empty(coord.size)
+                candidate_scores(coord, *rest, z, kind, draws, got, _work(coord.size))
+                assert got.tobytes() == want.tobytes()
+                if z == 1e300:
+                    assert (got == -np.inf).all()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rankbin import Bin, StopConfig, bin_pair_by_depth, splitting
 from rankbin.ranks import RankedPair
-from rankbin.splitting import BLOCK, Workspace, _full_summary, _scored, best_splits, chunks
+from rankbin.splitting import BLOCK, Workspace, _full_summary, _scored, best_splits
 
 
 def mk_bin(ls, us, lt, ut, pts_s, pts_t, expected, depth=0):
@@ -201,9 +201,18 @@ def test_line_square_bin_is_halved():
 
 
 def test_unknown_kind_rejected():
-    b = mk_bin(0, 10, 0, 10, [5], [5], 10.0)
-    with pytest.raises(ValueError):
-        one_bin_split(b, "quux", 5.0, np.random.default_rng(0))
+    # before any stream is drawn: a root is full on both margins, so nothing
+    # is scored, and its tie would draw the halving coin
+    def rng_of(j):
+        raise AssertionError("a stream was drawn")
+
+    s = np.arange(1, 21, dtype=np.int32)
+    root = ([np.array([v]) for v in (0, 20, 0, 20)], 20.0, s, s)
+    one = ([np.array([v]) for v in (0, 10, 0, 10)], 10.0, s[4:5], s[4:5])
+    for bounds, e, ss, tt in (root, one):
+        with pytest.raises(ValueError, match="unknown score kind 'quux'"):
+            best_splits(*bounds, np.array([e]), np.array([ss.size]), ss, tt, "quux", 5.0,
+                        rng_of, Workspace())
 
 
 def test_unsplittable_when_both_halvings_undercut_floor():
@@ -238,7 +247,7 @@ def test_full_margin_closed_form_matches_scoring(kind):
         cnt, e = np.full(lower.size, n), np.full(lower.size, float(n))
         for z in (0.0, 0.5, 2.5, 5.0, float(n), 1e300):
             want = _scored([(coords, lower, lower + n, (None, None))], cnt, e, kind, z,
-                           chunks(cnt), Workspace())[0]
+                           Workspace())[0]
             got = _full_summary(lower, lower + n, z)
             assert np.array_equal(got[0], want[0]), (n, z)
             assert got[1].tobytes() == want[1].tobytes(), (n, z)
@@ -299,8 +308,8 @@ def test_workspace_scoring_matches_allocating_oracle(bins, scale, kind, z, seed)
              for _ in "st"]
     margins = [(ss, lo_s, hi_s, draws[0]), (tt, lo_t, hi_t, draws[1])]
     ws = Workspace()
-    got = _scored(margins, cnt, e, kind, z, chunks(cnt), ws)
-    again = _scored(margins, cnt, e, kind, z, chunks(cnt), ws)  # a used workspace
+    got = _scored(margins, cnt, e, kind, z, ws)
+    again = _scored(margins, cnt, e, kind, z, ws)  # a used workspace
     want = allocating_scored(margins, cnt, e, kind, z)
     for g, a, w in zip(got, again, want):
         for x, y, v in zip(g, a, w):
@@ -322,7 +331,7 @@ def test_workspace_best_splits_matches_allocating_oracle(bins, scale, kind, z, s
         return best_splits(*level, kind, z, lambda j: np.random.default_rng((seed, j)), ws)
 
     got = split(Workspace())
-    oracle = lambda margins, cnt, e, kind, z, parts, ws: allocating_scored(margins, cnt, e, kind, z)
+    oracle = lambda margins, cnt, e, kind, z, ws: allocating_scored(margins, cnt, e, kind, z)
     with mock.patch.object(splitting, "_scored", oracle):
         want = split(None)
     for x, w in zip(got, want):

@@ -164,12 +164,11 @@ def test_pool_never_outnumbers_batches(monkeypatch):
 def test_tree_statistics_independent_of_batching(kind):
     # 7 trees fit in a batch: 17 trees make 3 batches, the last partly filled
     n, count, depths = BATCH // 7, 17, [0, 3, 5, 8]
-    stop = StopConfig(max_depth=8, min_expected=4.0)
     source = partial(_null_tree, n, 4)
-    n_bins, chi2s = tree_statistics(source, count, n, depths, kind, stop, 2.0)
+    n_bins, chi2s = tree_statistics(source, count, n, depths, kind, 4.0, 2.0)
     for i in range(count):
         one_bins, one_chi2s = tree_statistics(lambda _, i=i: source(i), 1, n, depths,
-                                              kind, stop, 2.0)
+                                              kind, 4.0, 2.0)
         assert n_bins[i].tolist() == one_bins[0].tolist()
         assert chi2s[i].view(np.int64).tolist() == one_chi2s[0].view(np.int64).tolist()
 
