@@ -15,7 +15,13 @@ and attempted operations, and each metric's median and quartiles
 change won on ``work_per_s`` and the ratio of its medians.  A claim
 ``workload:metric`` holds when the change is better on at least nine pairs
 in ten and its median differs from the parent's by more than the parent's
-interquartile range.  A ``--trace 1`` run of one seed on both sides
+interquartile range.  Every end-to-end metric of every workload also gets a
+no-regression verdict against its ``bound`` in ``BENCHMARK.json`` (a
+fraction of the parent's median): *unresolved* when the parent's
+interquartile range is wider than the bound, unless every change run beats
+every parent run; else *worse* when the change's median is worse than the
+parent's by more than the bound, and *within bound* when not.  A ``--trace
+1`` run of one seed on both sides
 (``result-<workload>-seed<seed>-trace1.json``) adds both sides' per-layer
 metrics under ``traces``.
 
@@ -34,6 +40,7 @@ import statistics
 from pathlib import Path
 
 HIGHER_IS_BETTER = {"setup_s": False, "peak_rss_mb": False, "ok_frac": True, "work_per_s": True}
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 NAME = re.compile(r"result-(?P<workload>\w+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json")
 
 
@@ -102,6 +109,30 @@ def aggregate(a: dict, b: dict) -> dict[str, dict]:
     return out
 
 
+def verdict(parent: list[float], change: list[float], metric: str, bound: float) -> dict:
+    """The no-regression verdict on one metric's runs, ``bound`` a fraction
+    of the parent's median."""
+    up = HIGHER_IS_BETTER.get(metric, True)
+    p, c = _summary(parent), _summary(change)
+    allowed = bound * abs(p["median"])
+    worse = (p["median"] - c["median"]) if up else (c["median"] - p["median"])
+    if (min(change) > max(parent)) if up else (max(change) < min(parent)):
+        said = "within bound"  # every change run beats every parent run
+    elif p["iqr"] > allowed:
+        said = "unresolved"
+    else:
+        said = "worse" if worse > allowed else "within bound"
+    return {"verdict": said, "bound": bound, "parent_median": p["median"],
+            "change_median": c["median"], "parent_iqr": p["iqr"], "worse_by": worse}
+
+
+def no_regression(workloads: dict, bounds: dict[str, float]) -> dict[str, dict]:
+    """Per workload, the ``verdict`` on every end-to-end metric with a bound."""
+    return {name: {m: verdict(w["parent"]["runs"][m], w["change"]["runs"][m], m, bound)
+                   for m, bound in bounds.items() if m in w["parent"]["runs"]}
+            for name, w in workloads.items()}
+
+
 def claim(workloads: dict, spec: str) -> dict:
     """The harness rule for ``workload:metric``: at least 9 pairs in 10 won,
     and medians further apart than the parent's interquartile range."""
@@ -136,6 +167,8 @@ def main(argv=None) -> int:
     workloads = aggregate(runs["parent"], runs["change"])
     if not workloads:
         ap.error("no workload has runs on both sides")
+    bounds = {m["name"]: m["bound"]
+              for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
     prov = next(iter(runs["change"].values()))[1]["provenance"]
     doc = {
         "what": args.what,
@@ -149,6 +182,7 @@ def main(argv=None) -> int:
                  "numpy": prov["numpy"], "scipy": prov["scipy"]},
         "commit": {"parent": args.parent_commit, "change_src_sha256": prov["source_sha256"]},
         **({"claim": claim(workloads, args.claim)} if args.claim else {}),
+        "no_regression": no_regression(workloads, bounds),
         "workloads": workloads,
         "traces": traces(args.parent, args.change),
     }
@@ -156,6 +190,11 @@ def main(argv=None) -> int:
     for name, w in workloads.items():
         print(f"{name}: work_per_s median ratio {w['work_per_s_median_ratio']:.4f}, "
               f"change won {w['work_per_s_pairs_won']}/{w['pairs']} pairs")
+    for name, said in doc["no_regression"].items():
+        for metric, v in said.items():
+            print(f"{name} {metric}: {v['verdict']} (median {v['parent_median']:.6g} -> "
+                  f"{v['change_median']:.6g}, bound {v['bound']:g}, "
+                  f"parent IQR {v['parent_iqr']:.6g})")
     if args.claim:
         print(f"claim {args.claim} {'holds' if doc['claim']['holds'] else 'does not hold'}")
     return 0

@@ -48,8 +48,13 @@ deeper run truncated at that limit.  Within one bin's substream the order
 of consumption is: s-margin score draws, t-margin score draws, then the
 degenerate-tie margin pick if needed.  A substream is built only for a bin
 that draws from it: every scored bin under random scoring, and under chi
-or mi only a degenerate bin whose two margins tie.  In a batch, tree r
-draws from the substreams of its own seed.
+or mi only a degenerate bin whose two margins tie, which draws one coin.
+When one level holds at least ``BULK_COINS`` such chi or mi bins, their
+coins are hashed together instead (``substreams.coins``: numpy's
+``SeedSequence`` and PCG64's first draw in integer ufuncs over arrays), bit
+for bit each stream's first draw, so the substream contract is unchanged;
+only the ``Generator`` objects are not built.  In a batch, tree r draws from
+the substreams of its own seed.
 
 Under chi and mi a root is full on both margins (``splitting``): its ranks
 fill 1..n with no gaps, so every eligible candidate scores exactly zero.
@@ -74,6 +79,7 @@ from .bins import SCORE_KINDS, Binning, StopConfig
 from .ranks import RankedPair
 from .scoring import lower_expected
 from .splitting import BLOCK, Workspace, best_splits
+from .substreams import coins
 
 
 # Points per batch of trees grown together.  Every level of a batch pays a
@@ -83,8 +89,23 @@ from .splitting import BLOCK, Workspace, best_splits
 BATCH = 4 * BLOCK
 
 
+# Tie coins hashed at once: ``_coins`` of at least this many bins takes them
+# in one array pass (``substreams.coins``), which costs about 130 us whatever
+# the count, against about 12 us per stream built (timed at 1 to 64 ties).
+BULK_COINS = 11
+
+
 def _bin_rng(seed: int, node_id: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, node_id)))
+
+
+def _coins(seeds: np.ndarray, node_ids: np.ndarray) -> np.ndarray:
+    """``_bin_rng(seeds[i], node_ids[i]).random() >= 0.5`` of each bin i: a
+    stream built per bin below ``BULK_COINS`` bins, else all hashed at once."""
+    if node_ids.size < BULK_COINS:
+        return np.array([_bin_rng(s, i).random() >= 0.5
+                         for s, i in zip(seeds.tolist(), node_ids.tolist())], dtype=bool)
+    return coins(seeds, node_ids)
 
 
 class Level(NamedTuple):
@@ -125,21 +146,22 @@ def check_growth_args(depths, kind: str, z: float) -> list[int]:
     return depths
 
 
-def _goes_up(order, cnt, on_t, cut):
-    """Which members of ``order`` (rows s and t; node j's ``cnt[j]`` of them,
-    node after node) exceed their node's ``cut`` on t if ``on_t``, else s."""
-    return np.where(on_t.repeat(cnt), order[1], order[0]) > cut.repeat(cnt)
+def _goes_up(order, on_t, cut):
+    """Which members of ``order`` (rows s and t, node after node) exceed their
+    node's ``cut`` on t if ``on_t``, else s; ``on_t`` and ``cut`` hold each
+    member's node's value."""
+    return np.where(on_t, order[1], order[0]) > cut
 
 
-def _partition(order, up, cnt, keep_lo, keep_up):
+def _partition(order, up, keep_lo, keep_up):
     """Move each node's members to its two children, keeping their order.
 
-    ``up`` marks the members going up (``_goes_up``); node j's lower child's
-    are kept if ``keep_lo[j]``, its upper child's if ``keep_up[j]``.  Returns
-    every kept lower child's members, node by node, then every upper's.
+    ``up`` marks the members going up (``_goes_up``); a member's lower child
+    keeps its members if ``keep_lo`` of the member (its node's value), its
+    upper child if ``keep_up``.  Returns every kept lower child's members,
+    node by node, then every upper's.
     """
-    idx = np.concatenate((np.flatnonzero(~up & keep_lo.repeat(cnt)),
-                          np.flatnonzero(up & keep_up.repeat(cnt))))
+    idx = np.concatenate((np.flatnonzero(~up & keep_lo), np.flatnonzero(up & keep_up)))
     # ``take`` gathers the columns of a small-row array far faster than
     # indexing them
     return order.take(idx, axis=1)
@@ -171,14 +193,16 @@ def grow_levels(
     # what every pass moves
     coord = np.int32 if cnt.sum() < 2**31 else np.int64
     ws = Workspace()
+    tree_seed = np.array(seeds, dtype=object)
     pts = np.array([np.concatenate([p.s for p in pairs]),
                     np.concatenate([p.t for p in pairs])], dtype=coord)
     first = np.cumsum(cnt) - cnt
     slot = np.repeat(first, cnt)
     by_s, by_t = np.empty_like(pts), np.empty_like(pts)
-    by_s[:, slot + pts[0] - 1] = pts
-    by_t[:, slot + pts[1] - 1] = pts
-    del pts, slot
+    # row by row: one 2-D fancy setitem takes 1.6 to 2 times as long
+    for order, at in ((by_s, slot + pts[0] - 1), (by_t, slot + pts[1] - 1)):
+        order[0, at], order[1, at] = pts
+    del pts, slot, order, at
     orders, in_t = (by_s, by_t), np.zeros(cnt.size, dtype=bool)
     if stop.any():
         # the s and t orders hold only the members of bins still to be scored
@@ -192,7 +216,8 @@ def grow_levels(
             ok, act_t, act_cut = best_splits(
                 lo_s[act], hi_s[act], lo_t[act], hi_t[act], e[act], cnt[act],
                 by_s[0], by_t[1], kind, z,
-                lambda j: _bin_rng(seeds[root[act[j]]], ids[act[j]]), ws)
+                lambda j: _bin_rng(seeds[root[act[j]]], ids[act[j]]),
+                lambda js: _coins(tree_seed[root[act[js]]], ids[act[js]]), ws)
             act_cut = act_cut.astype(coord)
             on_t, cut = act_t[ok], act_cut[ok]
         split = act[ok]
@@ -209,7 +234,9 @@ def grow_levels(
         # An unsplittable node's members are dropped, whatever its cut.
         k = split.size
         act_cnt = cnt[act]
-        up_s = _goes_up(by_s, act_cnt, act_t, act_cut)
+        # each member's node's cut, spread once for both orders
+        member_t, member_cut = act_t.repeat(act_cnt), act_cut.repeat(act_cnt)
+        up_s = _goes_up(by_s, member_t, member_cut)
         at = np.cumsum(act_cnt) - act_cnt
         n_up = np.add.reduceat(up_s, at, dtype=np.intp)[ok]
         kid_cnt = np.concatenate((cnt[split] - n_up, n_up))
@@ -221,13 +248,16 @@ def grow_levels(
         kid_e = np.concatenate((e_lo, e[split] - e_lo))
         kid_stop = stopped(kid_e, kid_cnt, depth + 1)
         if not kid_stop.all():
+            up_t = _goes_up(by_t, member_t, member_cut)
+            # freed before the gathers, which set the level's peak memory
+            del member_t, member_cut
             keep_lo = np.zeros(act.size, dtype=bool)
             keep_up = np.zeros(act.size, dtype=bool)
             keep_lo[ok] = ~kid_stop[:k]
             keep_up[ok] = ~kid_stop[k:]
-            by_s = _partition(by_s, up_s, act_cnt, keep_lo, keep_up)
-            by_t = _partition(by_t, _goes_up(by_t, act_cnt, act_t, act_cut), act_cnt,
-                              keep_lo, keep_up)
+            keep_lo, keep_up = keep_lo.repeat(act_cnt), keep_up.repeat(act_cnt)
+            by_s = _partition(by_s, up_s, keep_lo, keep_up)
+            by_t = _partition(by_t, up_t, keep_lo, keep_up)
 
         # The children: every lower child, then every upper child, each in
         # the order of their parents.
@@ -323,12 +353,15 @@ def grow_trees(
     so each worker gets one, but never fewer than fill one ``BLOCK``: a job
     that fits in one ``BLOCK`` runs serially, without a pool.  Batches run
     serially, or over one process pool of at most one worker per batch,
-    which needs ``source`` and ``read`` to pickle.  Returns ``read(levels,
-    pairs, seeds, depths)`` of every batch, in order.
+    which needs ``source`` and ``read`` to pickle; ``workers`` < 1 is
+    refused before any tree is built.  Returns ``read(levels, pairs, seeds,
+    depths)`` of every batch, in order.
     """
     job = (source, check_growth_args(depths, kind, z), kind, min_expected, z, read)
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     n = max(n, 1)
-    per = max(1, min(BATCH // n, max(BLOCK // n, -(-count // max(workers, 1)))))
+    per = max(1, min(BATCH // n, max(BLOCK // n, -(-count // workers))))
     batches = [range(a, min(a + per, count)) for a in range(0, count, per)]
     workers = min(workers, len(batches))
     if workers > 1:

@@ -33,6 +33,7 @@ from .bins import Binning, StopConfig
 from .engine import tree_binnings
 from .ranks import RankedPair, _rank, _tied, _trusted_pair, rank
 from .stats import NullTable, empirical_ps, tree_statistics
+from .substreams import pair_seeds
 
 logger = logging.getLogger(__name__)
 
@@ -211,23 +212,22 @@ def _tie_free_ranks(cols, used) -> list[np.ndarray | None]:
     return ranked
 
 
-def _seeded_pair(cols, ranked, jobs, base_seed, i) -> tuple[RankedPair, int]:
-    """Column pair ``jobs[i]`` as ranks and its binning seed.
+def _seeded_pair(cols, ranked, jobs, base_seed, seeds, i) -> tuple[RankedPair, int]:
+    """Column pair ``jobs[i]`` as ranks and its binning seed ``seeds[i]``.
 
     Streams 0, 1 and 2 are those of
     ``SeedSequence(entropy=(base_seed, ia, ib)).spawn(3)``, built directly
     from their spawn keys without the parent.  Column ``ia`` (``ib``) takes
     its shared ranks in ``ranked`` if it has them, and is ranked from stream
     0 (1) only if not: it is tied, so straight by the stable sort.  Stream
-    2's first word is the binning seed.
+    2's first word is the binning seed, hashed for every pair at once
+    (``substreams.pair_seeds``) into ``seeds``.
     """
-    entropy = (base_seed, *jobs[i])
     s, t = (ranked[j] if ranked[j] is not None else
-            _rank(cols[j], np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(k,))),
-                  tied=True)
+            _rank(cols[j], np.random.default_rng(
+                np.random.SeedSequence((base_seed, *jobs[i]), spawn_key=(k,))), tied=True)
             for k, j in enumerate(jobs[i]))
-    seed = np.random.SeedSequence(entropy, spawn_key=(2,)).generate_state(1, np.uint64)[0]
-    return _trusted_pair(s, t, s.size), int(seed)
+    return _trusted_pair(s, t, s.size), seeds[i]
 
 
 def pair_binnings(
@@ -247,7 +247,8 @@ def pair_binnings(
     jobs = [(names.index(a), names.index(b)) for a, b in named_pairs]
     d = stop.max_depth
     ranked = _tie_free_ranks(cols, [j for job in jobs for j in job])
-    binnings = tree_binnings(partial(_seeded_pair, cols, ranked, jobs, base_seed), len(jobs),
+    binnings = tree_binnings(partial(_seeded_pair, cols, ranked, jobs, base_seed,
+                                     pair_seeds(base_seed, jobs)), len(jobs),
                              n, [d], kind, stop.min_expected, z)
     return [b[d] for b in binnings]
 
@@ -266,12 +267,15 @@ def scan_pairs(
 
     Each tie-free column is ranked once and its ranks shared; a tied column
     is ranked afresh for each pair, from that pair's substream, so
-    tie-breaking draws stay independent across the scan.  Pairs are grown
-    and read off in batches by ``stats.tree_statistics``.  The matrix needs
-    columns of equal length and a row, and the null table must have been
-    simulated for the same number of rows (when it records one) and under
-    the same kind/stop/z configuration (``NullTable.check_config``); these,
-    ``window`` >= 0, the kind and z are checked before any tree is grown.
+    tie-breaking draws stay independent across the scan.  Every pair's
+    binning seed is hashed in one array pass (``substreams.pair_seeds``),
+    equal to the first word of its own stream 2.  Pairs are grown and read
+    off in batches by ``stats.tree_statistics``.  The matrix needs columns
+    of equal length and a row, and the null table must have been simulated
+    for the same number of rows (when it records one) and under the same
+    kind/stop/z configuration (``NullTable.check_config``); these,
+    ``window`` >= 0, ``workers`` >= 1, the kind and z are checked before any
+    tree is grown.
     """
     names, cols, n = _columns(table)
     if len(names) < 2:
@@ -283,7 +287,7 @@ def scan_pairs(
         raise ValueError("window must be >= 0")
     jobs = list(combinations(range(len(names)), 2))
     source = partial(_seeded_pair, cols, _tie_free_ranks(cols, range(len(cols))), jobs,
-                     base_seed)
+                     base_seed, pair_seeds(base_seed, jobs))
     n_bins, chi2s = tree_statistics(source, len(jobs), n, [stop.max_depth], kind,
                                     stop.min_expected, z, workers)
     p_emp = empirical_ps(null, n_bins[:, 0], chi2s[:, 0], window).tolist()

@@ -205,7 +205,7 @@ def best_splits(
     lo_s: np.ndarray, hi_s: np.ndarray, lo_t: np.ndarray, hi_t: np.ndarray,
     e: np.ndarray, cnt: np.ndarray, ss: np.ndarray, tt: np.ndarray,
     kind: str, z: float, rng_of: Callable[[int], np.random.Generator],
-    ws: Workspace,
+    coins_of: Callable[[np.ndarray], np.ndarray], ws: Workspace,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each bin's best split: (splittable, cut is on t, cut coordinate).
 
@@ -214,11 +214,13 @@ def best_splits(
     are the next ``cnt[j]`` entries of ``ss`` and ``tt``.  Each scoring pass
     runs over them in ``chunks`` planned once for it and writes its
     temporaries to ``ws``.
-    ``rng_of(j)`` gives bin j's random stream and is called only for a bin
-    that draws: every bin under random scoring (s-margin draws, t-margin
-    draws, then the degenerate-tie margin pick if needed), and under chi or
-    mi only a degenerate bin whose two margins tie.  An unknown ``kind`` is
-    refused before any stream is drawn from.
+    ``rng_of(j)`` gives bin j's random stream and is called only under
+    random scoring, for every bin (s-margin draws, t-margin draws, then the
+    degenerate-tie margin pick if needed).  Under chi or mi only a
+    degenerate bin whose two margins tie draws: one coin, the first draw of
+    its stream (``random() >= 0.5``), which ``coins_of(js)`` gives for all
+    such bins ``js`` of the call at once.  An unknown ``kind`` is refused
+    before any stream is drawn from.
     """
     if kind not in ("chi", "mi", "random"):
         raise ValueError(f"unknown score kind {kind!r}")
@@ -274,8 +276,12 @@ def best_splits(
         # No candidate is better than any other, so halve a margin at its
         # midpoint: the larger common score's, else a coin from the stream.
         pick_t = s_best < t_best
-        for j in np.flatnonzero(degenerate & (s_best == t_best)).tolist():
-            pick_t[j] = rng(j).random() >= 0.5
+        ties = np.flatnonzero(degenerate & (s_best == t_best))
+        if kind == "random":
+            for j in ties.tolist():
+                pick_t[j] = rng(j).random() >= 0.5
+        else:
+            pick_t[ties] = coins_of(ties)
         half_s, ok_s = _halving(lo_s, hi_s, e, z)
         half_t, ok_t = _halving(lo_t, hi_t, e, z)
         # a halving below the floor falls back to the other margin

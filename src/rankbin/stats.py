@@ -120,10 +120,10 @@ class NullTable:
         Path(path).write_text(self.to_csv_text())
 
     def to_csv_text(self) -> str:
-        lines = ["depth,n_bin,chi2"]
-        for d, nb, c in zip(self.depths, self.n_bins, self.chi2s):
-            lines.append(f"{int(d)},{int(nb)},{format(float(c), '.17g')}")
-        return "\n".join(lines) + "\n"
+        # one template mapped over the rows; '%.17g' % x is format(x, '.17g')
+        rows = map("%d,%d,%.17g".__mod__,
+                   zip(self.depths.tolist(), self.n_bins.tolist(), self.chi2s.tolist()))
+        return "\n".join(["depth,n_bin,chi2", *rows]) + "\n"
 
     def to_json(self, path) -> None:
         doc = {
@@ -254,8 +254,9 @@ def simulate_null(
     Replicate ``r`` derives all of its randomness from the seed material
     ``(seed, r)``, so the table is reproducible and independent of worker
     count; entries are ordered by replicate then depth.  Replicates are
-    grown and read off by ``tree_statistics``.  ``depths`` replace
-    ``stop.max_depth``: only ``stop.min_expected`` is read.
+    grown and read off by ``tree_statistics``, over ``workers`` >= 1
+    processes.  ``depths`` replace ``stop.max_depth``: only
+    ``stop.min_expected`` is read.
     """
     if n < 2:
         raise ValueError("n must be >= 2")

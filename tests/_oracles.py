@@ -8,7 +8,10 @@ one margin and one bin, ``allocating_scored`` is the scoring pass without
 a scratch workspace, ``chunked_goes_up`` and ``chunked_partition`` are the
 member moves run chunk by chunk, and ``check_partition`` checks the
 invariants every partition must meet.  ``per_pair_scan`` is the scan one
-pair at a time, placing each p-value with ``per_record_p``.  The per-point
+pair at a time, placing each p-value with ``per_record_p``; ``per_pair_seed``
+and ``per_bin_coin`` build one pair's binning seed and one bin's tie coin
+from numpy's own ``SeedSequence`` and ``Generator``, and ``stream_coins``
+gives ``best_splits`` its tie coins a stream at a time.  The per-point
 and per-bin layers are kept as they were before they became array passes:
 ``stable_rank``, ``per_bin_json``, ``per_point_render`` (with
 ``per_bin_residuals``), ``per_bin_chi2``, and ``points_tree_binnings``, the
@@ -25,7 +28,7 @@ import numpy as np
 from typing import NamedTuple
 
 from rankbin.bins import Bin, Binning, StopConfig, _fmt_real
-from rankbin.engine import _bin_rng, _goes_up, _partition, bin_pair, read_off
+from rankbin.engine import _bin_rng, bin_pair, read_off
 from rankbin.plotting import DEPTH_HUE, FILL_MODES, NEGATIVE_HUE, POSITIVE_HUE
 from rankbin.ranks import RankedPair, rank
 from rankbin.scan import ScanRecord
@@ -63,7 +66,8 @@ def one_bin_split(b, kind, z, rng):
     ok, on_t, cut = best_splits(
         np.array([b.lower_s]), np.array([b.upper_s]), np.array([b.lower_t]),
         np.array([b.upper_t]), np.array([b.expected]), np.array([b.observed]),
-        np.sort(b.points_s), np.sort(b.points_t), kind, z, lambda j: rng, Workspace())
+        np.sort(b.points_s), np.sort(b.points_t), kind, z, lambda j: rng,
+        stream_coins(lambda j: rng), Workspace())
     return bool(ok[0]), bool(on_t[0]), int(cut[0])
 
 
@@ -547,6 +551,26 @@ def per_record_p(null, observed, window=2):
     return (1 + n_ge) / (1 + n_ref)
 
 
+def per_pair_seed(base_seed, ia, ib):
+    """A scan pair's binning seed from its own ``SeedSequence``: the first
+    64-bit word of stream 2."""
+    ss = np.random.SeedSequence(entropy=(base_seed, ia, ib), spawn_key=(2,))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+def per_bin_coin(seed, node_id):
+    """A bin's tie coin from its own ``Generator``: the first draw of its
+    substream, ``random() >= 0.5``."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, node_id)))
+    return bool(rng.random() >= 0.5)
+
+
+def stream_coins(rng_of):
+    """``coins_of`` for ``best_splits`` drawing each bin j's tie coin, the
+    first draw ``random() >= 0.5``, from its own stream ``rng_of(j)``."""
+    return lambda js: np.array([rng_of(j).random() >= 0.5 for j in js.tolist()], dtype=bool)
+
+
 def per_pair_scan(table, kind, stop, z, base_seed, null, window=2):
     """``scan_pairs`` one pair at a time: one ``bin_pair`` and one
     ``chi2_statistic`` per pair.
@@ -783,6 +807,20 @@ class PointsLevel(NamedTuple):
     points_t: np.ndarray
 
 
+def _goes_up(order, cnt, on_t, cut):
+    """``engine._goes_up`` as it was when ``points_grow_levels`` was current:
+    it spreads node j's ``on_t[j]`` and ``cut[j]`` over its ``cnt[j]`` members."""
+    return np.where(on_t.repeat(cnt), order[1], order[0]) > cut.repeat(cnt)
+
+
+def _partition(order, up, cnt, keep_lo, keep_up):
+    """``engine._partition`` as it was then, spreading ``keep_lo`` and
+    ``keep_up`` over each node's members."""
+    idx = np.concatenate((np.flatnonzero(~up & keep_lo.repeat(cnt)),
+                          np.flatnonzero(up & keep_up.repeat(cnt))))
+    return order.take(idx, axis=1)
+
+
 def points_grow_levels(pairs, seeds, kind, max_depth, min_expected, z):
     """``engine.grow_levels`` carrying a third member order, in original
     index order, moved to the children at every split."""
@@ -812,10 +850,10 @@ def points_grow_levels(pairs, seeds, kind, max_depth, min_expected, z):
         act = np.flatnonzero(~stop)
         ok = np.zeros(act.size, dtype=bool)
         if act.size:
+            rng_of = lambda j: _bin_rng(seeds[root[act[j]]], ids[act[j]])  # noqa: E731
             ok, on_t, cut = best_splits(
                 lo_s[act], hi_s[act], lo_t[act], hi_t[act], e[act], cnt[act],
-                by_s[0], by_t[1], kind, z,
-                lambda j: _bin_rng(seeds[root[act[j]]], ids[act[j]]), ws)
+                by_s[0], by_t[1], kind, z, rng_of, stream_coins(rng_of), ws)
             on_t, cut = on_t[ok], cut[ok]
         split = act[ok]
         leaf = np.ones(cnt.size, dtype=bool)

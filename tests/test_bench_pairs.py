@@ -100,3 +100,29 @@ def test_a_side_of_two_sources_is_refused(tmp_path, capsys):
                           "--out", str(tmp_path / "BENCH.json")])
     assert "the change's runs measured 2 sources" in capsys.readouterr().err
     assert not (tmp_path / "BENCH.json").exists()
+
+
+@pytest.mark.parametrize("parent_work, shift, said", [
+    # 10% slower against a 25% bound, the parent's IQR 5.5 well inside it
+    (PARENT, -10, "within bound"),
+    (PARENT, -40, "worse"),
+    # a parent IQR of 27.5 is wider than 25% of its median, 100: no verdict
+    ([5 * p - 400 for p in PARENT], -10, "unresolved"),
+    # ...unless every change run beats every parent run
+    ([5 * p - 400 for p in PARENT], 200, "within bound"),
+])
+def test_every_end_to_end_metric_gets_a_no_regression_verdict(tmp_path, parent_work, shift,
+                                                               said):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for i, p in enumerate(parent_work):
+        _result(parent, "null_sim", 10 + i, p, 1000 + i)
+        _result(change, "null_sim", 10 + i, p + shift, 2000 + i)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--out", str(out)]) == 0
+    verdicts = json.loads(out.read_text())["no_regression"]["null_sim"]
+    # the bounds are BENCHMARK.json's; the other metrics are equal on both sides
+    assert {m: v["bound"] for m, v in verdicts.items()} == {
+        "setup_s": 0.25, "peak_rss_mb": 0.2, "ok_frac": 0.01, "work_per_s": 0.25}
+    assert verdicts.pop("work_per_s")["verdict"] == said
+    assert {v["verdict"] for v in verdicts.values()} == {"within bound"}

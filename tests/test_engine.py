@@ -263,11 +263,11 @@ def test_whole_level_moves_match_chunked_oracle(nodes, scale, keep_all, seed):
     pick = np.minimum(first + (rng.random(cnt.size) * cnt).astype(np.int64), cnt.sum() - 1)
     cut = np.where(cnt > 0, order[on_t.astype(np.intp), pick], 0).astype(np.int32)
     parts = chunks(cnt)
-    up = _goes_up(order, cnt, on_t, cut)
+    up = _goes_up(order, on_t.repeat(cnt), cut.repeat(cnt))
     want_up = chunked_goes_up(order[0], order[1], parts, on_t, cut,
                               SimpleNamespace(hit=np.empty(BLOCK, dtype=bool)))
     assert up.dtype == want_up.dtype and up.tobytes() == want_up.tobytes()
-    moved = _partition(order, up, cnt, keep_lo, keep_up)
+    moved = _partition(order, up, keep_lo.repeat(cnt), keep_up.repeat(cnt))
     want = chunked_partition(order[0], order[1], want_up, parts,
                              None if keep_all else (keep_lo, keep_up))
     assert moved.shape == (2, want[0].size)

@@ -418,7 +418,22 @@ def test_shared_ranks_are_read_only():
     cols = [rng.normal(size=50), np.round(rng.normal(size=50), 1)]
     ranked = scan._tie_free_ranks(cols, [0, 1])
     assert ranked[1] is None
-    pair, _ = scan._seeded_pair(cols, ranked, [(0, 1)], 7, 0)
+    pair, _ = scan._seeded_pair(cols, ranked, [(0, 1)], 7, [0], 0)
     assert pair.s is ranked[0]
     with pytest.raises(ValueError, match="read-only"):
         pair.s[0] = 1
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_scan_refuses_fewer_than_one_worker(monkeypatch, workers):
+    # refused as ``rankbin scan --threads`` refuses it, before any tree grows
+    rng = np.random.default_rng(19)
+    table = {f"c{i}": rng.normal(size=40) for i in range(3)}
+    null = _null(40, depth=3)
+
+    def grow_levels(*args):
+        raise AssertionError("a tree was grown")
+
+    monkeypatch.setattr(engine, "grow_levels", grow_levels)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        scan_pairs(table, "chi", StopConfig(max_depth=3), 5.0, 0, null, workers=workers)

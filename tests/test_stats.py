@@ -21,6 +21,7 @@ from rankbin import (
 )
 from rankbin.bins import Binning
 from rankbin.ranks import RankedPair
+from rankbin import engine
 from rankbin.engine import BATCH
 from rankbin.stats import _null_tree, empirical_ps, tree_statistics
 
@@ -319,3 +320,14 @@ def test_null_table_csv_refuses_integers_beyond_int64(tmp_path):
     path.write_text(f"depth,n_bin,chi2\n{2**63 - 1},{2**63 - 1},1.0\n")
     back = NullTable.from_csv(path)
     assert back.depths.tolist() == back.n_bins.tolist() == [2**63 - 1]
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_simulate_null_refuses_fewer_than_one_worker(monkeypatch, workers):
+    # refused as ``rankbin scan --threads`` refuses it, before any tree grows
+    def grow_levels(*args):
+        raise AssertionError("a tree was grown")
+
+    monkeypatch.setattr(engine, "grow_levels", grow_levels)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        simulate_null(50, [3], "chi", StopConfig(max_depth=3), n_sim=5, workers=workers)
