@@ -158,6 +158,16 @@ def main(argv=None) -> int:
     ap.add_argument("--parent-commit", default=None)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
+    spec = json.loads(BENCHMARK.read_text())
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    if args.claim:
+        workload, colon, metric = args.claim.partition(":")
+        if not colon:
+            ap.error(f"--claim {args.claim!r} is not WORKLOAD:METRIC")
+        if workload not in {w["name"] for w in spec["workloads"]}:
+            ap.error(f"--claim: BENCHMARK.json has no workload {workload!r}")
+        if metric not in bounds:
+            ap.error(f"--claim: BENCHMARK.json has no end-to-end metric {metric!r}")
     runs = {side: _runs(path) for side, path in (("parent", args.parent),
                                                  ("change", args.change))}
     for side, got in runs.items():
@@ -167,8 +177,6 @@ def main(argv=None) -> int:
     workloads = aggregate(runs["parent"], runs["change"])
     if not workloads:
         ap.error("no workload has runs on both sides")
-    bounds = {m["name"]: m["bound"]
-              for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
     prov = next(iter(runs["change"].values()))[1]["provenance"]
     doc = {
         "what": args.what,

@@ -48,6 +48,14 @@ class Bin:
         return self.side_s * self.side_t
 
 
+def integral(x) -> bool:
+    """Whether ``x`` equals an int: ``6``, ``6.0`` and numpy ints do."""
+    try:
+        return x == int(x)
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 @dataclass(frozen=True)
 class StopConfig:
     """Disjunction of criteria below which a bin is frozen instead of split."""
@@ -56,6 +64,8 @@ class StopConfig:
     min_expected: float = 10.0
 
     def __post_init__(self):
+        if not integral(self.max_depth):
+            raise ValueError("max_depth must be an integer")
         if self.max_depth < 0:
             raise ValueError("max_depth must be >= 0")
         if not 0 <= self.min_expected < math.inf:

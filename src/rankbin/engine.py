@@ -24,8 +24,9 @@ runs in ``splitting.BLOCK`` chunks, into one ``splitting.Workspace`` per
 batch.
 
 A node's heap id (root 1; node k splits into 2k and 2k + 1) is the one
-statement of its tree position.  It fixes the node's random substream
-(below) and its place in a partition: ascending id is breadth-first order.
+statement of its tree position.  With the tree's seed it fixes the node's
+random substream (``substreams`` states the contract and makes the draws),
+and alone its place in a partition: ascending id is breadth-first order.
 ``grow_levels`` yields each level in growth order (every lower child, then
 every upper child), and only ``read_off`` orders nodes: by tree, then id.
 
@@ -39,47 +40,26 @@ members off their ranges and gives each partition as a columnar
 ``Binning``, its points in original order from one stable sort of
 per-point labels.
 
-Randomness is splittable: every bin in the binary split tree owns a
-substream derived from the run seed and the bin's node id, namely
-``default_rng(SeedSequence(entropy=(seed, node_id)))`` from numpy (PCG64).
-A bin's draws are therefore independent of what happened elsewhere in the
-tree, and the partition grown to one depth limit agrees exactly with a
-deeper run truncated at that limit.  Within one bin's substream the order
-of consumption is: s-margin score draws, t-margin score draws, then the
-degenerate-tie margin pick if needed.  A substream is built only for a bin
-that draws from it: every scored bin under random scoring, and under chi
-or mi only a degenerate bin whose two margins tie, which draws one coin.
-When one level holds at least ``BULK_COINS`` such chi or mi bins, their
-coins are hashed together instead (``substreams.coins``: numpy's
-``SeedSequence`` and PCG64's first draw in integer ufuncs over arrays), bit
-for bit each stream's first draw, so the substream contract is unchanged;
-only the ``Generator`` objects are not built.  In a batch, tree r draws from
-the substreams of its own seed.
-
-Under chi and mi a root is full on both margins (``splitting``): its ranks
-fill 1..n with no gaps, so every eligible candidate scores exactly zero.
-With two or more eligible candidates per margin (n > 2 * ceil(z) for z >= 1)
-both margins are flat and tie, so the root is halved on a random margin,
-a coin from its substream.  With exactly one (n = 10 at z = 5) it is cut
-there, on s, and draws nothing.  With none it draws the coin and is
-halved, or frozen if neither halving respects the floor.  Under random
-scoring a root scores its candidates with draws like any other bin.
+Under chi and mi a root is full on both margins (``splitting``): with two
+or more eligible candidates per margin (n > 2 ceil(z) for z >= 1) it is
+halved on a coin, with exactly one (n = 10 at z = 5) cut there, on s.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .bins import SCORE_KINDS, Binning, StopConfig
+from .bins import SCORE_KINDS, Binning, StopConfig, integral
 from .ranks import RankedPair
 from .scoring import lower_expected
 from .splitting import BLOCK, Workspace, best_splits
-from .substreams import coins
+from . import substreams
 
 
 # Points per batch of trees grown together.  Every level of a batch pays a
@@ -87,25 +67,6 @@ from .substreams import coins
 # the ``BLOCK`` chunks the scoring pass runs in; a larger one costs peak
 # memory, which grows with the batch, for little more speed.
 BATCH = 4 * BLOCK
-
-
-# Tie coins hashed at once: ``_coins`` of at least this many bins takes them
-# in one array pass (``substreams.coins``), which costs about 130 us whatever
-# the count, against about 12 us per stream built (timed at 1 to 64 ties).
-BULK_COINS = 11
-
-
-def _bin_rng(seed: int, node_id: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, node_id)))
-
-
-def _coins(seeds: np.ndarray, node_ids: np.ndarray) -> np.ndarray:
-    """``_bin_rng(seeds[i], node_ids[i]).random() >= 0.5`` of each bin i: a
-    stream built per bin below ``BULK_COINS`` bins, else all hashed at once."""
-    if node_ids.size < BULK_COINS:
-        return np.array([_bin_rng(s, i).random() >= 0.5
-                         for s, i in zip(seeds.tolist(), node_ids.tolist())], dtype=bool)
-    return coins(seeds, node_ids)
 
 
 class Level(NamedTuple):
@@ -134,6 +95,8 @@ class Level(NamedTuple):
 
 def check_growth_args(depths, kind: str, z: float) -> list[int]:
     """Validate growth arguments; return the sorted distinct depth limits."""
+    if not all(map(integral, depths)):
+        raise ValueError("depth limits must be integers")
     depths = sorted(set(int(d) for d in depths))
     if not depths:
         raise ValueError("need at least one depth limit")
@@ -194,6 +157,10 @@ def grow_levels(
     coord = np.int32 if cnt.sum() < 2**31 else np.int64
     ws = Workspace()
     tree_seed = np.array(seeds, dtype=object)
+
+    def draws(js, counts):  # for ``best_splits``: bins ``js`` of the level's ``act``
+        return substreams.draws(tree_seed[root[act[js]]], ids[act[js]], counts)
+
     pts = np.array([np.concatenate([p.s for p in pairs]),
                     np.concatenate([p.t for p in pairs])], dtype=coord)
     first = np.cumsum(cnt) - cnt
@@ -215,9 +182,7 @@ def grow_levels(
         if act.size:
             ok, act_t, act_cut = best_splits(
                 lo_s[act], hi_s[act], lo_t[act], hi_t[act], e[act], cnt[act],
-                by_s[0], by_t[1], kind, z,
-                lambda j: _bin_rng(seeds[root[act[j]]], ids[act[j]]),
-                lambda js: _coins(tree_seed[root[act[js]]], ids[act[js]]), ws)
+                by_s[0], by_t[1], kind, z, draws, ws)
             act_cut = act_cut.astype(coord)
             on_t, cut = act_t[ok], act_cut[ok]
         split = act[ok]
@@ -334,6 +299,7 @@ def _grow_batch(trees: range, job=None):
     them as one batch and hand its levels to the job's reader."""
     source, depths, kind, min_expected, z, read = job or _WORKER_JOB["job"]
     pairs, seeds = map(list, zip(*map(source, trees)))
+    seeds = [operator.index(s) for s in seeds]  # before any tree draws
     if min(seeds) < 0:
         raise ValueError("seed must be >= 0")
     levels = grow_levels(pairs, seeds, kind, depths[-1], min_expected, z)

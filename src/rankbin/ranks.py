@@ -25,19 +25,19 @@ class RankedPair:
     n: int
 
     def __post_init__(self):
-        s = np.asarray(self.s, dtype=np.int64)
-        t = np.asarray(self.t, dtype=np.int64)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
+        s, t = np.asarray(self.s), np.asarray(self.t)
         if self.n < 1:
             raise ValueError("RankedPair requires n >= 1")
         if s.shape != (self.n,) or t.shape != (self.n,):
             raise ValueError("rank vectors must both have length n")
+        # the values as given, so one that is no integer is refused, not cast
         full = np.arange(1, self.n + 1)
         if not np.array_equal(np.sort(s), full):
             raise ValueError("s is not a permutation of 1..n")
         if not np.array_equal(np.sort(t), full):
             raise ValueError("t is not a permutation of 1..n")
+        object.__setattr__(self, "s", s.astype(np.int64, copy=False))
+        object.__setattr__(self, "t", t.astype(np.int64, copy=False))
 
 
 def _trusted_pair(s: np.ndarray, t: np.ndarray, n: int) -> RankedPair:

@@ -204,8 +204,8 @@ def _halving(lower, upper, e, z):
 def best_splits(
     lo_s: np.ndarray, hi_s: np.ndarray, lo_t: np.ndarray, hi_t: np.ndarray,
     e: np.ndarray, cnt: np.ndarray, ss: np.ndarray, tt: np.ndarray,
-    kind: str, z: float, rng_of: Callable[[int], np.random.Generator],
-    coins_of: Callable[[np.ndarray], np.ndarray], ws: Workspace,
+    kind: str, z: float, draws: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    ws: Workspace,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each bin's best split: (splittable, cut is on t, cut coordinate).
 
@@ -214,35 +214,29 @@ def best_splits(
     are the next ``cnt[j]`` entries of ``ss`` and ``tt``.  Each scoring pass
     runs over them in ``chunks`` planned once for it and writes its
     temporaries to ``ws``.
-    ``rng_of(j)`` gives bin j's random stream and is called only under
-    random scoring, for every bin (s-margin draws, t-margin draws, then the
-    degenerate-tie margin pick if needed).  Under chi or mi only a
-    degenerate bin whose two margins tie draws: one coin, the first draw of
-    its stream (``random() >= 0.5``), which ``coins_of(js)`` gives for all
-    such bins ``js`` of the call at once.  An unknown ``kind`` is refused
-    before any stream is drawn from.
+    ``draws(js, counts)`` gives the first ``counts[i]`` draws of bin
+    ``js[i]``'s substream, bin after bin, and is called at most once: under
+    random scoring for ``2 * cnt + 3`` draws of every bin, under chi or mi
+    for one draw of each degenerate bin whose two margins tie.  Which draw
+    is read for what is the substream contract in ``substreams``.  An
+    unknown ``kind`` is refused before anything is drawn.
     """
     if kind not in ("chi", "mi", "random"):
         raise ValueError(f"unknown score kind {kind!r}")
-    made: dict[int, np.random.Generator] = {}
-
-    def rng(j):
-        if j not in made:
-            made[j] = rng_of(j)
-        return made[j]
-
     k = cnt.size
     margins = ((ss, lo_s, hi_s), (tt, lo_t, hi_t))
-    draws = [(None, None)] * 2
+    scores = [(None, None)] * 2
     # Full margins (``_full_summary``); none under random scoring, whose
     # scores are draws.
     full = [np.zeros(k, dtype=bool)] * 2
     if kind == "random":
-        # s-margin draws, then t-margin draws, from each bin's own stream;
-        # a margin's first draw scores its pseudo-point
-        d = [(rng(j).random(m + 1), rng(j).random(m + 1)) for j, m in enumerate(cnt.tolist())]
-        draws = [(np.array([x[h][0] for x in d]), np.concatenate([x[h][1:] for x in d]))
-                 for h in (0, 1)]
+        count = 2 * cnt + 3
+        d = draws(np.arange(k), count)
+        at = np.cumsum(count) - count  # each bin's draw 0
+        # member i of bin j scores draw i + 1 on s, draw cnt[j] + 1 later on t
+        member = np.arange(cnt.sum()) + np.repeat(at + 1 - (np.cumsum(cnt) - cnt), cnt)
+        scores = [(d[at], d[member]), (d[at + cnt + 1], d[member + np.repeat(cnt + 1, cnt)])]
+        coin = d[at + 2 * cnt + 2] >= 0.5
     else:
         full = [(cnt == hi - lo) & (e == hi - lo) for _, lo, hi in margins]
     summaries = [None, None]
@@ -250,7 +244,7 @@ def best_splits(
     for hs in [(0, 1)] if np.array_equal(*full) else [(0,), (1,)]:
         todo = ~full[hs[0]]
         if todo.all():
-            for h, got in zip(hs, _scored([(*margins[h], draws[h]) for h in hs], cnt, e, kind,
+            for h, got in zip(hs, _scored([(*margins[h], scores[h]) for h in hs], cnt, e, kind,
                                           z, ws)):
                 summaries[h] = got
             continue
@@ -259,7 +253,7 @@ def best_splits(
         if todo.any():
             on = np.repeat(todo, cnt)
             scored = _scored([(margins[h][0][on], margins[h][1][todo], margins[h][2][todo],
-                               draws[h]) for h in hs], cnt[todo], e[todo], kind, z, ws)
+                               scores[h]) for h in hs], cnt[todo], e[todo], kind, z, ws)
             for h, got in zip(hs, scored):
                 for a, b in zip(summaries[h], got):
                     a[todo] = b
@@ -278,10 +272,9 @@ def best_splits(
         pick_t = s_best < t_best
         ties = np.flatnonzero(degenerate & (s_best == t_best))
         if kind == "random":
-            for j in ties.tolist():
-                pick_t[j] = rng(j).random() >= 0.5
-        else:
-            pick_t[ties] = coins_of(ties)
+            pick_t[ties] = coin[ties]
+        elif ties.size:
+            pick_t[ties] = draws(ties, np.ones(ties.size, dtype=np.intp)) >= 0.5
         half_s, ok_s = _halving(lo_s, hi_s, e, z)
         half_t, ok_t = _halving(lo_t, hi_t, e, z)
         # a halving below the floor falls back to the other margin

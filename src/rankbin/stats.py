@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .bins import Binning, StopConfig
-from .engine import grow_trees, read_off
+from .engine import check_growth_args, grow_trees, read_off
 from .ranks import RankedPair, _trusted_pair
 
 logger = logging.getLogger(__name__)
@@ -262,7 +262,7 @@ def simulate_null(
         raise ValueError("n must be >= 2")
     if n_sim < 1:
         raise ValueError("n_sim must be >= 1")
-    depths = sorted(set(int(d) for d in depths))  # validated by the runner
+    depths = check_growth_args(depths, kind, z)  # the recorded depths
     n_bins, chi2s = tree_statistics(partial(_null_tree, n, seed), n_sim, n, depths,
                                     kind, stop.min_expected, z, workers)
     config = {

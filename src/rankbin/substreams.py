@@ -1,11 +1,19 @@
-"""numpy's ``SeedSequence`` hash and PCG64's first draw, for many streams at once.
+"""Every bin's random substream, and numpy's ``SeedSequence`` hash and
+PCG64's first draw for many streams at once.
 
-A bin's substream is ``default_rng(SeedSequence((seed, node_id)))`` and a
-scan pair's binning seed the first word of ``SeedSequence((base_seed, ia,
-ib), spawn_key=(2,))`` (``engine``, ``scan``).  Building those objects costs
-several microseconds each, where a stream yields one value.  Both
-algorithms are fixed integer arithmetic, so this module runs them in uint32
-and uint64 ufuncs over whole arrays, bit for bit.
+Bin ``node_id`` (its heap id, ``engine``) of a tree with seed ``seed`` draws
+from ``default_rng(SeedSequence((seed, node_id)))`` alone, so a partition
+grown to one depth limit is exactly a deeper run truncated there.
+``best_splits`` reads a bin's draws by index: under random scoring draw 0
+scores the s-margin pseudo-point, draws 1..cnt the s-margin members, draw
+cnt + 1 the t-margin pseudo-point, draws cnt + 2..2 cnt + 1 the t-margin
+members, and draw 2 cnt + 2 is the tie coin (``>= 0.5`` halves on t); under
+chi or mi a degenerate bin whose margins tie draws only the coin, draw 0.
+
+A scan pair's binning seed is the first word of ``SeedSequence((base_seed,
+ia, ib), spawn_key=(2,))`` (``scan``).  Building each object costs several
+microseconds for one value, so ``pair_seeds`` and ``first_draws`` run both
+fixed integer algorithms in uint32 and uint64 ufuncs over arrays, bit for bit.
 
 ``SeedSequence`` (O'Neill's ``seed_seq`` design) splits each entropy integer
 into little-endian 32-bit words (at least one), pads the run entropy with
@@ -130,8 +138,8 @@ def generate_state(entropy, n_words: int, spawn_key: tuple = ()) -> np.ndarray:
         return np.empty((n_words, 0), dtype=np.uint32)
     if (counts.min(axis=1) == counts.max(axis=1)).all():
         # one group, as the general path below finds, but without its index
-        # arrays: that saves 15 to 40 us of about 130 per ``coins`` call at 11
-        # to 43 items, which would raise ``engine.BULK_COINS`` to about 13
+        # arrays: that saves 15 to 40 us of about 130 per ``first_draws`` call
+        # at 11 to 43 items, which would raise ``BULK_COINS`` to about 13
         groups = [slice(None)]
     else:
         # items whose integers take the same numbers of words hash as one array
@@ -183,10 +191,32 @@ def pcg64_first(state: np.ndarray) -> np.ndarray:
     return (v >> r) | (v << ((np.uint64(64) - r) & np.uint64(63)))
 
 
-def coins(seeds, node_ids) -> np.ndarray:
-    """``default_rng(SeedSequence((seed, node_id))).random() >= 0.5`` of each
-    (seed, node id) pair: the first draw of each bin's substream."""
-    return pcg64_first(generate_state((seeds, node_ids), 8)) >> np.uint64(63) == 1
+def stream(seed: int, node_id: int) -> np.random.Generator:
+    """Bin ``node_id``'s substream under the run seed ``seed``."""
+    return np.random.default_rng(np.random.SeedSequence((seed, node_id)))
+
+
+def first_draws(seeds, node_ids) -> np.ndarray:
+    """``stream(seeds[i], node_ids[i]).random()`` of each bin i, hashed at once."""
+    return (pcg64_first(generate_state((seeds, node_ids), 8)) >> np.uint64(11)) * 2.0**-53
+
+
+# One-draw bins ``draws`` hashes at once: a ``first_draws`` pass costs about
+# 130 us whatever the count, a stream built about 12 us (timed at 1 to 64 bins).
+BULK_COINS = 11
+
+
+def draws(seeds, node_ids, counts) -> np.ndarray:
+    """``stream(seeds[i], node_ids[i]).random(counts[i])`` of each bin i in turn
+    (arrays, an entry per bin); hashed when ``BULK_COINS`` or more draw one each."""
+    if counts.size >= BULK_COINS and (counts == 1).all():
+        return first_draws(seeds, node_ids)
+    ends = np.cumsum(counts)
+    out = np.empty(int(counts.sum()))
+    for seed, node_id, a, b in zip(seeds.tolist(), node_ids.tolist(),
+                                   (ends - counts).tolist(), ends.tolist()):
+        stream(seed, node_id).random(out=out[a:b])
+    return out
 
 
 def pair_seeds(base_seed: int, jobs) -> list[int]:

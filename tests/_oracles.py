@@ -9,9 +9,9 @@ a scratch workspace, ``chunked_goes_up`` and ``chunked_partition`` are the
 member moves run chunk by chunk, and ``check_partition`` checks the
 invariants every partition must meet.  ``per_pair_scan`` is the scan one
 pair at a time, placing each p-value with ``per_record_p``; ``per_pair_seed``
-and ``per_bin_coin`` build one pair's binning seed and one bin's tie coin
-from numpy's own ``SeedSequence`` and ``Generator``, and ``stream_coins``
-gives ``best_splits`` its tie coins a stream at a time.  The per-point
+and ``per_bin_draws`` build one pair's binning seed and one bin's draws
+from numpy's own ``SeedSequence`` and ``Generator``, and ``stream_draws``
+gives ``best_splits`` its draws a stream per bin.  The per-point
 and per-bin layers are kept as they were before they became array passes:
 ``stable_rank``, ``per_bin_json``, ``per_point_render`` (with
 ``per_bin_residuals``), ``per_bin_chi2``, and ``points_tree_binnings``, the
@@ -28,7 +28,7 @@ import numpy as np
 from typing import NamedTuple
 
 from rankbin.bins import Bin, Binning, StopConfig, _fmt_real
-from rankbin.engine import _bin_rng, bin_pair, read_off
+from rankbin.engine import bin_pair, read_off
 from rankbin.plotting import DEPTH_HUE, FILL_MODES, NEGATIVE_HUE, POSITIVE_HUE
 from rankbin.ranks import RankedPair, rank
 from rankbin.scan import ScanRecord
@@ -66,8 +66,8 @@ def one_bin_split(b, kind, z, rng):
     ok, on_t, cut = best_splits(
         np.array([b.lower_s]), np.array([b.upper_s]), np.array([b.lower_t]),
         np.array([b.upper_t]), np.array([b.expected]), np.array([b.observed]),
-        np.sort(b.points_s), np.sort(b.points_t), kind, z, lambda j: rng,
-        stream_coins(lambda j: rng), Workspace())
+        np.sort(b.points_s), np.sort(b.points_t), kind, z, stream_draws(lambda j: rng),
+        Workspace())
     return bool(ok[0]), bool(on_t[0]), int(cut[0])
 
 
@@ -558,17 +558,16 @@ def per_pair_seed(base_seed, ia, ib):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def per_bin_coin(seed, node_id):
-    """A bin's tie coin from its own ``Generator``: the first draw of its
-    substream, ``random() >= 0.5``."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, node_id)))
-    return bool(rng.random() >= 0.5)
+def per_bin_draws(seed, node_id, count):
+    """The first ``count`` draws of a bin's substream, from its own ``Generator``."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, node_id))).random(count)
 
 
-def stream_coins(rng_of):
-    """``coins_of`` for ``best_splits`` drawing each bin j's tie coin, the
-    first draw ``random() >= 0.5``, from its own stream ``rng_of(j)``."""
-    return lambda js: np.array([rng_of(j).random() >= 0.5 for j in js.tolist()], dtype=bool)
+def stream_draws(rng_of):
+    """``draws`` for ``best_splits``: the next ``counts[i]`` draws of bin
+    ``js[i]``'s own stream ``rng_of(js[i])``, bin after bin."""
+    return lambda js, counts: np.concatenate(
+        [np.empty(0)] + [rng_of(j).random(c) for j, c in zip(js.tolist(), counts.tolist())])
 
 
 def per_pair_scan(table, kind, stop, z, base_seed, null, window=2):
@@ -850,10 +849,10 @@ def points_grow_levels(pairs, seeds, kind, max_depth, min_expected, z):
         act = np.flatnonzero(~stop)
         ok = np.zeros(act.size, dtype=bool)
         if act.size:
-            rng_of = lambda j: _bin_rng(seeds[root[act[j]]], ids[act[j]])  # noqa: E731
             ok, on_t, cut = best_splits(
                 lo_s[act], hi_s[act], lo_t[act], hi_t[act], e[act], cnt[act],
-                by_s[0], by_t[1], kind, z, rng_of, stream_coins(rng_of), ws)
+                by_s[0], by_t[1], kind, z, stream_draws(lambda j: np.random.default_rng(
+                    np.random.SeedSequence((seeds[root[act[j]]], ids[act[j]])))), ws)
             on_t, cut = on_t[ok], cut[ok]
         split = act[ok]
         leaf = np.ones(cnt.size, dtype=bool)

@@ -126,3 +126,20 @@ def test_every_end_to_end_metric_gets_a_no_regression_verdict(tmp_path, parent_w
         "setup_s": 0.25, "peak_rss_mb": 0.2, "ok_frac": 0.01, "work_per_s": 0.25}
     assert verdicts.pop("work_per_s")["verdict"] == said
     assert {v["verdict"] for v in verdicts.values()} == {"within bound"}
+
+
+@pytest.mark.parametrize("spec, why", [
+    ("scan_cli", "not WORKLOAD:METRIC"),
+    ("foo:work_per_s", "no workload 'foo'"),
+    ("scan_cli:bar", "no end-to-end metric 'bar'"),
+    ("scan_cli:work_per_s:x", "no end-to-end metric 'work_per_s:x'"),
+])
+def test_a_bad_claim_is_refused_before_any_run_is_read(tmp_path, capsys, spec, why):
+    # neither checkout exists: the spec is checked against BENCHMARK.json first
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                          str(tmp_path / "change"), "--claim", spec,
+                          "--out", str(tmp_path / "BENCH.json")])
+    assert exc.value.code == 2
+    assert why in capsys.readouterr().err
+    assert not (tmp_path / "BENCH.json").exists()

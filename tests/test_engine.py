@@ -25,10 +25,13 @@ from rankbin import (
     chi2_statistic,
     simulate_null,
 )
-from rankbin import engine
-from rankbin.engine import _bin_rng, _goes_up, _partition, _read_bins, _tree_order, grow_trees
+from rankbin import substreams
+from rankbin.engine import (
+    _goes_up, _partition, _read_bins, _tree_order, check_growth_args, grow_trees,
+)
 from rankbin.ranks import RankedPair
 from rankbin.splitting import BLOCK, chunks
+from rankbin.substreams import stream
 
 
 def _pair(n, seed=0):
@@ -154,6 +157,38 @@ def test_object_node_ids_match_int64_ids(kind):
         '"max_depth":61', '"max_depth":64')
 
 
+def test_depth_limits_must_be_integers():
+    # a fractional limit was truncated (a null table recording depth 2 for
+    # 2.7) or failed on the partition lookup after growth
+    with pytest.raises(ValueError, match="max_depth must be an integer"):
+        StopConfig(max_depth=2.5)
+    for bad in ([2.5], [3, float("nan")], [float("inf")], ["2"]):
+        with pytest.raises(ValueError, match="depth limits must be integers"):
+            check_growth_args(bad, "chi", 5.0)
+    with pytest.raises(ValueError, match="depth limits must be integers"):
+        simulate_null(50, [2.7], "chi", StopConfig(max_depth=3), n_sim=2)
+    # integral values keep working
+    assert check_growth_args([6.0, np.int64(3), 6], "chi", 5.0) == [3, 6]
+    assert StopConfig(max_depth=6.0).max_depth == StopConfig(np.int64(6)).max_depth == 6
+    pair = _pair(60)
+    assert (binning_to_json(bin_pair(pair, "random", StopConfig(max_depth=6.0), seed=1))
+            == binning_to_json(bin_pair(pair, "random", StopConfig(max_depth=6), seed=1)))
+
+
+def test_binning_seeds_must_be_integers():
+    # refused before growth, whether the tree would draw (a random-scored
+    # root) or not (a chi root of 10 points at z = 5 is cut without a coin)
+    for n, kind in ((10, "chi"), (40, "random")):
+        with pytest.raises(TypeError):
+            bin_pair(_pair(n), kind, StopConfig(max_depth=3), z=5.0, seed=1.5)
+    # numpy ints and seeds of more than 64 bits keep working
+    pair = _pair(40)
+    want = binning_to_json(bin_pair(pair, "random", StopConfig(max_depth=3), seed=7))
+    got = bin_pair(pair, "random", StopConfig(max_depth=3), seed=np.uint64(7))
+    assert binning_to_json(got) == want
+    assert bin_pair(pair, "random", StopConfig(max_depth=3), seed=2**64 + 5).seed == 2**64 + 5
+
+
 @pytest.mark.parametrize("n, kind", [(10, "chi"), (11, "chi"), (11, "random")])
 def test_root_split_follows_the_full_margin_rule(monkeypatch, n, kind):
     # Under chi a root is full on both margins and every eligible candidate
@@ -166,9 +201,9 @@ def test_root_split_follows_the_full_margin_rule(monkeypatch, n, kind):
 
     def counted(seed, node_id):
         calls.append(node_id)
-        return _bin_rng(seed, node_id)
+        return stream(seed, node_id)
 
-    monkeypatch.setattr(engine, "_bin_rng", counted)
+    monkeypatch.setattr(substreams, "stream", counted)
     for seed in range(4):
         calls.clear()
         bins = bin_pair(_pair(n, seed), kind, StopConfig(max_depth=1, min_expected=0.0),
@@ -182,7 +217,7 @@ def test_root_split_follows_the_full_margin_rule(monkeypatch, n, kind):
             on_t, cut = False, 5
         else:
             assert calls == [1]
-            on_t, cut = _bin_rng(seed, 1).random() >= 0.5, 6
+            on_t, cut = stream(seed, 1).random() >= 0.5, 6
         lo = bins[0]
         assert (lo.upper_t if on_t else lo.upper_s) == cut
         assert (lo.upper_s if on_t else lo.upper_t) == n

@@ -109,6 +109,19 @@ def test_ranked_pair_validates_permutations():
         RankedPair(s=np.array([]), t=np.array([]), n=0)
 
 
+def test_ranked_pair_refuses_non_integer_ranks():
+    # a cast to int64 would truncate 1.5 to the permutation [1, 2]
+    for s in ([1.5, 2.0], [np.nan, 1.0], [1.0, 2.0 + 2**-40], ["1", "2"]):
+        with pytest.raises(ValueError, match="s is not a permutation"):
+            RankedPair(s=np.array(s), t=np.array([2, 1]), n=2)
+    # and would wrap 2**64 + 1 to 1
+    with pytest.raises(ValueError, match="t is not a permutation"):
+        RankedPair(s=np.array([2, 1]), t=np.array([2, 2**64 + 1], dtype=object), n=2)
+    # integral values of any type are ranks
+    pair = RankedPair(s=np.array([2.0, 1.0]), t=np.array([1, 2], dtype=np.uint8), n=2)
+    assert pair.s.dtype == pair.t.dtype == np.int64 and pair.s.tolist() == [2, 1]
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(
     n=st.integers(1, 1200),

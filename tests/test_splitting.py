@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from _oracles import allocating_scored, one_bin_split, per_bin_split_at, stream_coins
+from _oracles import allocating_scored, one_bin_split, per_bin_split_at, stream_draws
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -212,7 +212,7 @@ def test_unknown_kind_rejected():
     for bounds, e, ss, tt in (root, one):
         with pytest.raises(ValueError, match="unknown score kind 'quux'"):
             best_splits(*bounds, np.array([e]), np.array([ss.size]), ss, tt, "quux", 5.0,
-                        rng_of, stream_coins(rng_of), Workspace())
+                        stream_draws(rng_of), Workspace())
 
 
 def test_unsplittable_when_both_halvings_undercut_floor():
@@ -329,7 +329,7 @@ def test_workspace_best_splits_matches_allocating_oracle(bins, scale, kind, z, s
 
     def split(ws):
         rng_of = lambda j: np.random.default_rng((seed, j))  # noqa: E731
-        return best_splits(*level, kind, z, rng_of, stream_coins(rng_of), ws)
+        return best_splits(*level, kind, z, stream_draws(rng_of), ws)
 
     got = split(Workspace())
     oracle = lambda margins, cnt, e, kind, z, ws: allocating_scored(margins, cnt, e, kind, z)
