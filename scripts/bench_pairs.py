@@ -27,7 +27,8 @@ metrics under ``traces``.
 
 Only full-profile results count: the harness's self-test writes smoke-size
 results under the same names, and each one found is reported and skipped.
-A side whose untraced runs measured more than one source is refused.
+A side whose untraced runs measured more than one source is refused, and so
+are two sides that measured the same source.
 """
 
 from __future__ import annotations
@@ -170,10 +171,13 @@ def main(argv=None) -> int:
             ap.error(f"--claim: BENCHMARK.json has no end-to-end metric {metric!r}")
     runs = {side: _runs(path) for side, path in (("parent", args.parent),
                                                  ("change", args.change))}
-    for side, got in runs.items():
-        sources = sorted({r["provenance"]["source_sha256"] for _, r in got.values()})
-        if len(sources) > 1:
-            ap.error(f"the {side}'s runs measured {len(sources)} sources: {sources}")
+    sources = {side: sorted({r["provenance"]["source_sha256"] for _, r in got.values()})
+               for side, got in runs.items()}
+    for side, shas in sources.items():
+        if len(shas) > 1:
+            ap.error(f"the {side}'s runs measured {len(shas)} sources: {shas}")
+    if sources["parent"] and sources["parent"] == sources["change"]:
+        ap.error(f"the parent and the change measured the same source: {sources['change']}")
     workloads = aggregate(runs["parent"], runs["change"])
     if not workloads:
         ap.error("no workload has runs on both sides")

@@ -12,10 +12,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 data error.
 
-Seeding: ``bin`` (and each scan pair) ranks with a stream derived from the
-seed, then bins with the seed itself, so equal invocations write identical
-bytes.  Residual plots use saturated blue #2166AC for negative residuals
-and saturated red #B2182B for positive ones, fading to white at zero.
+Every draw comes from a stream of ``--seed`` (``substreams`` states the
+policy), so equal invocations write identical bytes.  Residual plots use
+saturated blue #2166AC for negative residuals and saturated red #B2182B for
+positive ones, fading to white at zero.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .scan import (
     write_records_csv,
 )
 from .stats import NullTable, chi2_statistic, empirical_p, simulate_null
+from .substreams import stream
 
 _SCORES = {"chi": "chi", "mi": "mi", "rand": "random", "random": "random"}
 
@@ -188,8 +189,7 @@ def _stop(args) -> StopConfig:
 
 def _cmd_bin(args) -> int:
     x, y = _read_xy(args.input)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(args.seed, 0)))
-    pair = rank_pair(x, y, rng)
+    pair = rank_pair(x, y, stream(args.seed, 0))
     binning = bin_pair(pair, kind=_SCORES[args.score], stop=_stop(args),
                        z=args.min_split, seed=args.seed)
     with open(args.out, "w") as fh:

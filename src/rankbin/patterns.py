@@ -10,9 +10,12 @@ case a dependence measure must not flag.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .substreams import stream
 
 PATTERN_KINDS = (
     "wave",
@@ -37,7 +40,7 @@ class PatternSpec:
     """Which pattern to draw, how many points, noise scale, and seed.
 
     ``noise=None`` selects the pattern's default scale; patterns without a
-    noise parameter ignore it.
+    noise parameter ignore it.  ``seed`` is an integer >= 0.
     """
 
     kind: str
@@ -52,11 +55,14 @@ class PatternSpec:
             raise ValueError("n must be >= 1")
         if self.noise is not None and not 0 <= self.noise < math.inf:
             raise ValueError("noise must be finite and >= 0")
+        # an integer, as a binning seed must be (TypeError), and >= 0
+        if operator.index(self.seed) < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def generate(spec: PatternSpec) -> tuple[np.ndarray, np.ndarray]:
     """Draw n paired observations of the requested pattern, deterministically."""
-    rng = np.random.default_rng(spec.seed)
+    rng = stream(spec.seed)
     n = spec.n
     noise = spec.noise
     if noise is None:

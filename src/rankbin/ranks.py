@@ -53,12 +53,38 @@ def _trusted_pair(s: np.ndarray, t: np.ndarray, n: int) -> RankedPair:
     return pair
 
 
-def _tied(ascending: np.ndarray) -> bool:
-    """The one tie test: whether two neighbours of a sorted sample compare equal.
+def _sample(values) -> np.ndarray:
+    """``values`` as a float sample ``rank`` accepts; refuses one that is
+    not one-dimensional, is empty or holds a non-finite value."""
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"can only rank a one-dimensional sample, not shape {v.shape}")
+    if v.size == 0:
+        raise ValueError("cannot rank an empty sequence")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("cannot rank non-finite values")
+    return v
 
-    ``-0.0 == 0.0``, so a sample holding both is tied, as in the stable sort.
-    """
-    return bool((ascending[1:] == ascending[:-1]).any())
+
+def _ranks(order: np.ndarray) -> np.ndarray:
+    """The int64 ranks that put ``order[k]`` at rank k + 1."""
+    out = np.empty(order.size, dtype=np.int64)
+    out[order] = np.arange(1, order.size + 1)
+    return out
+
+
+def _untied_ranks(v: np.ndarray) -> np.ndarray | None:
+    """A checked sample's ranks by one default (SIMD) sort, which no shuffle
+    changes; None if two values tie (``-0.0 == 0.0``, as in the stable sort)."""
+    order = np.argsort(v)
+    ascending = v[order]
+    return None if (ascending[1:] == ascending[:-1]).any() else _ranks(order)
+
+
+def _shuffled_ranks(v: np.ndarray, shuffle: np.ndarray) -> np.ndarray:
+    """A checked sample's ranks, each tied run ordered as the permutation
+    ``shuffle`` meets it: the stable sort of the shuffled sample."""
+    return _ranks(shuffle[np.argsort(v[shuffle], kind="stable")])
 
 
 def rank(values, rng: np.random.Generator) -> np.ndarray:
@@ -66,37 +92,16 @@ def rank(values, rng: np.random.Generator) -> np.ndarray:
 
     An untied value receives the count of elements less than or equal to it.
     A run of m tied values receives its m consecutive ranks in an order
-    drawn uniformly from the m! arrangements, using ``rng``.
+    drawn uniformly from the m! arrangements, by the stable sort of a copy
+    shuffled from ``rng``; the shuffle is drawn even for a tie-free sample.
 
-    Raises ``ValueError`` on empty input or non-finite values.
+    Raises ``ValueError`` on input that is not one-dimensional or is empty,
+    and on non-finite values.
     """
-    return _rank(values, rng, tied=False)
-
-
-def _rank(values, rng: np.random.Generator, tied: bool) -> np.ndarray:
-    """``rank``; a sample known to hold a tie (``tied``) goes straight to
-    the stable sort."""
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1:
-        v = v.reshape(-1)
-    if v.size == 0:
-        raise ValueError("cannot rank an empty sequence")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("cannot rank non-finite values")
-    n = v.size
-    # Stable-sorting a randomly shuffled copy keeps untied values in order
-    # while randomizing each tied run uniformly.  Without a tie every sort
-    # gives that order, so the default (SIMD) one is tried first.
-    shuffle = rng.permutation(n)
-    w = v[shuffle]
-    if not tied:
-        order = np.argsort(w)
-        tied = _tied(w[order])
-    if tied:
-        order = np.argsort(w, kind="stable")
-    out = np.empty(n, dtype=np.int64)
-    out[shuffle[order]] = np.arange(1, n + 1)
-    return out
+    v = _sample(values)
+    shuffle = rng.permutation(v.size)
+    ranks = _untied_ranks(v)
+    return ranks if ranks is not None else _shuffled_ranks(v, shuffle)
 
 
 def rank_pair(x, y, rng: np.random.Generator) -> RankedPair:

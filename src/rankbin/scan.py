@@ -6,12 +6,12 @@ empirical p-value.  Inputs are expected to be approximately serially
 independent pseudo-observations -- any time-series whitening (e.g. fitting
 and residualizing a volatility model on returns) happens upstream.
 
-Each pair derives its own random substreams from the scan seed and the two
-column indices, so results do not depend on worker count or scheduling.  A
-column with no tie gets the same ranks from any stream, so each such column
-is ranked once per call and its read-only ranks are shared by every pair that
-holds it (a pool worker receives them once, with the tree source); only a
-tied column is ranked per pair, from that pair's substream.
+Each pair draws from its own streams of the scan seed and its two column
+indices (``substreams``), so results do not depend on worker count or
+scheduling.  A column with no tie gets the same ranks from any stream, so it
+is ranked once per call and its read-only ranks are shared by every pair
+that holds it (a pool worker receives them once, with the tree source); only
+a tied column is ranked per pair, from that pair's stream.
 Pairs are grown and read off as null replicates are, by
 ``stats.tree_statistics``, and their p-values placed in one pass by
 ``stats.empirical_ps``; ``pair_binnings`` rebuilds chosen pairs' binnings
@@ -31,9 +31,9 @@ import numpy as np
 
 from .bins import Binning, StopConfig
 from .engine import tree_binnings
-from .ranks import RankedPair, _rank, _tied, _trusted_pair, rank
+from .ranks import RankedPair, _sample, _shuffled_ranks, _trusted_pair, _untied_ranks
 from .stats import NullTable, empirical_ps, tree_statistics
-from .substreams import pair_seeds
+from .substreams import pair_seeds, stream
 
 logger = logging.getLogger(__name__)
 
@@ -195,38 +195,27 @@ def _columns(table: dict[str, np.ndarray]) -> tuple[list[str], list[np.ndarray],
     return names, cols, n
 
 
-def _tie_free_ranks(cols, used) -> list[np.ndarray | None]:
-    """The ranks of each used column that holds no tie, read-only; None for the rest.
-
-    A column ties under ``rank``'s own test (``ranks._tied``), so ``-0.0``
-    and ``0.0`` tie.  A tie-free column's ranks do not depend on the stream,
-    so any one will do; ``rank`` itself refuses an empty or non-finite
-    column, and a tied one is left to each pair's substream.
-    """
-    rng = np.random.default_rng(0)
-    ranked: list[np.ndarray | None] = [None] * len(cols)
-    for j in sorted(set(used)):
-        if not _tied(np.sort(np.asarray(cols[j], dtype=float), axis=None)):
-            ranked[j] = rank(cols[j], rng)
-            ranked[j].flags.writeable = False
-    return ranked
+def _pair_source(cols, jobs, base_seed: int) -> partial:
+    """The tree source of column pairs ``jobs``: each column a job holds is
+    checked once, as ``rank`` checks a sample, and ranked here (read-only) if
+    tie-free, else kept as its float sample; every binning seed is hashed."""
+    held: list[np.ndarray | None] = [None] * len(cols)
+    for j in sorted({j for job in jobs for j in job}):
+        v = _sample(cols[j])
+        held[j] = _untied_ranks(v)
+        if held[j] is None:
+            held[j] = v
+        else:
+            held[j].flags.writeable = False
+    return partial(_seeded_pair, held, jobs, base_seed, pair_seeds(base_seed, jobs))
 
 
-def _seeded_pair(cols, ranked, jobs, base_seed, seeds, i) -> tuple[RankedPair, int]:
-    """Column pair ``jobs[i]`` as ranks and its binning seed ``seeds[i]``.
-
-    Streams 0, 1 and 2 are those of
-    ``SeedSequence(entropy=(base_seed, ia, ib)).spawn(3)``, built directly
-    from their spawn keys without the parent.  Column ``ia`` (``ib``) takes
-    its shared ranks in ``ranked`` if it has them, and is ranked from stream
-    0 (1) only if not: it is tied, so straight by the stable sort.  Stream
-    2's first word is the binning seed, hashed for every pair at once
-    (``substreams.pair_seeds``) into ``seeds``.
-    """
-    s, t = (ranked[j] if ranked[j] is not None else
-            _rank(cols[j], np.random.default_rng(
-                np.random.SeedSequence((base_seed, *jobs[i]), spawn_key=(k,))), tied=True)
-            for k, j in enumerate(jobs[i]))
+def _seeded_pair(held, jobs, base_seed, seeds, i) -> tuple[RankedPair, int]:
+    """Column pair ``jobs[i]`` as ranks, and its binning seed ``seeds[i]``; a
+    column held as a tied sample is ranked from the pair's stream of spawn key 0 (1)."""
+    s, t = (c if c.dtype == np.int64 else _shuffled_ranks(
+                c, stream(base_seed, *jobs[i], spawn_key=(k,)).permutation(c.size))
+            for k, c in enumerate(held[j] for j in jobs[i]))
     return _trusted_pair(s, t, s.size), seeds[i]
 
 
@@ -246,10 +235,8 @@ def pair_binnings(
     names, cols, n = _columns(table)
     jobs = [(names.index(a), names.index(b)) for a, b in named_pairs]
     d = stop.max_depth
-    ranked = _tie_free_ranks(cols, [j for job in jobs for j in job])
-    binnings = tree_binnings(partial(_seeded_pair, cols, ranked, jobs, base_seed,
-                                     pair_seeds(base_seed, jobs)), len(jobs),
-                             n, [d], kind, stop.min_expected, z)
+    binnings = tree_binnings(_pair_source(cols, jobs, base_seed), len(jobs), n, [d],
+                             kind, stop.min_expected, z)
     return [b[d] for b in binnings]
 
 
@@ -265,17 +252,16 @@ def scan_pairs(
 ) -> list[ScanRecord]:
     """Score every unordered column pair and sort by descending chi2.
 
-    Each tie-free column is ranked once and its ranks shared; a tied column
-    is ranked afresh for each pair, from that pair's substream, so
-    tie-breaking draws stay independent across the scan.  Every pair's
-    binning seed is hashed in one array pass (``substreams.pair_seeds``),
-    equal to the first word of its own stream 2.  Pairs are grown and read
-    off in batches by ``stats.tree_statistics``.  The matrix needs columns
-    of equal length and a row, and the null table must have been simulated
-    for the same number of rows (when it records one) and under the same
-    kind/stop/z configuration (``NullTable.check_config``); these,
-    ``window`` >= 0, ``workers`` >= 1, the kind and z are checked before any
-    tree is grown.
+    Each column is checked once; a tie-free one is ranked once and its ranks
+    shared, a tied one is ranked afresh for each pair, from that pair's
+    stream, so tie-breaking draws stay independent across the scan.  Every
+    pair's binning seed is hashed in one array pass (``substreams``).  Pairs
+    are grown and read off in batches by ``stats.tree_statistics``.  The
+    matrix needs columns of equal length and a row, and the null table must
+    have been simulated for the same number of rows (when it records one)
+    and under the same kind/stop/z configuration (``NullTable.check_config``);
+    these, ``window`` >= 0, ``workers`` >= 1, the kind and z are checked
+    before any tree is grown.
     """
     names, cols, n = _columns(table)
     if len(names) < 2:
@@ -286,10 +272,8 @@ def scan_pairs(
     if window < 0:
         raise ValueError("window must be >= 0")
     jobs = list(combinations(range(len(names)), 2))
-    source = partial(_seeded_pair, cols, _tie_free_ranks(cols, range(len(cols))), jobs,
-                     base_seed, pair_seeds(base_seed, jobs))
-    n_bins, chi2s = tree_statistics(source, len(jobs), n, [stop.max_depth], kind,
-                                    stop.min_expected, z, workers)
+    n_bins, chi2s = tree_statistics(_pair_source(cols, jobs, base_seed), len(jobs), n,
+                                    [stop.max_depth], kind, stop.min_expected, z, workers)
     p_emp = empirical_ps(null, n_bins[:, 0], chi2s[:, 0], window).tolist()
     records = [
         ScanRecord(name_a=names[ia], name_b=names[ib], n_bin=n_bin, chi2=chi2, p_emp=p)

@@ -22,6 +22,7 @@ import numpy as np
 from .bins import Binning, StopConfig
 from .engine import check_growth_args, grow_trees, read_off
 from .ranks import RankedPair, _trusted_pair
+from .substreams import stream
 
 logger = logging.getLogger(__name__)
 
@@ -55,6 +56,19 @@ def pearson_residuals(binning: Binning) -> np.ndarray:
     return np.sign(d) * np.sqrt(d * d / binning.expected)
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as int64; refuses with ``ValueError`` any that is not an
+    integer within int64 (3, a numpy int and 3.0 are; 3.7, nan and "3" not)."""
+    x = np.asarray(values)
+    if x.dtype.kind == "f":
+        exact = np.all((x == np.floor(x)) & (np.abs(x) < 2.0**63))  # nan and inf fail
+    else:
+        exact = x.dtype.kind == "i" or (x.dtype.kind == "u" and not np.any(x >= 2**63))
+    if not exact:
+        raise ValueError(f"{what} must be integers within int64")
+    return x.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class NullTable:
     """Simulated (depth limit, n_bin, chi2) triples for one configuration.
@@ -62,7 +76,9 @@ class NullTable:
     ``n`` is the row count simulated for, 0 when unknown (tables loaded from
     bare CSV).  ``config`` records how the simulations were produced (score
     kind, stop settings, split floor z); tables loaded from bare CSV carry
-    None and cannot be checked for configuration mismatches.
+    None and cannot be checked for configuration mismatches.  The columns
+    are stored as int64 (``depths``, ``n_bins``, each value an integer) and
+    float64 (``chi2s``) arrays.
     """
 
     n: int
@@ -74,6 +90,9 @@ class NullTable:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("n must be >= 0 (0 when unknown)")
+        object.__setattr__(self, "depths", _integers(self.depths, "depths"))
+        object.__setattr__(self, "n_bins", _integers(self.n_bins, "n_bin entries"))
+        object.__setattr__(self, "chi2s", np.asarray(self.chi2s, dtype=float))
         if not (self.depths.size == self.n_bins.size == self.chi2s.size):
             raise ValueError("entry columns must have equal length")
         if self.depths.size and (self.depths.min() < 0 or self.n_bins.min() < 1
@@ -175,13 +194,8 @@ class NullTable:
             entries = entries.reshape(0, 3)
         if entries.ndim != 2 or entries.shape[1] != 3:
             raise bad
-        ints = entries[:, :2]
-        # NaN fails every comparison and inf the bound, which keeps the cast exact
-        if not np.all((ints == np.floor(ints)) & (ints >= 0) & (ints < 2**63)):
-            raise ValueError(f"{path}: depth and n_bin entries must be integers >= 0")
         try:
-            return cls(n=n, depths=entries[:, 0].astype(np.int64),
-                       n_bins=entries[:, 1].astype(np.int64), chi2s=entries[:, 2],
+            return cls(n=n, depths=entries[:, 0], n_bins=entries[:, 1], chi2s=entries[:, 2],
                        config=doc.get("config"))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
@@ -231,7 +245,7 @@ def tree_statistics(
 
 def _null_tree(n: int, seed: int, rep: int) -> tuple[RankedPair, int]:
     """Null replicate ``rep``: two uniform permutations and a binning seed."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, rep)))
+    rng = stream(seed, rep)
     s = rng.permutation(n) + 1
     t = rng.permutation(n) + 1
     return _trusted_pair(s, t, n), int(rng.integers(0, 2**63))
@@ -302,10 +316,7 @@ def empirical_ps(null: NullTable, n_bins, chi2s, window: int = 2) -> np.ndarray:
         raise ValueError("empty null table")
     if window < 0:
         raise ValueError("window must be >= 0")
-    try:
-        n_bins = np.asarray(n_bins, dtype=np.int64)
-    except OverflowError:
-        raise ValueError("observed n_bin lies outside int64") from None
+    n_bins = _integers(n_bins, "observed n_bin")
     chi2s = np.asarray(chi2s, dtype=float)
     bad = np.flatnonzero((n_bins < 1) | ~(np.isfinite(chi2s) & (chi2s >= 0)))  # -0.0 passes
     if bad.size:
@@ -335,10 +346,10 @@ def empirical_p(
     form the reference set.  If the window captures nothing it widens
     symmetrically until it holds at least 100 entries or spans the table.
     Raises ``ValueError`` for an empty table, a window below 0, or an
-    observed pair with ``n_bin`` < 1 or outside int64, or a chi2 that is not
-    finite and >= 0.
+    observed pair with an ``n_bin`` that is no integer, < 1 or outside int64,
+    or a chi2 that is not finite and >= 0.
     """
-    return float(empirical_ps(null, [int(observed[0])], [float(observed[1])], window)[0])
+    return float(empirical_ps(null, [observed[0]], [float(observed[1])], window)[0])
 
 
 def null_quantile_curve(

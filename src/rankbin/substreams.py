@@ -1,19 +1,25 @@
-"""Every bin's random substream, and numpy's ``SeedSequence`` hash and
+"""Every random stream of the package, and numpy's ``SeedSequence`` hash and
 PCG64's first draw for many streams at once.
 
-Bin ``node_id`` (its heap id, ``engine``) of a tree with seed ``seed`` draws
-from ``default_rng(SeedSequence((seed, node_id)))`` alone, so a partition
-grown to one depth limit is exactly a deeper run truncated there.
+``stream(*entropy, spawn_key=...)`` alone builds a stream: PCG64 seeded by
+``SeedSequence(entropy, spawn_key=spawn_key)``.  Each draw's entropy:
+
+- bin ``node_id`` (heap id, ``engine``) of a tree seeded ``seed``: ``(seed,
+  node_id)``, so a partition grown to one depth is a deeper one truncated;
+- null replicate r: ``(seed, r)``, two permutations, then the tree seed;
+- ``rankbin bin``: ``(seed, 0)`` ranks, and ``seed`` is the tree seed;
+- scan pair ``(ia, ib)``: ``(seed, ia, ib)`` with spawn key 0 (1) ranks a
+  tied column ``ia`` (``ib``); spawn key 2's first uint64 is the tree seed;
+- the pattern generator: ``(seed,)``, the stream of ``default_rng(seed)``.
+
 ``best_splits`` reads a bin's draws by index: under random scoring draw 0
 scores the s-margin pseudo-point, draws 1..cnt the s-margin members, draw
 cnt + 1 the t-margin pseudo-point, draws cnt + 2..2 cnt + 1 the t-margin
 members, and draw 2 cnt + 2 is the tie coin (``>= 0.5`` halves on t); under
 chi or mi a degenerate bin whose margins tie draws only the coin, draw 0.
-
-A scan pair's binning seed is the first word of ``SeedSequence((base_seed,
-ia, ib), spawn_key=(2,))`` (``scan``).  Building each object costs several
-microseconds for one value, so ``pair_seeds`` and ``first_draws`` run both
-fixed integer algorithms in uint32 and uint64 ufuncs over arrays, bit for bit.
+Building a ``SeedSequence`` costs several microseconds for one value, so
+``pair_seeds`` and ``first_draws`` run both fixed integer algorithms in
+uint32 and uint64 ufuncs over arrays, bit for bit.
 
 ``SeedSequence`` (O'Neill's ``seed_seq`` design) splits each entropy integer
 into little-endian 32-bit words (at least one), pads the run entropy with
@@ -191,9 +197,9 @@ def pcg64_first(state: np.ndarray) -> np.ndarray:
     return (v >> r) | (v << ((np.uint64(64) - r) & np.uint64(63)))
 
 
-def stream(seed: int, node_id: int) -> np.random.Generator:
-    """Bin ``node_id``'s substream under the run seed ``seed``."""
-    return np.random.default_rng(np.random.SeedSequence((seed, node_id)))
+def stream(*entropy: int, spawn_key: tuple = ()) -> np.random.Generator:
+    """PCG64 seeded by ``SeedSequence(entropy, spawn_key=spawn_key)``."""
+    return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=spawn_key))
 
 
 def first_draws(seeds, node_ids) -> np.ndarray:

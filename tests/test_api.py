@@ -1,5 +1,6 @@
 """The package's export list matches what it actually exposes, only the
-engine names the batching policy, and no module holds an array."""
+engine names the batching policy, only ``substreams`` builds a random stream,
+and no module holds an array."""
 
 import importlib
 import pkgutil
@@ -41,6 +42,16 @@ def test_only_engine_knows_the_batching_policy():
         names = set(re.findall(r"\b(BATCH|BLOCK|ProcessPoolExecutor)\b", path.read_text()))
         names -= owners.get(path.stem, set())
         if names:
+            strays[path.stem] = sorted(names)
+    assert strays == {}
+
+
+def test_only_substreams_builds_a_stream():
+    # the seeding policy is stated and applied in one module
+    strays = {}
+    for path in Path(rankbin.__file__).parent.glob("*.py"):
+        names = set(re.findall(r"default_rng|SeedSequence\(", path.read_text()))
+        if names and path.stem != "substreams":
             strays[path.stem] = sorted(names)
     assert strays == {}
 

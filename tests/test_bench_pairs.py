@@ -13,7 +13,8 @@ bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
 
-def _result(checkout, workload, seed, work, mtime, trace=0, profile="full", source="ab"):
+def _result(checkout, workload, seed, work, mtime, trace=0, profile="full", source=None):
+    source = source or checkout.name  # each side its own source, unless given
     out = checkout / ".bench_out"
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"result-{workload}-seed{seed}-trace{trace}.json"
@@ -99,6 +100,20 @@ def test_a_side_of_two_sources_is_refused(tmp_path, capsys):
         bench_pairs.main(["--parent", str(parent), "--change", str(change),
                           "--out", str(tmp_path / "BENCH.json")])
     assert "the change's runs measured 2 sources" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH.json").exists()
+
+
+def test_one_source_on_both_sides_is_refused(tmp_path, capsys):
+    # one checkout passed twice would compare a tree with itself
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in (1, 2):
+        _result(parent, "bin_1e5", seed, 100.0, 1000 + seed, source="ab")
+        _result(change, "bin_1e5", seed, 100.0, 2000 + seed, source="ab")
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                          "--out", str(tmp_path / "BENCH.json")])
+    assert exc.value.code == 2
+    assert "the parent and the change measured the same source" in capsys.readouterr().err
     assert not (tmp_path / "BENCH.json").exists()
 
 

@@ -36,6 +36,17 @@ def test_spec_validation():
     for noise in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="noise must be finite and >= 0"):
             PatternSpec(kind="wave", n=10, noise=noise)
+    # a seed of None would draw fresh entropy, so two specs would differ
+    for seed in (None, 1.5, 2.0, "3"):
+        with pytest.raises(TypeError):
+            PatternSpec(kind="wave", n=10, seed=seed)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        PatternSpec(kind="wave", n=10, seed=-1)
+    # any integer type of the same value draws the same points
+    want = generate(PatternSpec(kind="wave", n=10, seed=5))
+    for seed in (np.int64(5), np.uint8(5)):
+        assert np.array_equal(generate(PatternSpec(kind="wave", n=10, seed=seed))[1], want[1])
+    assert len(generate(PatternSpec(kind="wave", n=10, seed=2**70))[0]) == 10
 
 
 def test_four_clusters_margins_are_independent():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankbin import RankedPair, rank, rank_pair
-from rankbin.ranks import _rank
+from rankbin.ranks import _sample, _shuffled_ranks
 
 
 def test_distinct_values_rank_by_sort_index():
@@ -72,6 +72,15 @@ def test_rank_errors():
         rank([1.0, np.nan], rng)
     with pytest.raises(ValueError):
         rank([1.0, np.inf], rng)
+
+
+@pytest.mark.parametrize("values", [np.array([[3.0, 1.0], [2.0, 5.0]]), 7.0, [[1.0]]])
+def test_only_one_dimensional_samples_are_ranked(values):
+    # none is flattened into a sample of its cells
+    with pytest.raises(ValueError, match="one-dimensional"):
+        rank(values, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        rank_pair(values, values, np.random.default_rng(0))
 
 
 def test_rank_pair_trivial_examples():
@@ -138,7 +147,7 @@ def test_ranked_pair_refuses_non_integer_ranks():
 def test_rank_matches_stable_oracle(n, levels, signed_zeros, seed):
     # Trying the default sort first gives, bit for bit, the ranks of the
     # stable sort alone, and leaves the stream where it left it; so does a
-    # sample ranked as known tied.
+    # sample ranked straight by the stable sort of one shuffle.
     rng = np.random.default_rng(seed)
     v = rng.normal(size=n) if levels is None else rng.integers(0, levels, n) - levels // 2.0
     if signed_zeros and n >= 2:
@@ -146,7 +155,8 @@ def test_rank_matches_stable_oracle(n, levels, signed_zeros, seed):
     want_rng = np.random.default_rng(seed)
     want = stable_rank(v, want_rng)
     for ranks, got_rng in ((rank, np.random.default_rng(seed)),
-                           (lambda v, rng: _rank(v, rng, tied=True), np.random.default_rng(seed))):
+                           (lambda v, rng: _shuffled_ranks(_sample(v), rng.permutation(v.size)),
+                            np.random.default_rng(seed))):
         got = ranks(v, got_rng)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -180,7 +190,7 @@ def test_known_tied_sample_goes_straight_to_the_stable_sort(monkeypatch):
     monkeypatch.setattr(np, "argsort", counted)
     rng = np.random.default_rng(0)
     tied = np.round(rng.normal(size=755), 1)
-    _rank(tied, rng, tied=True)
+    _shuffled_ranks(tied, rng.permutation(tied.size))
     assert kinds == ["stable"]
     kinds.clear()
     rank(tied, rng)  # a failed try first

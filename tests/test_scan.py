@@ -340,29 +340,22 @@ def test_pair_binnings_refuses_a_table_without_rows():
 
 
 def _stream_use(monkeypatch, table):
-    """Record the column and stream of every ranking in ``scan`` (``rank``, or
-    ``_rank`` for a tied column), and the spawn key of every per-pair
-    ``Generator`` built; returns both lists."""
-    ranked, built = [], []
-    default_rng = np.random.default_rng
+    """Record the column of every sample check in ``scan`` and the entropy
+    and spawn key of every ``substreams.stream`` it builds; returns both lists."""
+    checked, built = [], []
+    sample, stream = scan._sample, scan.stream
 
-    def counted(rank):
-        def counted_rank(values, rng, **tied):
-            ss = rng.bit_generator.seed_seq
-            name = next(k for k, col in table.items() if col is values)
-            ranked.append((name, ss.entropy, ss.spawn_key))
-            return rank(values, rng, **tied)
-        return counted_rank
+    def counted_sample(values):
+        checked.append(next(k for k, col in table.items() if col is values))
+        return sample(values)
 
-    def counted_rng(seed=None):
-        if isinstance(seed, np.random.SeedSequence) and seed.spawn_key:
-            built.append(seed.spawn_key)
-        return default_rng(seed)
+    def counted_stream(*entropy, spawn_key=()):
+        built.append((entropy, spawn_key))
+        return stream(*entropy, spawn_key=spawn_key)
 
-    monkeypatch.setattr(scan, "rank", counted(scan.rank))
-    monkeypatch.setattr(scan, "_rank", counted(scan._rank))
-    monkeypatch.setattr(np.random, "default_rng", counted_rng)
-    return ranked, built
+    monkeypatch.setattr(scan, "_sample", counted_sample)
+    monkeypatch.setattr(scan, "stream", counted_stream)
+    return checked, built
 
 
 def test_tie_free_columns_are_ranked_once_per_call(monkeypatch):
@@ -370,14 +363,12 @@ def test_tie_free_columns_are_ranked_once_per_call(monkeypatch):
     n, stop = 80, StopConfig(max_depth=4)
     table = {f"c{i}": rng.normal(size=n) for i in range(5)}
     null = _null(n, depth=4)
-    ranked, built = _stream_use(monkeypatch, table)
+    checked, built = _stream_use(monkeypatch, table)
     scan_pairs(table, "chi", stop, 5.0, 3, null)
-    assert sorted(name for name, _, key in ranked if key == ()) == list(table)
-    assert len(ranked) == len(table) and built == []
-    ranked.clear()
+    assert sorted(checked) == list(table) and built == []
+    checked.clear()
     pair_binnings(table, [("c0", "c1"), ("c3", "c0"), ("c1", "c3")], "chi", stop, 5.0, 3)
-    assert sorted(name for name, _, key in ranked if key == ()) == ["c0", "c1", "c3"]
-    assert len(ranked) == 3 and built == []
+    assert sorted(checked) == ["c0", "c1", "c3"] and built == []
 
 
 def test_tied_column_is_ranked_per_pair_from_its_stream(monkeypatch):
@@ -386,14 +377,13 @@ def test_tied_column_is_ranked_per_pair_from_its_stream(monkeypatch):
     table = {f"c{i}": rng.normal(size=n) for i in range(5)}
     table["c2"] = np.round(table["c2"], 1)
     null = _null(n, depth=4)
-    ranked, built = _stream_use(monkeypatch, table)
+    checked, built = _stream_use(monkeypatch, table)
     scan_pairs(table, "chi", stop, 5.0, seed, null)
-    tied = sorted((entropy, key) for name, entropy, key in ranked if name == "c2")
     # c2 is the first column of pairs (2, 3) and (2, 4), the second of (0, 2) and (1, 2)
-    assert tied == [((seed, 0, 2), (1,)), ((seed, 1, 2), (1,)),
-                    ((seed, 2, 3), (0,)), ((seed, 2, 4), (0,))]
-    assert sorted(name for name, _, key in ranked if key == ()) == ["c0", "c1", "c3", "c4"]
-    assert len(ranked) == 8 and sorted(built) == [(0,), (0,), (1,), (1,)]
+    assert sorted(built) == [((seed, 0, 2), (1,)), ((seed, 1, 2), (1,)),
+                             ((seed, 2, 3), (0,)), ((seed, 2, 4), (0,))]
+    # and is checked once, as every other column is
+    assert sorted(checked) == list(table)
 
 
 @pytest.mark.parametrize("tie", ["signed_zero", "one_repeat"])
@@ -407,21 +397,56 @@ def test_barely_tied_columns_take_the_per_pair_path(monkeypatch, tie):
         table["c1"][10] = table["c1"][50]
     null = _null(n, depth=4)
     want = per_pair_scan(table, "chi", stop, 5.0, seed, null)
-    ranked, _ = _stream_use(monkeypatch, table)
+    _, built = _stream_use(monkeypatch, table)
     got = scan_pairs(table, "chi", stop, 5.0, seed, null)
     assert got == want
-    assert sorted(key for name, _, key in ranked if name == "c1") == [(0,), (0,), (1,)]
+    # c1 is the second column of pair (0, 1), the first of (1, 2) and (1, 3)
+    assert sorted(built) == [((seed, 0, 1), (1,)), ((seed, 1, 2), (0,)),
+                             ((seed, 1, 3), (0,))]
 
 
 def test_shared_ranks_are_read_only():
     rng = np.random.default_rng(18)
     cols = [rng.normal(size=50), np.round(rng.normal(size=50), 1)]
-    ranked = scan._tie_free_ranks(cols, [0, 1])
-    assert ranked[1] is None
-    pair, _ = scan._seeded_pair(cols, ranked, [(0, 1)], 7, [0], 0)
-    assert pair.s is ranked[0]
+    source = scan._pair_source(cols, [(0, 1)], 7)
+    pair, _ = source(0)
+    again, _ = source(0)
+    # the tie-free column's ranks are shared, the tied one's ranked per call
+    assert pair.s is again.s and pair.t is not again.t
+    assert pair.t.tobytes() == again.t.tobytes()
     with pytest.raises(ValueError, match="read-only"):
         pair.s[0] = 1
+
+
+def test_each_column_is_sorted_once_and_a_tie_free_one_never_again(monkeypatch):
+    rng = np.random.default_rng(20)
+    cols = [rng.normal(size=60), np.round(rng.normal(size=60), 1), rng.normal(size=60)]
+    kinds = []
+    argsort, sort = np.argsort, np.sort
+
+    def counted_argsort(a, *args, kind=None, **kwargs):
+        kinds.append(kind)
+        return argsort(a, *args, kind=kind, **kwargs)
+
+    def counted_sort(*args, **kwargs):
+        kinds.append("sort")
+        return sort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted_argsort)
+    monkeypatch.setattr(np, "sort", counted_sort)
+    source = scan._pair_source(cols, [(0, 1), (0, 2), (1, 2)], 4)
+    assert kinds == [None, None, None]
+    kinds.clear()
+    for i in range(3):
+        source(i)
+    # only the tied column is sorted again, by each of its two pairs
+    assert kinds == ["stable", "stable"]
+
+
+def test_a_column_that_is_not_one_dimensional_is_refused():
+    table = {"a": np.arange(4.0).reshape(2, 2), "b": np.arange(4.0)}
+    with pytest.raises(ValueError, match="one-dimensional"):
+        pair_binnings(table, [("a", "b")], "chi", StopConfig(max_depth=2), 5.0, 0)
 
 
 @pytest.mark.parametrize("workers", [0, -1])

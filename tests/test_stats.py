@@ -210,6 +210,35 @@ def test_empirical_p_refuses_a_negative_statistic():
     assert empirical_p(table, (10, -0.0)) == empirical_p(table, (10, 0.0)) == 1.0
 
 
+def test_observed_n_bin_must_be_an_integer():
+    # 3.7 was truncated to 3, and "3" read as 3
+    table = _table([3, 4], [1.0, 2.0])
+    for n_bin in (3.7, 3 + 2**-40, "3", np.nan, np.inf, None):
+        with pytest.raises(ValueError, match="observed n_bin must be integers"):
+            empirical_p(table, (n_bin, 5.0))
+        with pytest.raises(ValueError, match="observed n_bin must be integers"):
+            empirical_ps(table, [n_bin], [5.0])
+    want = empirical_p(table, (3, 1.5))
+    for n_bin in (3.0, np.int32(3), np.uint8(3), np.float32(3)):
+        assert empirical_p(table, (n_bin, 1.5)) == want
+        assert empirical_ps(table, [n_bin], [1.5]).tolist() == [want]
+
+
+def test_null_table_columns_are_integral_arrays():
+    # n_bin 3.5 was kept, and placed observations against itself
+    for depths, n_bins in (([2.5], [3]), ([2], [3.5]), ([2], ["3"]), ([np.nan], [3]),
+                           ([2], [2**64])):
+        with pytest.raises(ValueError, match="must be integers"):
+            NullTable(0, np.array(depths), np.array(n_bins), np.array([1.0]))
+    # plain lists and integral floats are stored as int64 and float64 arrays
+    table = NullTable(0, [2.0, 3], [3, np.int8(4)], [1, 2])
+    assert table.depths.dtype == table.n_bins.dtype == np.int64
+    assert table.chi2s.dtype == np.float64
+    assert (table.depths.tolist(), table.n_bins.tolist(), table.chi2s.tolist()) == (
+        [2, 3], [3, 4], [1.0, 2.0])
+    assert empirical_p(table, (3, 1.5)) == 2 / 3
+
+
 def test_empirical_p_empty_table_rejected():
     table = _table([], [])
     with pytest.raises(ValueError):
